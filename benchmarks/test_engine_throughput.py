@@ -13,15 +13,20 @@ from __future__ import annotations
 
 import time
 
+import numpy as np
+
 from repro.core import fig3_schemes
 from repro.core.experiments import FIG3_MC_FOOTPRINTS
 from repro.engine import (
-    ClusterErrorModel,
+    BlockStreams,
     EngineSpec,
+    make_decoder,
     run_experiment,
+    run_recovery_batch,
     scalar_trial_verdict,
 )
 from repro.engine.rng import block_generator
+from repro.scenarios import ClusteredMbuScenario
 
 from reporting import print_series, write_bench
 
@@ -32,7 +37,7 @@ _PACKED_TARGET_SPEEDUP = 4.0
 def _fig3_setup():
     scheme = fig3_schemes()["2d_edc8_edc32"]
     spec = EngineSpec.from_scheme(scheme, rows=256)
-    model = ClusterErrorModel(footprints=FIG3_MC_FOOTPRINTS)
+    model = ClusteredMbuScenario(footprints=FIG3_MC_FOOTPRINTS)
     return spec, model
 
 
@@ -81,35 +86,51 @@ def test_engine_throughput_vs_scalar_on_fig3_workload():
     )
 
 
+def _dense_reference_run(spec, model, n_trials: int, seed: int, block_size: int):
+    """The dense-tensor reference pipeline, timed end to end: each
+    block's ``uint8`` masks from ``sample_block`` through the ``uint8``
+    vector decoders and :func:`run_recovery_batch`.  Returns
+    ``(verdicts, trials_per_second)``."""
+    decoder = make_decoder(spec)
+    started = time.perf_counter()
+    verdicts = [
+        run_recovery_batch(
+            spec, model.sample_block(BlockStreams(seed, block), block_size, spec),
+            decoder,
+        )
+        for block in range(n_trials // block_size)
+    ]
+    elapsed = time.perf_counter() - started
+    return np.concatenate(verdicts), n_trials / elapsed
+
+
 def test_packed_sparse_vs_dense_on_fig3_pipeline():
-    """The PR 5 acceptance gate: the packed/sparse dispatch must carry
-    the full fig3 clustered pipeline (sampling + decode + recovery +
-    aggregation) at >= 4x the dense-tensor path, with bit-identical
-    verdicts.  In practice the gap is 10-30x (most rows are clean and
-    never decoded at all); the 4x target keeps CI margin."""
+    """The PR 5 acceptance gate: the packed pipeline must carry the full
+    fig3 clustered pipeline (sampling + decode + recovery + aggregation)
+    at >= 4x the dense-tensor ``uint8`` reference, with bit-identical
+    verdicts.  In practice the gap is far larger (most rows are clean
+    and never decoded at all); the 4x target keeps CI margin."""
     spec, model = _fig3_setup()
     n_trials = 4096
 
     # Warm both paths once so decoder/lookup-table construction and
     # allocator warm-up stay out of the measurement.
-    run_experiment(spec, model, 256, seed=76, block_size=256, execution="dense")
-    run_experiment(spec, model, 256, seed=76, block_size=256, execution="sparse")
+    _dense_reference_run(spec, model, 256, seed=76, block_size=256)
+    run_experiment(spec, model, 256, seed=76, block_size=256)
 
-    dense = run_experiment(spec, model, n_trials, seed=79, block_size=256,
-                           execution="dense")
-    packed = run_experiment(spec, model, n_trials, seed=79, block_size=256,
-                            execution="sparse")
+    dense_verdicts, dense_rate = _dense_reference_run(
+        spec, model, n_trials, seed=79, block_size=256
+    )
+    packed = run_experiment(spec, model, n_trials, seed=79, block_size=256)
 
-    # Scheduling must not leak into results: the acceptance criterion is
-    # bit-identity first, throughput second.
-    assert (dense.verdicts == packed.verdicts).all()
-    assert dense.counts == packed.counts
+    # The acceptance criterion is bit-identity first, throughput second.
+    assert (dense_verdicts == packed.verdicts).all()
 
-    speedup = packed.trials_per_second / dense.trials_per_second
+    speedup = packed.trials_per_second / dense_rate
     print_series(
         "Packed/sparse vs dense — Fig. 3 clustered pipeline",
         {
-            "dense trials/s": round(dense.trials_per_second, 1),
+            "dense trials/s": round(dense_rate, 1),
             "packed trials/s": round(packed.trials_per_second, 1),
             "speedup": f"{speedup:.1f}x (target >= {_PACKED_TARGET_SPEEDUP:.0f}x)",
         },
@@ -118,7 +139,7 @@ def test_packed_sparse_vs_dense_on_fig3_pipeline():
         "engine_packed",
         {
             "workload": "fig3 2d_edc8_edc32, 256x288, cluster model",
-            "dense_trials_per_second": round(dense.trials_per_second, 1),
+            "dense_trials_per_second": round(dense_rate, 1),
             "packed_trials_per_second": round(packed.trials_per_second, 1),
             "speedup": round(speedup, 1),
             "target_speedup": _PACKED_TARGET_SPEEDUP,

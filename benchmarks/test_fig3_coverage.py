@@ -21,7 +21,6 @@ from repro.api import ExperimentSpec
 from repro.core import build_protected_bank, fig3_schemes
 from repro.core.coverage import FIG3_MC_FOOTPRINTS
 from repro.engine import (
-    ClusterErrorModel,
     EngineSpec,
     StreamingAggregator,
     run_experiment,
@@ -29,6 +28,7 @@ from repro.engine import (
 )
 from repro.engine.rng import block_generator
 from repro.errors import ErrorInjector
+from repro.scenarios import ClusteredMbuScenario
 
 from reporting import print_series, write_bench
 
@@ -144,7 +144,7 @@ def test_fig3_monte_carlo_agrees_with_scalar_oracle(benchmark):
     """
     scheme = fig3_schemes()["2d_edc8_edc32"]
     spec = EngineSpec.from_scheme(scheme, rows=256)
-    model = ClusterErrorModel(footprints=FIG3_MC_FOOTPRINTS)
+    model = ClusteredMbuScenario(footprints=FIG3_MC_FOOTPRINTS)
 
     engine_result = benchmark.pedantic(
         lambda: run_experiment(spec, model, 2048, seed=2007, block_size=256),

@@ -36,9 +36,10 @@ _TARGET_OVERHEAD = 0.05
 
 _ROUNDS = 3
 
-#: Big enough (~1.5 s/run) that the sampler takes dozens of samples and
-#: start/stop fixed costs are amortized out of the measurement.
-_TRIALS = 32768
+#: Big enough (~1 s/run on the packed engine) that the sampler takes
+#: dozens of samples and start/stop fixed costs are amortized out of
+#: the measurement.
+_TRIALS = 262144
 
 
 def _timed(fn) -> float:

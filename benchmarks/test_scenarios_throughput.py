@@ -34,20 +34,13 @@ from reporting import print_series, write_bench
 
 _TARGET_SPEEDUP = 20.0
 
-#: Engine-measurable configuration for every registered scenario on the
-#: Fig. 3 geometry.
-_BENCH_CONFIGS = {
-    "iid_uniform": {"n_cells": 4},
-    "clustered_mbu": {"footprints": FIG3_MC_FOOTPRINTS},
-    "fixed_cluster": {"height": 8, "width": 8},
-    "burst_row": {"span": 1},
-    "burst_column": {"span": 1},
-    "hard_fault_map": {"defect_density": 1e-4},
-    "composite": {
-        "soft": {"scenario": "clustered_mbu", "footprints": FIG3_MC_FOOTPRINTS},
-        "hard": {"scenario": "hard_fault_map", "defect_density": 1e-5},
-    },
-}
+def _bench_configs() -> dict:
+    """Engine-measurable configuration for every registered scenario on
+    the Fig. 3 geometry, read off each class's ``example_params`` so the
+    registry and this benchmark cannot drift apart."""
+    return {
+        name: dict(cls.example_params) for name, cls in list_scenarios().items()
+    }
 
 
 def _fig3_spec() -> EngineSpec:
@@ -130,12 +123,13 @@ def test_clustered_mbu_pipeline_vs_scalar_injector():
 def test_every_scenario_engine_throughput_recorded():
     """End-to-end engine trials/s for every registered scenario, merged
     into BENCH_scenarios.json so the trajectory is tracked."""
-    assert set(_BENCH_CONFIGS) == set(list_scenarios()), (
+    configs = _bench_configs()
+    assert set(configs) == set(list_scenarios()), (
         "benchmark configs out of sync with the scenario registry"
     )
     spec = _fig3_spec()
     rates: dict[str, float] = {}
-    for name, config in sorted(_BENCH_CONFIGS.items()):
+    for name, config in sorted(configs.items()):
         model = make_scenario(name, **config)
         result = run_experiment(
             spec, model, 1024, seed=7, block_size=256, collect_verdicts=False

@@ -527,7 +527,7 @@ def _reject_unused_model_params(ctx, selector: str, chosen: str, names: tuple) -
     params=("scenario_params",) + _RARE_KNOBS,
 )
 def _fig3_coverage_mc(ctx):
-    from repro.engine import EngineSpec, make_decoder
+    from repro.engine import EngineSpec, has_vectorized_decoder
 
     rows = int(ctx.param("array_rows"))
     columns = int(ctx.param("array_data_columns"))
@@ -546,9 +546,7 @@ def _fig3_coverage_mc(ctx):
     estimates: dict[str, dict] = {}
     skipped: list[str] = []
     for key, scheme in fig3_schemes().items():
-        try:
-            make_decoder(EngineSpec.from_scheme(scheme, rows=rows))
-        except ValueError:
+        if not has_vectorized_decoder(EngineSpec.from_scheme(scheme, rows=rows)):
             # Scheme whose horizontal code has no vectorized decoder
             # (OECNED); skip it rather than fall back to the slow path.
             skipped.append(key)

@@ -131,7 +131,8 @@ def monte_carlo_coverage(
     (``array_data_columns == data_bits * interleave_degree``), as in
     the Fig. 3 setup.
     """
-    from repro.engine import ClusterErrorModel, EngineSpec, run_experiment
+    from repro.engine import EngineSpec, run_experiment
+    from repro.scenarios import ClusteredMbuScenario
 
     expected_columns = scheme.data_bits * scheme.interleave_degree
     if array_data_columns != expected_columns:
@@ -140,7 +141,7 @@ def monte_carlo_coverage(
             f"({expected_columns}) for the bit-accurate engine geometry"
         )
     if model is None:
-        model = ClusterErrorModel.mostly_single_bit(0.3)
+        model = ClusteredMbuScenario.mostly_single_bit(0.3)
     spec = EngineSpec.from_scheme(scheme, rows=array_rows)
     result = run_experiment(
         spec,

@@ -7,16 +7,15 @@ where the scalar path (:mod:`repro.array`) walks one bank bit by bit:
   (``SeedSequence`` spawning per fixed-size trial block, with per-lane
   substreams for multi-population scenarios) that make results
   independent of worker count and chunk size.
-* :mod:`repro.engine.batch` — NumPy-vectorized decode and recovery:
-  error masks as ``(trials, rows, row_bits)`` bit arrays, horizontal
-  syndromes and vertical parity reconstruction as XOR reductions.
-  Mask *production* lives in the pluggable scenario subsystem
-  (:mod:`repro.scenarios`); the historical model names exported here
-  are aliases of its built-ins.
-* :mod:`repro.engine.packed` — bit-packed ``uint64`` decode kernels
-  (codeword-bit-major per interleave slot; masked-popcount parity and
-  SECDED syndromes) and the sparse-trial dispatch that decodes only
-  rows carrying errors — bit-identical to the dense path.
+* :mod:`repro.engine.batch` — :class:`EngineSpec`, the verdict codes,
+  and the ``uint8`` reference decode/recovery over dense
+  ``(trials, rows, row_bits)`` masks that the packed path is
+  identity-tested against.  Fault *sampling* lives in the pluggable
+  scenario subsystem (:mod:`repro.scenarios`).
+* :mod:`repro.engine.packed` — the production path: one table-driven
+  GF(2) syndrome kernel for parity and SECDED over packed ``uint64``
+  words (codeword-bit-major per interleave slot), and scrub /
+  reconstruction / classification over the dirty rows only.
 * :mod:`repro.engine.executor` — :class:`SharedExecutor`, the
   persistent, explicit-start-method worker pool the runner and the
   performance backend share (a :class:`repro.api.Session` owns one for
@@ -48,10 +47,7 @@ from .batch import (
     VERDICT_CORRECTED,
     VERDICT_DETECTED,
     VERDICT_SILENT,
-    ClusterErrorModel,
     EngineSpec,
-    FixedClusterModel,
-    RandomCellsModel,
     make_decoder,
     run_recovery_batch,
 )
@@ -73,7 +69,12 @@ from .rng import (
     block_seed_sequence,
     lane_generator,
 )
-from .runner import EngineResult, run_experiment, run_experiment_sequential
+from .runner import (
+    EngineResult,
+    has_vectorized_decoder,
+    run_experiment,
+    run_experiment_sequential,
+)
 from .strata import (
     ALLOCATION_MODES,
     Stratum,
@@ -97,10 +98,7 @@ __all__ = [
     "VERDICT_CORRECTED",
     "VERDICT_DETECTED",
     "VERDICT_SILENT",
-    "ClusterErrorModel",
     "EngineSpec",
-    "FixedClusterModel",
-    "RandomCellsModel",
     "make_decoder",
     "run_recovery_batch",
     "ResultCache",
@@ -123,6 +121,7 @@ __all__ = [
     "EngineResult",
     "run_experiment",
     "run_experiment_sequential",
+    "has_vectorized_decoder",
     "Stratum",
     "run_stratified",
     "proportional_allocation",

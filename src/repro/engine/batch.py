@@ -1,16 +1,11 @@
-"""Vectorized 2D decode and recovery over batches of trials.
+"""Engine spec, verdict codes and the ``uint8`` reference recovery.
 
-This module is the compute kernel of the Monte Carlo engine.  Where the
-scalar path (:mod:`repro.array.recovery`) walks one bank bit by bit, the
-batch path evaluates **thousands of independent array instances at
-once**: error patterns are ``(trials, rows, row_bits)`` bit arrays, and
-horizontal syndromes / vertical parity reconstruction are XOR reductions
-along axes.
-
-The decode paths consume pre-sampled mask batches; *producing* them is
-the job of the fault-scenario subsystem (:mod:`repro.scenarios`), whose
-built-ins the historical model names here (``ClusterErrorModel``,
-``FixedClusterModel``, ``RandomCellsModel``) now alias.
+:class:`EngineSpec` and the verdict codes are shared by the whole
+engine.  The rest of this module is the dense reference: error patterns
+as ``(trials, rows, row_bits)`` ``uint8`` arrays, horizontal syndromes
+and vertical parity reconstruction as XOR reductions along axes.  The
+engine evaluates blocks on packed words (:mod:`repro.engine.packed`);
+the identity tests hold it to this reference trial for trial.
 
 Everything operates in the *error-mask domain*.  The codes are linear,
 so every decode verdict, every inline correction and every recovery
@@ -44,33 +39,18 @@ from repro.coding import make_code
 from repro.coding.base import WordCode
 from repro.coding.hamming import SecdedCode
 from repro.coding.parity import InterleavedParityCode
-from repro.scenarios import (
-    ClusteredMbuScenario,
-    FixedClusterScenario,
-    IidUniformScenario,
-)
 
 if TYPE_CHECKING:  # avoid a runtime repro.core <-> repro.engine cycle
     from repro.core.schemes import CodingScheme
 
-#: Historical engine model names, preserved as aliases of the scenario
-#: classes that now own the sampling logic (bit-exact, same draw
-#: streams, same ``to_key`` cache identities).  New code should reach
-#: for :func:`repro.scenarios.make_scenario` / the scenario classes.
-ClusterErrorModel = ClusteredMbuScenario
-FixedClusterModel = FixedClusterScenario
-RandomCellsModel = IidUniformScenario
-
 __all__ = [
     "EngineSpec",
-    "ClusterErrorModel",
-    "FixedClusterModel",
-    "RandomCellsModel",
     "DecodeBatch",
     "VectorDecoder",
     "ParityVectorDecoder",
     "SecdedVectorDecoder",
     "make_decoder",
+    "probe_secded",
     "run_recovery_batch",
     "VERDICT_CORRECTED",
     "VERDICT_DETECTED",
@@ -288,35 +268,11 @@ class SecdedVectorDecoder(VectorDecoder):
 
     def __init__(self, code: SecdedCode, interleave_degree: int):
         super().__init__(code, interleave_degree)
-        data = code.data_bits
-        m = code.check_bits - 1
-        self._m = m
-        # Hamming-syndrome contribution of each codeword bit, probed via
-        # encode: data bit b contributes encode(e_b)[:m]; stored check
-        # bit j < m contributes e_j; the extended parity bit contributes
-        # nothing to the Hamming syndrome.
-        contrib = np.zeros((self.codeword_bits, m), dtype=np.uint8)
-        unit = np.zeros(data, dtype=np.uint8)
-        positions = np.zeros(data, dtype=np.int64)
-        for b in range(data):
-            unit[b] = 1
-            enc = code.encode(unit)[:m]
-            unit[b] = 0
-            contrib[b] = enc
-            positions[b] = int(enc.astype(np.int64) @ (1 << np.arange(m)))
-        for j in range(m):
-            contrib[data + j, j] = 1
-        self._syndrome_bits = [np.nonzero(contrib[:, i])[0] for i in range(m)]
-        # Syndrome value -> codeword bit to correct when the overall
-        # parity says "odd number of flips"; -1 marks illegal syndromes
-        # (detected-uncorrectable).
-        lut = np.full(1 << m, -1, dtype=np.int64)
-        lut[0] = data + m  # extended parity bit itself
-        for j in range(m):
-            lut[1 << j] = data + j
-        for b in range(data):
-            lut[positions[b]] = b
-        self._lut = lut
+        contrib, self._lut = probe_secded(code)
+        self._m = code.check_bits - 1
+        self._syndrome_bits = [
+            np.nonzero((contrib >> i) & 1)[0] for i in range(self._m)
+        ]
 
     def decode(self, row_masks: np.ndarray) -> DecodeBatch:
         w = self._check_shape(row_masks)
@@ -341,6 +297,32 @@ class SecdedVectorDecoder(VectorDecoder):
         return DecodeBatch(
             faulty=faulty, corrections=corrections.reshape(*lead, self.row_bits)
         )
+
+
+def probe_secded(code: SecdedCode) -> "tuple[np.ndarray, np.ndarray]":
+    """``(contrib, lut)`` of an extended-Hamming code, probed through
+    :meth:`SecdedCode.encode` so every decoder tracks the scalar code.
+
+    ``contrib[b]`` is the Hamming-syndrome value codeword bit ``b``
+    toggles: data bit ``b`` contributes ``encode(e_b)[:m]``, stored check
+    bit ``j < m`` contributes ``e_j`` and the extended parity bit
+    nothing.  ``lut`` maps a syndrome value to the codeword bit to
+    correct when the overall parity is odd; ``-1`` marks illegal
+    syndromes (detected-uncorrectable).
+    """
+    data, m = code.data_bits, code.check_bits - 1
+    contrib = np.zeros(data + m + 1, dtype=np.int64)
+    unit = np.zeros(data, dtype=np.uint8)
+    for b in range(data):
+        unit[b] = 1
+        contrib[b] = int(code.encode(unit)[:m].astype(np.int64) @ (1 << np.arange(m)))
+        unit[b] = 0
+    contrib[data : data + m] = 1 << np.arange(m)
+    lut = np.full(1 << m, -1, dtype=np.int64)
+    lut[0] = data + m  # extended parity bit itself
+    lut[contrib[data : data + m]] = np.arange(data, data + m)
+    lut[contrib[:data]] = np.arange(data)
+    return contrib, lut
 
 
 def make_decoder(spec: EngineSpec) -> VectorDecoder:

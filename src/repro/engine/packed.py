@@ -1,44 +1,36 @@
-"""Bit-packed decode kernels and the sparse-trial dispatch path.
+"""Packed-word decode and recovery: the engine's one production path.
 
-The dense decoders in :mod:`repro.engine.batch` spend one full byte of
-memory traffic per array *bit*: a ``(trials, rows, row_bits)`` mask is a
-``uint8`` tensor, so every XOR reduction and parity fold moves 8x more
-data than the information it processes.  This module removes that waste
-in two independent, composable steps.
+Every block the runner evaluates arrives as a
+:class:`~repro.scenarios.sparse.SparseRowBatch`: only the rows that
+carry errors, each as ``(D, W)`` ``uint64`` words laid out
+codeword-bit-major per interleave slot (see that module).  Scrub,
+vertical-parity row reconstruction and classification all stay on those
+words; the ``uint8`` kernels of :mod:`repro.engine.batch` survive only
+as the reference the identity tests compare against.
 
-**Bit-packed words.**  Row masks are repacked *codeword-bit-major per
-interleave slot*: the ``codeword_bits`` cells of one interleave slot's
-codeword become the low bits of ``ceil(codeword_bits / 64)`` ``uint64``
-words (:func:`pack_rows`).  Each bitwise operation then touches 64
-codeword-bit lanes at once, and the decode primitives collapse to
-masked popcounts:
+**One GF(2) syndrome kernel.**  A linear code's syndrome is the XOR of
+the syndrome contributions of the set codeword bits, so splitting a
+codeword into bytes turns it into a XOR of per-byte lookups: for byte
+position ``j`` a 256-entry ``uint64`` table holds, for every byte value,
+the XOR of the contributions of its set bits, and the syndrome of a
+slot is ``T[0][byte_0] ^ T[1][byte_1] ^ ...`` (:class:`SyndromeKernel`).
+Only the contribution vectors differ between codes:
 
-* an interleaved-parity group's syndrome bit is
-  ``popcount(word & group_mask) & 1`` (:class:`PackedParityDecoder`) —
-  one mask per parity group, built once from ``code.group_of``, which
-  also makes modular, contiguous *and* generic group maps take the
-  same code path;
-* SECDED's overall parity is the popcount of the whole packed codeword
-  (``popcount(words) & 1``), and each Hamming syndrome bit is a masked
-  popcount over the probed parity-check columns
-  (:class:`PackedSecdedDecoder`, sharing the dense decoder's lookup
-  table bit for bit).
+* interleaved parity (EDCn, byte parity, any ``group_of`` map) — bit
+  ``g`` of a contribution marks parity group ``g``; a slot is faulty
+  when any group trips, i.e. the syndrome is non-zero;
+* SECDED — the probed Hamming syndrome in the low ``m`` bits plus the
+  overall parity in bit ``m``; one table lookup on that key yields both
+  the verdict and the packed one-hot correction word.
 
-**Sparse-trial dispatch.**  At the paper's Fig. 3 / Fig. 8 error rates
-almost every row of almost every trial is clean, and the linear codes
-decode an all-zero row as clean with no corrections.
-:func:`run_recovery_batch_sparse` therefore consumes a
-:class:`~repro.scenarios.sparse.SparseRowBatch` — only the rows with
-any error, gathered up front (``np.nonzero`` on per-row any-bits) —
-and replays the dense scrub / row-reconstruction / classification
-sequence of :func:`repro.engine.batch.run_recovery_batch` over those
-rows alone.  Clean rows contribute nothing to any step (their decode
-is clean, their content mask is zero, so they drop out of the vertical
-group syndromes), which is why the sparse verdicts are **bit-identical**
-to the dense ones by construction, not just by test.
-
-Packing uses ``np.packbits(bitorder="little")`` for both data and masks,
-so the word layout is endian-consistent on any host.
+**Sparse recovery.**  Clean rows decode clean with no corrections and
+drop out of the vertical group syndromes, so running recovery over the
+dirty rows alone is lossless.  One decode per block suffices: a row
+the scrub leaves alone re-decodes exactly as before, a corrected row
+re-decodes clean with no correction (each correction word cancels the
+syndrome it was looked up by), and a reconstructed row is the XOR of
+zero-syndrome rows, so the final residual is the corrected content
+everywhere.
 """
 
 from __future__ import annotations
@@ -47,73 +39,29 @@ import numpy as np
 
 from repro.coding.hamming import SecdedCode
 from repro.coding.parity import InterleavedParityCode
-from repro.scenarios.sparse import SparseRowBatch
+from repro.scenarios.sparse import SparseRowBatch, pack_row_masks, unpack_row_words
 
 from .batch import (
     VERDICT_DETECTED,
     VERDICT_SILENT,
     DecodeBatch,
     EngineSpec,
-    SecdedVectorDecoder,
     VectorDecoder,
-    make_decoder,
+    probe_secded,
 )
 
 __all__ = [
     "pack_rows",
     "unpack_rows",
-    "popcount_words",
+    "pack_batch",
+    "SyndromeKernel",
     "PackedParityDecoder",
     "PackedSecdedDecoder",
     "make_packed_decoder",
     "run_recovery_batch_sparse",
-    "SPARSE_DISPATCH_BREAK_EVEN",
 ]
 
-#: Dirty-row fraction above which the sparse path stops paying: per
-#: dirty row it adds a gather, a scatter and index bookkeeping worth
-#: roughly two dense row-decodes, so the crossover sits near 1/3 dirty;
-#: 0.25 keeps margin (see DESIGN.md, "Sparse dispatch break-even").
-SPARSE_DISPATCH_BREAK_EVEN = 0.25
-
 _WORD_BITS = 64
-
-
-def _pack_bits(bits: np.ndarray) -> np.ndarray:
-    """Pack a trailing bit axis into little-endian ``uint64`` words."""
-    bits = np.ascontiguousarray(bits, dtype=np.uint8)
-    n = bits.shape[-1]
-    pad = -n % _WORD_BITS
-    if pad:
-        bits = np.concatenate(
-            [bits, np.zeros(bits.shape[:-1] + (pad,), dtype=np.uint8)], axis=-1
-        )
-    packed = np.packbits(bits, axis=-1, bitorder="little")
-    return packed.view(np.dtype("<u8"))
-
-
-def _unpack_bits(words: np.ndarray, n_bits: int) -> np.ndarray:
-    """Inverse of :func:`_pack_bits`, truncated to ``n_bits``."""
-    as_bytes = np.ascontiguousarray(words).view(np.uint8)
-    bits = np.unpackbits(as_bytes, axis=-1, bitorder="little")
-    return bits[..., :n_bits]
-
-
-if hasattr(np, "bitwise_count"):  # numpy >= 2.0
-
-    def popcount_words(words: np.ndarray) -> np.ndarray:
-        """Total set bits over the trailing word axis."""
-        return np.bitwise_count(words).sum(axis=-1, dtype=np.int64)
-
-else:  # pragma: no cover - exercised only on numpy < 2.0
-    _BYTE_POPCOUNT = np.array(
-        [bin(v).count("1") for v in range(256)], dtype=np.uint8
-    )
-
-    def popcount_words(words: np.ndarray) -> np.ndarray:
-        """Total set bits over the trailing word axis."""
-        as_bytes = np.ascontiguousarray(words).view(np.uint8)
-        return _BYTE_POPCOUNT[as_bytes].sum(axis=-1, dtype=np.int64)
 
 
 def pack_rows(
@@ -128,228 +76,239 @@ def pack_rows(
     per interleave slot.
     """
     w = np.asarray(row_masks, dtype=np.uint8)
-    b, d = codeword_bits, interleave_degree
-    if w.shape[-1] != b * d:
-        raise ValueError(f"expected rows of {b * d} bits, got {w.shape[-1]}")
-    lead = w.shape[:-1]
-    per_slot = np.moveaxis(w.reshape(*lead, b, d), -1, -2)  # (..., D, B)
-    return _pack_bits(per_slot)
+    if w.shape[-1] != codeword_bits * interleave_degree:
+        raise ValueError(
+            f"expected rows of {codeword_bits * interleave_degree} bits, "
+            f"got {w.shape[-1]}"
+        )
+    return pack_row_masks(w, interleave_degree)
 
 
 def unpack_rows(
     packed: np.ndarray, codeword_bits: int, interleave_degree: int
 ) -> np.ndarray:
     """Inverse of :func:`pack_rows`: back to ``(..., row_bits)`` uint8."""
-    b, d = codeword_bits, interleave_degree
-    bits = _unpack_bits(packed, b)  # (..., D, B)
-    lead = bits.shape[:-2]
-    return np.moveaxis(bits, -1, -2).reshape(*lead, b * d)
+    return unpack_row_words(packed, codeword_bits * interleave_degree)
+
+
+def pack_batch(spec: EngineSpec, masks: np.ndarray) -> SparseRowBatch:
+    """A dense ``(trials, rows, row_bits)`` mask batch as a packed sparse
+    batch — the runner's boundary for samplers that only draw masks."""
+    words = pack_rows(masks, spec.codeword_bits, spec.interleave_degree)
+    return SparseRowBatch.from_words(words, spec.row_bits)
 
 
 # ----------------------------------------------------------------------
-# packed decoders
+# the syndrome kernel
 # ----------------------------------------------------------------------
 
-class PackedParityDecoder(VectorDecoder):
-    """Interleaved-parity decode over packed codeword words.
+class SyndromeKernel:
+    """Table-driven GF(2) syndromes of packed codewords.
 
-    One precomputed ``uint64`` bit mask per parity group selects the
-    group's data bits plus its check bit; the group syndrome is the
-    masked popcount's parity.  Because the masks come straight from
-    ``code.group_of``, EDCn, byte parity and arbitrary (generic) group
-    maps are all the same two-instruction kernel.  Verdict-compatible
-    with :class:`repro.engine.batch.ParityVectorDecoder` bit for bit.
+    ``contrib`` is a ``(codeword_bits, S)`` ``uint64`` array: the
+    ``S``-word syndrome each codeword bit toggles.  The constructor folds
+    it into one 256-entry table per codeword byte; :meth:`__call__` maps
+    ``(..., D, W)`` words to ``(..., D, S)`` syndromes by XOR-ing one
+    table lookup per byte.
+    """
+
+    def __init__(self, contrib: np.ndarray):
+        n_bits, width = contrib.shape
+        n_bytes = -(-n_bits // 8)
+        per_byte = np.zeros((n_bytes * 8, width), dtype=np.uint64)
+        per_byte[:n_bits] = contrib
+        per_byte = per_byte.reshape(n_bytes, 1, 8, width)
+        value_bits = (np.arange(256)[:, None] >> np.arange(8)) & 1  # (256, 8)
+        picked = np.where(value_bits[None, :, :, None] == 1, per_byte, np.uint64(0))
+        self._tables = np.bitwise_xor.reduce(picked, axis=2)  # (n_bytes, 256, S)
+
+    def __call__(self, words: np.ndarray) -> np.ndarray:
+        as_bytes = np.ascontiguousarray(words).view(np.uint8)
+        syndrome = self._tables[0].take(as_bytes[..., 0], axis=0)
+        for j in range(1, len(self._tables)):
+            syndrome ^= self._tables[j].take(as_bytes[..., j], axis=0)
+        return syndrome
+
+
+def _bit_words(bits: np.ndarray, n_words: int) -> np.ndarray:
+    """``(..., n_words)`` uint64 one-hot words with bit ``bits[...]`` set."""
+    bits = np.asarray(bits, dtype=np.int64)
+    out = np.zeros(bits.shape + (n_words,), dtype=np.uint64)
+    np.put_along_axis(
+        out,
+        (bits // _WORD_BITS)[..., None],
+        (np.uint64(1) << (bits % _WORD_BITS).astype(np.uint64))[..., None],
+        axis=-1,
+    )
+    return out
+
+
+class _PackedDecoder(VectorDecoder):
+    """Shared shape of the packed decoders: a row-layout :meth:`decode`
+    (pack, :meth:`decode_packed`, unpack the corrections) for tests and
+    the reference pipeline, plus the data-bit mask classification uses."""
+
+    def __init__(self, code, interleave_degree: int):
+        super().__init__(code, interleave_degree)
+        self.n_words = -(-self.codeword_bits // _WORD_BITS)
+        self.data_mask = np.bitwise_or.reduce(
+            _bit_words(np.arange(self.data_bits), self.n_words), axis=0
+        )
+
+    def decode_packed(self, packed: np.ndarray) -> DecodeBatch:
+        raise NotImplementedError
+
+    def decode(self, row_masks: np.ndarray) -> DecodeBatch:
+        w = self._check_shape(row_masks)
+        dec = self.decode_packed(pack_rows(w, self.codeword_bits, self.interleave_degree))
+        if dec.corrections is None:
+            return dec
+        return DecodeBatch(dec.faulty, unpack_row_words(dec.corrections, self.row_bits))
+
+
+class PackedParityDecoder(_PackedDecoder):
+    """Interleaved-parity decode (EDCn, byte parity, generic group maps).
+
+    Bit ``g`` of a codeword bit's contribution marks its parity group,
+    taken straight from ``code.group_of``; a slot is faulty when its
+    syndrome is non-zero.  Verdict-compatible with
+    :class:`repro.engine.batch.ParityVectorDecoder` bit for bit.
     """
 
     def __init__(self, code: InterleavedParityCode, interleave_degree: int):
         super().__init__(code, interleave_degree)
-        n = code.interleave
-        membership = np.zeros((n, self.codeword_bits), dtype=np.uint8)
-        for bit in range(code.data_bits):
-            membership[code.group_of(bit), bit] = 1
-        for group in range(n):
-            membership[group, code.data_bits + group] = 1
-        self._group_masks = _pack_bits(membership)  # (n_groups, words)
-        self._n_groups = n
+        groups = [code.group_of(b) for b in range(code.data_bits)]
+        groups += list(range(code.interleave))  # check bit g closes group g
+        width = -(-code.interleave // _WORD_BITS)
+        self._kernel = SyndromeKernel(_bit_words(groups, width))
 
     def decode_packed(self, packed: np.ndarray) -> DecodeBatch:
-        """Decode pre-packed ``(..., D, words)`` rows."""
-        faulty = np.zeros(packed.shape[:-1], dtype=bool)
-        for group in range(self._n_groups):
-            syndrome = popcount_words(packed & self._group_masks[group]) & 1
-            faulty |= syndrome.astype(bool)
-        return DecodeBatch(faulty=faulty, corrections=None)
-
-    def decode(self, row_masks: np.ndarray) -> DecodeBatch:
-        w = self._check_shape(row_masks)
-        return self.decode_packed(
-            pack_rows(w, self.codeword_bits, self.interleave_degree)
-        )
+        """Decode packed ``(..., D, W)`` rows; no corrections."""
+        return DecodeBatch(faulty=self._kernel(packed).any(axis=-1), corrections=None)
 
 
-class PackedSecdedDecoder(VectorDecoder):
-    """Extended-Hamming SECDED over packed codeword words.
+class PackedSecdedDecoder(_PackedDecoder):
+    """Extended-Hamming SECDED over packed words.
 
-    Wraps a dense :class:`SecdedVectorDecoder` and reuses its probed
-    syndrome structure and correction lookup table, so classification
-    and corrections are bit-identical by construction.  The kernels
-    differ: the overall parity is one popcount of the packed codeword,
-    and each Hamming syndrome bit is a masked popcount.
+    The kernel's syndrome key holds the probed Hamming syndrome
+    (:func:`repro.engine.batch.probe_secded`, shared with the reference
+    decoder) in bits ``0..m-1`` and the overall parity in bit ``m``.
+    Two tables indexed by that key give the slot's detected-
+    uncorrectable flag and its packed one-hot correction word, so
+    miscorrections of aliasing multi-bit patterns match the scalar code
+    exactly.
     """
 
-    def __init__(self, dense: SecdedVectorDecoder):
-        super().__init__(dense.code, dense.interleave_degree)
-        self._m = dense._m
-        self._lut = dense._lut
-        membership = np.zeros((self._m, self.codeword_bits), dtype=np.uint8)
-        for i, bits in enumerate(dense._syndrome_bits):
-            membership[i, bits] = 1
-        self._syndrome_masks = _pack_bits(membership)  # (m, words)
+    def __init__(self, code: SecdedCode, interleave_degree: int):
+        super().__init__(code, interleave_degree)
+        contrib, lut = probe_secded(code)
+        m = code.check_bits - 1
+        overall_bit = np.int64(1) << m
+        self._kernel = SyndromeKernel((contrib | overall_bit).astype(np.uint64)[:, None])
+        keys = np.arange(2 << m)
+        odd = keys >> m == 1
+        target = lut[keys & (overall_bit - 1)]
+        self._faulty = np.where(odd, target < 0, keys != 0)
+        correct = odd & (target >= 0)
+        self._corrections = _bit_words(np.maximum(target, 0), self.n_words)
+        self._corrections[~correct] = 0
 
     def decode_packed(self, packed: np.ndarray) -> DecodeBatch:
-        """Decode pre-packed ``(..., D, words)`` rows."""
-        lead = packed.shape[:-2]
-        d, b = self.interleave_degree, self.codeword_bits
-        overall = popcount_words(packed) & 1  # (..., D)
-        syndrome = np.zeros(packed.shape[:-1], dtype=np.int64)
-        for i in range(self._m):
-            bit = popcount_words(packed & self._syndrome_masks[i]) & 1
-            syndrome |= bit << i
-        target = self._lut[syndrome]  # (..., D)
-        correctable = (overall == 1) & (target >= 0)
-        faulty = ((overall == 0) & (syndrome != 0)) | ((overall == 1) & (target < 0))
-        corrections = np.zeros((*lead, b, d), dtype=np.uint8)
-        np.put_along_axis(
-            corrections,
-            np.maximum(target, 0)[..., None, :],
-            correctable[..., None, :].astype(np.uint8),
-            axis=-2,
-        )
-        return DecodeBatch(
-            faulty=faulty, corrections=corrections.reshape(*lead, self.row_bits)
-        )
-
-    def decode(self, row_masks: np.ndarray) -> DecodeBatch:
-        w = self._check_shape(row_masks)
-        return self.decode_packed(
-            pack_rows(w, self.codeword_bits, self.interleave_degree)
-        )
+        """Decode packed ``(..., D, W)`` rows; corrections as packed words."""
+        key = self._kernel(packed)[..., 0].astype(np.intp)
+        return DecodeBatch(faulty=self._faulty[key], corrections=self._corrections[key])
 
 
-def make_packed_decoder(spec: EngineSpec) -> VectorDecoder:
-    """Packed decoder for a spec, mirroring :func:`make_decoder`."""
-    dense = make_decoder(spec)
-    if isinstance(dense, SecdedVectorDecoder):
-        return PackedSecdedDecoder(dense)
-    return PackedParityDecoder(dense.code, spec.interleave_degree)
+def make_packed_decoder(spec: EngineSpec) -> _PackedDecoder:
+    """Packed decoder for a spec's horizontal code and interleaving."""
+    code = spec.build_code()
+    if isinstance(code, SecdedCode):
+        return PackedSecdedDecoder(code, spec.interleave_degree)
+    if isinstance(code, InterleavedParityCode):  # includes ByteParityCode
+        return PackedParityDecoder(code, spec.interleave_degree)
+    raise ValueError(
+        f"no vectorized decoder for {code.name!r}; the engine currently "
+        "supports interleaved-parity (EDCn / byte parity) and SECDED codes"
+    )
 
 
 # ----------------------------------------------------------------------
-# sparse-trial dispatch
+# recovery + verdicts
 # ----------------------------------------------------------------------
 
 def run_recovery_batch_sparse(
     spec: EngineSpec,
     batch: SparseRowBatch,
-    decoder: "VectorDecoder | None" = None,
+    decoder: "_PackedDecoder | None" = None,
 ) -> np.ndarray:
-    """Sparse twin of :func:`repro.engine.batch.run_recovery_batch`.
+    """Decode + recover a packed sparse batch; per-trial verdicts.
 
-    Consumes the dirty rows only and returns the identical
-    ``(n_trials,)`` verdict array the dense path would produce on
-    ``batch.densify()``.  ``decoder`` defaults to the packed decoder;
-    any decoder with dense-path semantics (e.g. for property tests) is
-    accepted.
+    Returns the ``(n_trials,)`` verdict array
+    :func:`repro.engine.batch.run_recovery_batch` computes on
+    ``batch.densify()``, bit for bit.
     """
-    if batch.array_rows != spec.rows or batch.row_bits != spec.row_bits:
+    if (
+        batch.array_rows != spec.rows
+        or batch.row_bits != spec.row_bits
+        or batch.interleave_degree != spec.interleave_degree
+    ):
         raise ValueError(
-            f"sparse batch geometry ({batch.array_rows}, {batch.row_bits}) does "
-            f"not match the spec ({spec.rows}, {spec.row_bits})"
+            f"sparse batch geometry ({batch.array_rows}, {batch.row_bits}, "
+            f"D={batch.interleave_degree}) does not match the spec "
+            f"({spec.rows}, {spec.row_bits}, D={spec.interleave_degree})"
         )
     if decoder is None:
         decoder = make_packed_decoder(spec)
 
     verdicts = np.zeros(batch.n_trials, dtype=np.uint8)  # VERDICT_CORRECTED
-    n_pairs = batch.n_pairs
-    if n_pairs == 0:
+    if batch.n_pairs == 0:
         return verdicts
+    dec = decoder.decode_packed(batch.rows)
+    faulty = dec.faulty
+    content = batch.rows if dec.corrections is None else batch.rows ^ dec.corrections
+    if spec.is_two_dimensional and faulty.any():
+        faulty, content = _reconstruct(spec, batch, faulty, content)
+
+    data_wrong = (content & decoder.data_mask).any(axis=-1)
+    word_silent = ~faulty & data_wrong
     trial_idx = batch.trial_idx
-    state = np.asarray(batch.rows, dtype=np.uint8).copy()
-
-    if spec.is_two_dimensional:
-        state = _recover_sparse(spec, state, batch, decoder)
-
-    # Classification over the final dirty rows; clean rows decode clean
-    # with zero residual, so they cannot flip any trial's verdict.
-    dec = decoder.decode(state)
-    residual = state ^ dec.corrections if dec.corrections is not None else state
-    d = spec.interleave_degree
-    data_wrong = (
-        residual[:, : spec.data_bits * d].reshape(n_pairs, spec.data_bits, d).any(axis=1)
-    )
-    word_due = dec.faulty
-    word_silent = ~word_due & data_wrong
-    verdicts[trial_idx[word_due.any(axis=-1)]] = VERDICT_DETECTED
-    # Silent corruption dominates the trial verdict, exactly as dense.
+    verdicts[trial_idx[faulty.any(axis=-1)]] = VERDICT_DETECTED
+    # Silent corruption dominates the trial verdict.
     verdicts[trial_idx[word_silent.any(axis=-1)]] = VERDICT_SILENT
     return verdicts
 
 
-def _recover_sparse(
-    spec: EngineSpec,
-    state: np.ndarray,
-    batch: SparseRowBatch,
-    decoder: VectorDecoder,
-) -> np.ndarray:
-    """Scrub + row reconstruction over the dirty rows only.
+def _reconstruct(spec, batch, faulty, content):
+    """Row reconstruction (Fig. 4(b) phase 2) over the dirty rows.
 
-    Mirrors :func:`repro.engine.batch._recover_batch` step for step;
-    the vertical group syndromes reduce over the dirty members of each
-    ``(trial, group)`` segment because clean rows contribute an
-    all-zero content mask.
+    Mirrors :func:`repro.engine.batch._recover_batch`: a vertical group
+    (rows ``r % V``) with exactly one faulty row rebuilds it from the XOR
+    of the group's other rows; the parity rows carry no injected errors
+    and clean rows contribute zero, so that XOR is a segmented reduction
+    over the group's dirty members.  The rebuild is always installed:
+    every other member is non-faulty, so each of its slots has zero
+    syndrome after the scrub, and by linearity so does their XOR — the
+    candidate decodes clean with no correction, which is exactly the
+    acceptance test the reference applies.
     """
-    v = spec.vertical_groups
-    assert v is not None
-
-    dec = decoder.decode(state)
-    row_faulty = dec.faulty.any(axis=-1)  # (n_pairs,)
-    if dec.corrections is not None:
-        content = state ^ dec.corrections
-        state = np.where(row_faulty[:, None], state, content)
-    else:
-        content = state
-    if not row_faulty.any():
-        return state
-
-    # A (trial, vertical-group) key per dirty row; groups with exactly
-    # one faulty member are reconstructible.
-    group_key = batch.trial_idx * v + (batch.row_idx % v)
-    faulty_pairs = np.nonzero(row_faulty)[0]
-    _, inverse, counts = np.unique(
-        group_key[faulty_pairs], return_inverse=True, return_counts=True
-    )
-    targets = faulty_pairs[counts[inverse] == 1]
-    if targets.size == 0:
-        return state
-
-    # Segmented XOR of content over each (trial, group): sort the dirty
-    # rows by key once, reduce between boundaries.
+    group_key = batch.trial_idx * spec.vertical_groups + batch.row_idx % spec.vertical_groups
     order = np.argsort(group_key, kind="stable")
     sorted_keys = group_key[order]
-    seg_starts = np.nonzero(np.r_[True, sorted_keys[1:] != sorted_keys[:-1]])[0]
+    boundary = np.r_[True, sorted_keys[1:] != sorted_keys[:-1]]
+    seg_starts = np.nonzero(boundary)[0]
+    seg_of = np.cumsum(boundary) - 1
+    row_faulty = faulty.any(axis=-1)[order]
+    n_faulty = np.add.reduceat(row_faulty.astype(np.intp), seg_starts)
+    lone = row_faulty & (n_faulty[seg_of] == 1)
+    if not lone.any():
+        return faulty, content
+    targets = order[lone]
     segment_xor = np.bitwise_xor.reduceat(content[order], seg_starts, axis=0)
-    segment_of = np.searchsorted(sorted_keys[seg_starts], group_key[targets])
-
     # Rebuilding the lone faulty row leaves it with the XOR of the
     # *other* members' residuals.
-    candidate = segment_xor[segment_of] ^ content[targets]
-    cand_dec = decoder.decode(candidate)
-    accepted = ~cand_dec.faulty.any(axis=-1)
-    if not accepted.any():
-        return state
-    if cand_dec.corrections is not None:
-        repaired = candidate ^ cand_dec.corrections
-    else:
-        repaired = candidate
-    state[targets[accepted]] = repaired[accepted]
-    return state
+    rebuilt = segment_xor[seg_of[lone]] ^ content[targets]
+    content = content.copy() if content is batch.rows else content
+    content[targets] = rebuilt
+    faulty = faulty.copy()
+    faulty[targets] = False
+    return faulty, content

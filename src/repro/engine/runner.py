@@ -6,9 +6,9 @@ a persistent :class:`~repro.engine.executor.SharedExecutor` pool, and
 merges the per-chunk tallies.  Because every trial's randomness is keyed
 by its block (:mod:`repro.engine.rng`) and the merge is a commutative sum
 plus an order-restoring concatenation, **the result is bit-identical for
-any worker count, chunk size, executor and execution mode** —
-parallelism and the sparse/packed dispatch (:mod:`repro.engine.packed`)
-are purely throughput knobs.
+any worker count, chunk size and executor** — parallelism is purely a
+throughput knob.  Every block is evaluated on packed words
+(:mod:`repro.engine.packed`).
 
 Results can be transparently memoized through
 :class:`repro.engine.cache.ResultCache`; repeated experiment runs with
@@ -27,7 +27,6 @@ import numpy as np
 
 from repro.obs import emit, memory_phase
 from repro.obs.profile import process_usage, usage_delta
-from repro.scenarios.sparse import SparseRowBatch
 
 from .aggregate import (
     WEIGHTED_TARGETS,
@@ -38,14 +37,12 @@ from .aggregate import (
     WeightedTally,
     relative_half_width,
 )
-from .batch import EngineSpec, make_decoder, run_recovery_batch
+# run_recovery_batch is the uint8 reference; it stays importable here
+# for tools that instrument the runner's recovery entry points.
+from .batch import EngineSpec, run_recovery_batch  # noqa: F401
 from .cache import ENGINE_VERSION, ResultCache, cache_key
 from .executor import SharedExecutor
-from .packed import (
-    SPARSE_DISPATCH_BREAK_EVEN,
-    make_packed_decoder,
-    run_recovery_batch_sparse,
-)
+from .packed import make_packed_decoder, pack_batch, run_recovery_batch_sparse
 from .rng import (
     DEFAULT_BLOCK_SIZE,
     BlockStreams,
@@ -58,30 +55,28 @@ __all__ = [
     "EngineResult",
     "run_experiment",
     "run_experiment_sequential",
-    "EXECUTION_MODES",
+    "has_vectorized_decoder",
 ]
 
 _log = logging.getLogger(__name__)
 
-#: How a run evaluates its blocks.  ``auto`` (the default) prefers a
-#: scenario's sparse emitter and falls back to dense sampling with a
-#: per-block density check; ``sparse``/``dense`` force one path.  The
-#: mode is pure scheduling — every mode produces bit-identical results
-#: and shares one cache key.
-EXECUTION_MODES = ("auto", "sparse", "dense")
-
-
-@functools.lru_cache(maxsize=64)
-def _cached_decoder(spec: EngineSpec):
-    """Per-process dense decoder cache (persistent-pool workers keep
-    their lookup tables warm across chunks, runs and experiment cells)."""
-    return make_decoder(spec)
-
-
 @functools.lru_cache(maxsize=64)
 def _cached_packed_decoder(spec: EngineSpec):
-    """Per-process packed decoder cache; see :func:`_cached_decoder`."""
+    """Per-process decoder cache: tables are built on a spec's first use
+    and persistent-pool workers keep them warm across chunks, runs and
+    experiment cells."""
     return make_packed_decoder(spec)
+
+
+@functools.lru_cache(maxsize=64)
+def has_vectorized_decoder(spec: EngineSpec) -> bool:
+    """Whether the engine can evaluate ``spec``'s horizontal code (the
+    decoder it builds to find out is the one runs then reuse)."""
+    try:
+        _cached_packed_decoder(spec)
+    except ValueError:
+        return False
+    return True
 
 
 @dataclass(frozen=True)
@@ -179,6 +174,35 @@ def _sample_weighted_block(
     return model.sample_weighted(block_generator(seed, block), block_size, spec)
 
 
+def _sample_piece(spec: EngineSpec, model, seed: int, piece, block_size: int):
+    """``(batch, weights, emitted_sparse)`` for one block slice.
+
+    A scenario's sparse emitter is preferred; a model that declines (or
+    has none) draws dense masks, which are packed once here, at the
+    runner boundary.  Either way the block is drawn whole and sliced,
+    so any partition of the trial space sees identical randomness.
+    """
+    block = piece.block
+    batch = weights = None
+    if getattr(model, "weighted", False):
+        emitted = _sample_weighted_sparse_block(spec, model, seed, block, block_size)
+        if emitted is None:
+            masks, weights = _sample_weighted_block(spec, model, seed, block, block_size)
+        else:
+            batch, weights = emitted
+    else:
+        batch = _sample_sparse_block(spec, model, seed, block, block_size)
+        if batch is None and getattr(model, "sample_block", None) is not None:
+            masks = model.sample_block(BlockStreams(seed, block), block_size, spec)
+        elif batch is None:
+            masks = model.sample(block_generator(seed, block), block_size, spec)
+    if weights is not None:
+        weights = np.asarray(weights[piece.start : piece.stop], dtype=np.float64)
+    if batch is None:
+        return pack_batch(spec, masks[piece.start : piece.stop]), weights, False
+    return batch.slice_trials(piece.start, piece.stop), weights, True
+
+
 def _run_trial_range(
     spec: EngineSpec,
     model,
@@ -187,22 +211,16 @@ def _run_trial_range(
     first_trial: int,
     last_trial: int,
     collect_verdicts: bool,
-    execution: str = "auto",
 ) -> tuple[TrialCounts, "np.ndarray | None", "np.ndarray | None", "WeightedTally | None", dict]:
     """Evaluate trials ``[first_trial, last_trial)`` block by block.
 
     Samplers always draw for the whole block and slice, so any partition
     of the trial space sees identical per-trial randomness.  Scenario
-    models sample through ``sample_block`` with the block's
-    :class:`BlockStreams` handle (multi-population scenarios draw each
-    population from its own lane); plain models with only a
+    models sample through their block-keyed entry points with the
+    block's :class:`BlockStreams` handle (multi-population scenarios
+    draw each population from its own lane); plain models with only a
     ``sample(rng, count, spec)`` method get the block's root generator —
     the identical stream either way for single-population scenarios.
-
-    ``execution`` picks dense or sparse/packed evaluation per block; the
-    verdicts are bit-identical either way (the sparse path is a lossless
-    restriction of the dense one to the dirty rows), so this is purely a
-    throughput knob, like the worker count.
 
     Models advertising ``weighted = True`` sample through the
     ``sample_weighted*`` family instead; each block's likelihood-ratio
@@ -211,17 +229,18 @@ def _run_trial_range(
     same partition-invariance as plain ones.
 
     The last return value is the shard's telemetry: wall-clock seconds,
-    per-block dispatch decisions, and the worker's resource deltas
-    (CPU seconds, RSS watermark, pid) — observational only; it reflects
-    scheduling, never influences it.
+    how many blocks were emitted sparse vs. drawn dense and packed
+    (``densified_blocks`` is always 0 since every block runs packed; the
+    key stays for the telemetry schema), and the worker's resource
+    deltas (CPU seconds, RSS watermark, pid) — observational only.
     """
     started = time.perf_counter()
     usage0 = process_usage()
     aggregator = StreamingAggregator()
     collected: list[np.ndarray] = []
     collected_weights: list[np.ndarray] = []
-    sample_block = getattr(model, "sample_block", None)
     weighted = bool(getattr(model, "weighted", False))
+    decoder = _cached_packed_decoder(spec)
     # One tally PER BLOCK, never pre-summed: float addition is not
     # associative, so folding must happen once, flat, in block order at
     # the merge — otherwise the chunk size would leak into the last ulp
@@ -236,73 +255,12 @@ def _run_trial_range(
     }
     for piece in iter_block_slices(first_trial, last_trial, block_size):
         stats["blocks"] += 1
-        batch = None
-        masks = None
-        block_weights = None
-        if weighted:
-            if execution != "dense":
-                emitted = _sample_weighted_sparse_block(
-                    spec, model, seed, piece.block, block_size
-                )
-                if emitted is not None:
-                    batch, block_weights = emitted
-            if batch is None:
-                masks, block_weights = _sample_weighted_block(
-                    spec, model, seed, piece.block, block_size
-                )
-        elif execution != "dense":
-            batch = _sample_sparse_block(spec, model, seed, piece.block, block_size)
-        if batch is not None:
-            sub = batch.slice_trials(piece.start, piece.stop)
-            if (
-                execution == "auto"
-                and sub.dirty_row_fraction() > SPARSE_DISPATCH_BREAK_EVEN
-            ):
-                # A sparse-capable but dense-in-practice configuration
-                # (huge n_cells, array-spanning bursts): past the
-                # break-even the dense kernels win, and bit-identity
-                # makes the densify round-trip free of consequence.
-                stats["densified_blocks"] += 1
-                verdicts = run_recovery_batch(
-                    spec, sub.densify(), _cached_decoder(spec)
-                )
-            else:
-                stats["sparse_blocks"] += 1
-                verdicts = run_recovery_batch_sparse(
-                    spec, sub, _cached_packed_decoder(spec)
-                )
-        else:
-            if masks is None:
-                if sample_block is not None:
-                    masks = sample_block(
-                        BlockStreams(seed, piece.block), block_size, spec
-                    )
-                else:
-                    masks = model.sample(
-                        block_generator(seed, piece.block), block_size, spec
-                    )
-            sliced = masks[piece.start : piece.stop]
-            row_any = sliced.any(axis=-1) if execution != "dense" else None
-            if execution == "sparse" or (
-                execution == "auto"
-                and row_any.mean() <= SPARSE_DISPATCH_BREAK_EVEN
-            ):
-                stats["sparse_blocks"] += 1
-                sub = SparseRowBatch.from_masks(sliced, row_any)
-                verdicts = run_recovery_batch_sparse(
-                    spec, sub, _cached_packed_decoder(spec)
-                )
-            else:
-                stats["dense_blocks"] += 1
-                verdicts = run_recovery_batch(spec, sliced, _cached_decoder(spec))
+        batch, piece_weights, emitted = _sample_piece(spec, model, seed, piece, block_size)
+        stats["sparse_blocks" if emitted else "dense_blocks"] += 1
+        verdicts = run_recovery_batch_sparse(spec, batch, decoder)
         aggregator.update(verdicts)
         if weighted:
-            piece_weights = np.asarray(
-                block_weights[piece.start : piece.stop], dtype=np.float64
-            )
-            block_tallies.append(
-                WeightedTally.from_verdicts(verdicts, piece_weights)
-            )
+            block_tallies.append(WeightedTally.from_verdicts(verdicts, piece_weights))
             if collect_verdicts:
                 collected_weights.append(piece_weights)
         if collect_verdicts:
@@ -356,14 +314,13 @@ def _execute_ranges(
     block_size: int,
     ranges: "list[tuple[int, int]]",
     collect_verdicts: bool,
-    execution: str,
     executor: "SharedExecutor | None",
     n_workers: int,
     mp_context,
 ) -> list:
     """Fan the chunk ranges out and return their outcomes in chunk order."""
     payloads = [
-        (spec, model, seed, block_size, first, last, collect_verdicts, execution)
+        (spec, model, seed, block_size, first, last, collect_verdicts)
         for first, last in ranges
     ]
     with memory_phase("engine.run"):
@@ -426,7 +383,6 @@ def run_experiment(
     chunk_blocks: int = 1,
     collect_verdicts: bool = True,
     cache: "ResultCache | None" = None,
-    execution: str = "auto",
     executor: "SharedExecutor | None" = None,
     mp_context=None,
 ) -> EngineResult:
@@ -452,11 +408,6 @@ def run_experiment(
         Keep the per-trial verdict array (1 byte/trial) in the result.
     cache:
         Optional :class:`ResultCache`; hits skip the simulation.
-    execution:
-        Block evaluation strategy (:data:`EXECUTION_MODES`): ``auto``
-        dispatches sparsely when the scenario emits sparse batches or
-        the sampled blocks are mostly clean, ``sparse``/``dense`` force
-        a path.  Results and cache keys are identical across modes.
     executor:
         A persistent :class:`SharedExecutor` to fan out on (e.g. the
         one owned by a :class:`repro.api.Session`).  When omitted a
@@ -473,8 +424,6 @@ def run_experiment(
         raise ValueError("n_workers must be positive")
     if chunk_blocks < 1:
         raise ValueError("chunk_blocks must be positive")
-    if execution not in EXECUTION_MODES:
-        raise ValueError(f"execution must be one of {EXECUTION_MODES}")
 
     weighted = bool(getattr(model, "weighted", False))
     params = {
@@ -493,7 +442,6 @@ def run_experiment(
         key=key,
         n_trials=n_trials,
         block_size=block_size,
-        execution=execution,
         workers=executor.workers if executor is not None else n_workers,
     )
     if cache is not None:
@@ -525,7 +473,7 @@ def run_experiment(
     ranges = _chunk_ranges(0, n_trials, block_size, chunk_blocks)
     outcomes = _execute_ranges(
         spec, model, seed, block_size, ranges,
-        collect_verdicts, execution, executor, n_workers, mp_context,
+        collect_verdicts, executor, n_workers, mp_context,
     )
     elapsed = time.perf_counter() - started
 
@@ -704,7 +652,6 @@ def run_experiment_sequential(
     chunk_blocks: int = 1,
     collect_verdicts: bool = False,
     cache: "ResultCache | None" = None,
-    execution: str = "auto",
     executor: "SharedExecutor | None" = None,
     mp_context=None,
 ) -> EngineResult:
@@ -732,8 +679,6 @@ def run_experiment_sequential(
         raise ValueError("growth must be > 1")
     if target not in WEIGHTED_TARGETS:
         raise ValueError(f"target must be one of {WEIGHTED_TARGETS}, got {target!r}")
-    if execution not in EXECUTION_MODES:
-        raise ValueError(f"execution must be one of {EXECUTION_MODES}")
     if initial_trials is None:
         initial_trials = 4 * block_size
     if initial_trials < 1:
@@ -768,7 +713,6 @@ def run_experiment_sequential(
         n_trials=None,
         tolerance=tolerance,
         block_size=block_size,
-        execution=execution,
         workers=executor.workers if executor is not None else n_workers,
     )
     if cache is not None:
@@ -819,7 +763,7 @@ def run_experiment_sequential(
         ranges = _chunk_ranges(realized, goal, block_size, chunk_blocks)
         outcomes = _execute_ranges(
             spec, model, seed, block_size, ranges,
-            collect_verdicts, execution, executor, n_workers, mp_context,
+            collect_verdicts, executor, n_workers, mp_context,
         )
         round_counts, round_verdicts, round_weights, round_tallies = _merge_outcomes(
             outcomes, collect_verdicts, weighted

@@ -146,7 +146,6 @@ def run_stratified(
     block_size: int = DEFAULT_BLOCK_SIZE,
     chunk_blocks: int = 1,
     cache=None,
-    execution: str = "auto",
     executor=None,
     mp_context=None,
 ) -> StratifiedEstimate:
@@ -178,7 +177,6 @@ def run_stratified(
         chunk_blocks=chunk_blocks,
         collect_verdicts=False,
         cache=cache,
-        execution=execution,
         executor=executor,
         mp_context=mp_context,
     )

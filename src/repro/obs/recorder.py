@@ -110,10 +110,16 @@ class Timer:
 
 
 class RunRecorder:
-    """Collects one run's structured events, counters and timers."""
+    """Collects one run's structured events, counters and timers.
 
-    def __init__(self):
+    ``keep_events=False`` keeps the counters, timers and subscriber
+    fan-out but drops the event list — for long-lived scopes (the
+    experiment service) where an unbounded stream would only grow.
+    """
+
+    def __init__(self, *, keep_events: bool = True):
         self._t0 = time.perf_counter()
+        self._keep_events = keep_events
         self.events: list[dict] = []
         self._counters: dict[str, Counter] = {}
         self._timers: dict[str, Timer] = {}
@@ -138,8 +144,9 @@ class RunRecorder:
             "t": round(time.perf_counter() - self._t0, 6),
             **fields,
         }
-        with self._lock:
-            self.events.append(payload)
+        if self._keep_events:
+            with self._lock:
+                self.events.append(payload)
         self.incr(f"events.{event}")
         self._dispatch(payload)
         return payload

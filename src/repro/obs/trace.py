@@ -100,6 +100,12 @@ def _jsonable_attrs(attrs: dict) -> dict:
     return {str(k): _jsonable(v) for k, v in attrs.items()}
 
 
+def _event_dict(point: tuple) -> dict:
+    """A span event's JSON form from its stored ``(name, t, attrs)``."""
+    name, t, attrs = point
+    return {"name": name, "t": t, "attrs": attrs} if attrs else {"name": name, "t": t}
+
+
 class Span:
     """One named interval inside a :class:`Trace`."""
 
@@ -132,7 +138,9 @@ class Span:
         self.start = start
         self.end: "float | None" = None
         self.attrs = dict(attrs or {})
-        self.events: "list[dict]" = []
+        # (name, t, attrs) tuples: a long-lived service keeps every
+        # settled job's trace, so events are stored compactly.
+        self.events: "list[tuple]" = []
         self.thread = threading.current_thread().name
 
     # ------------------------------------------------------------------
@@ -151,12 +159,10 @@ class Span:
 
     def add_event(self, name: str, /, **attrs: Any) -> dict:
         """Record a point-in-time event inside the span."""
-        event = {"name": str(name), "t": self.trace._now()}
-        if attrs:
-            event["attrs"] = _jsonable_attrs(attrs)
+        point = (str(name), self.trace._now(), _jsonable_attrs(attrs) if attrs else None)
         with self.trace._lock:
-            self.events.append(event)
-        return event
+            self.events.append(point)
+        return _event_dict(point)
 
     def finish(self, end: "float | None" = None) -> "Span":
         """Close the span (idempotent) and register it with its trace."""
@@ -181,7 +187,7 @@ class Span:
         if self.attrs:
             payload["attrs"] = _jsonable_attrs(self.attrs)
         if self.events:
-            payload["events"] = list(self.events)
+            payload["events"] = [_event_dict(point) for point in self.events]
         return payload
 
     def __repr__(self) -> str:
@@ -323,17 +329,17 @@ class Trace:
                 },
             }
             events.append(event)
-            for point in span.events:
+            for name, t, attrs in span.events:
                 instant = {
-                    "name": f"{span.name}: {point['name']}",
+                    "name": f"{span.name}: {name}",
                     "ph": "i",
-                    "ts": round((point["t"] - self.created) * 1e6, 3),
+                    "ts": round((t - self.created) * 1e6, 3),
                     "pid": 1,
                     "tid": tid,
                     "s": "t",  # thread-scoped instant
                 }
-                if point.get("attrs"):
-                    instant["args"] = point["attrs"]
+                if attrs:
+                    instant["args"] = attrs
                 events.append(instant)
         for thread_name, tid in tids.items():
             events.append(

@@ -20,9 +20,10 @@ numbers surface* (:mod:`repro.api`):
   (``tilted_hard_fault_map``, ``tilted_clustered_mbu``) and the
   band-conditioned ``fault_count_band`` stratification model.
 * :mod:`repro.scenarios.sparse` — :class:`SparseRowBatch`, the dirty
-  rows-only interchange format scenarios may emit through
-  ``sample_sparse`` so the engine never materializes (or decodes) the
-  clean bulk of the mask tensor.
+  rows only, as packed ``uint64`` words: the one row format the engine
+  recovers on.  Scenarios emit it through ``sample_sparse`` so the
+  engine never materializes (or decodes) the clean bulk of the mask
+  tensor.
 
 Every registered scenario is reachable from the experiment catalog
 (``scenario="..."`` params on Monte Carlo experiments) and from the CLI

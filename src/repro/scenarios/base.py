@@ -93,6 +93,10 @@ class ScenarioBase:
 
     #: Registered name; filled in by the :func:`scenario` decorator.
     scenario_name: str = ""
+    #: A representative configuration (:func:`make_scenario` keywords)
+    #: for a Fig. 3 sized bank; tests and benchmarks build every
+    #: registered scenario from it, so a new one cannot skip them.
+    example_params: "dict[str, Any]" = {}
 
     def sample(
         self, rng: np.random.Generator, count: int, spec: Geometry

@@ -13,14 +13,17 @@ scalar draw it replaced).
 
 All mask outputs are ``uint8`` 0/1 arrays in the error-mask domain of
 :mod:`repro.engine.batch`: a 1 means "this cell differs from its correct
-value".
+value".  Each ``*_sparse`` twin draws exactly as its mask emitter does
+but emits a packed :class:`~repro.scenarios.sparse.SparseRowBatch` laid
+out for the engine geometry it is given (``rows``, ``row_bits`` and,
+when present, ``interleave_degree``).
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from .sparse import SparseRowBatch
+from .sparse import SparseRowBatch, interleave_of
 
 __all__ = [
     "place_clusters",
@@ -30,7 +33,7 @@ __all__ = [
     "spread_footprints",
     "place_bursts",
     "burst_masks",
-    "burst_row_sparse",
+    "burst_sparse",
     "bernoulli_masks",
     "exact_cells_masks",
     "exact_cells_sparse",
@@ -128,29 +131,22 @@ def solid_cluster_masks(
 
 
 def solid_cluster_sparse(
-    rng: np.random.Generator,
-    heights: np.ndarray,
-    widths: np.ndarray,
-    rows: int,
-    cols: int,
+    rng: np.random.Generator, heights: np.ndarray, widths: np.ndarray, spec
 ) -> SparseRowBatch:
     """Sparse twin of :func:`solid_cluster_masks`: identical draws,
     identical cells, but emitted as the dirty rows only.
 
     Both paths draw through :func:`_draw_cluster_rects`, so a seeded
     stream produces the same clusters on either path by construction;
-    only the output representation differs — ``O(sum(heights))`` rows
-    instead of a dense ``(trials, rows, cols)`` tensor.
+    only the output representation differs — ``O(sum(heights))`` packed
+    rows instead of a dense ``(trials, rows, cols)`` tensor.
     """
-    heights, widths, r0, c0 = _draw_cluster_rects(rng, heights, widths, rows, cols)
+    heights, widths, r0, c0 = _draw_cluster_rects(
+        rng, heights, widths, spec.rows, spec.row_bits
+    )
     return SparseRowBatch.from_row_spans(
-        n_trials=heights.shape[0],
-        array_rows=rows,
-        row_bits=cols,
-        r0=r0,
-        heights=heights,
-        c0=c0,
-        widths=widths,
+        heights.shape[0], spec.rows, spec.row_bits, r0, heights, c0, widths,
+        interleave_of(spec),
     )
 
 
@@ -240,20 +236,24 @@ def burst_masks(
     return masks
 
 
-def burst_row_sparse(
-    rng: np.random.Generator, count: int, rows: int, cols: int, span: int
+def burst_sparse(
+    rng: np.random.Generator, count: int, spec, span: int, axis: str
 ) -> SparseRowBatch:
-    """Sparse twin of ``burst_masks(axis="row")``: same placement draws,
-    dirty rows emitted directly (``span`` full rows per trial)."""
-    starts, spans = _draw_burst_extents(rng, count, rows, span)
+    """Sparse twin of :func:`burst_masks`: same placement draws, emitted
+    as row spans — ``span`` full rows per trial, or every row carrying
+    the same ``span``-column range."""
+    rows, cols = spec.rows, spec.row_bits
+    if axis not in ("row", "column"):
+        raise ValueError(f"axis must be 'row' or 'column', got {axis!r}")
+    zeros = np.zeros(count, dtype=np.int64)
+    if axis == "row":
+        starts, spans = _draw_burst_extents(rng, count, rows, span)
+        extents = (starts, spans, zeros, np.full(count, cols, dtype=np.int64))
+    else:
+        starts, spans = _draw_burst_extents(rng, count, cols, span)
+        extents = (zeros, np.full(count, rows, dtype=np.int64), starts, spans)
     return SparseRowBatch.from_row_spans(
-        n_trials=count,
-        array_rows=rows,
-        row_bits=cols,
-        r0=starts,
-        heights=spans,
-        c0=np.zeros(count, dtype=np.int64),
-        widths=np.full(count, cols, dtype=np.int64),
+        count, rows, cols, *extents, interleave_of(spec)
     )
 
 
@@ -302,7 +302,7 @@ def exact_cells_masks(
 
 
 def exact_cells_sparse(
-    rng: np.random.Generator, count: int, rows: int, cols: int, n_cells: int
+    rng: np.random.Generator, count: int, spec, n_cells: int
 ) -> SparseRowBatch:
     """Sparse twin of :func:`exact_cells_masks` (shared draw helper).
 
@@ -311,34 +311,29 @@ def exact_cells_sparse(
     mask tensor is never materialized and decode work downstream scales
     with ``n_cells``, not with the array size.
     """
+    rows, cols, degree = spec.rows, spec.row_bits, interleave_of(spec)
     chosen = _draw_exact_cells(rng, count, rows * cols, n_cells)
     if chosen is None:
-        return SparseRowBatch.empty(count, rows, cols)
+        return SparseRowBatch.empty(count, rows, cols, degree)
     return SparseRowBatch.from_cells(
-        n_trials=count,
-        array_rows=rows,
-        row_bits=cols,
-        cell_trials=np.repeat(np.arange(count, dtype=np.int64), n_cells),
-        cell_sites=chosen.reshape(-1),
+        count, rows, cols,
+        np.repeat(np.arange(count, dtype=np.int64), n_cells), chosen.reshape(-1),
+        degree,
     )
 
 
-def counted_cells_masks(
-    rng: np.random.Generator, counts: np.ndarray, rows: int, cols: int
+def _draw_counted_cells(
+    rng: np.random.Generator, counts: np.ndarray, n_sites: int
 ) -> np.ndarray:
-    """Per-trial varying numbers of distinct uniformly-placed cells.
-
-    Generalizes :func:`exact_cells_masks` to a different cell count per
-    trial: the rank of each cell's uniform score is compared against the
-    trial's count, selecting exactly that many distinct uniform cells.
-    """
+    """The one per-trial-count cell draw both counted-cell emitters
+    share: sorted flat keys ``trial * n_sites + site``, exactly
+    ``counts[t]`` distinct uniform sites for trial ``t``."""
     counts = np.asarray(counts, dtype=np.int64)
-    n_sites = rows * cols
     if (counts < 0).any() or (counts > n_sites).any():
         raise ValueError("cell counts must be in [0, array cells]")
     n_trials = counts.shape[0]
     if n_trials == 0 or not counts.any():
-        return np.zeros((n_trials, rows, cols), dtype=np.uint8)
+        return np.zeros(0, dtype=np.int64)
     kmax = int(counts.max())
     if kmax > n_sites // 8:
         # Dense counts: rank one uniform score per cell and keep each
@@ -347,43 +342,54 @@ def counted_cells_masks(
         order = np.argsort(scores, axis=1)
         ranks = np.empty_like(order)
         np.put_along_axis(ranks, order, np.arange(n_sites)[None, :], axis=1)
-        masks = (ranks < counts[:, None]).astype(np.uint8)
-        return masks.reshape(n_trials, rows, cols)
-    masks = np.zeros((n_trials, n_sites), dtype=np.uint8)
+        return np.flatnonzero(ranks < counts[:, None])
     # Sparse counts (the defect-map regime): draw cell indices directly
     # and patch the rare within-trial collisions by redrawing — far
     # cheaper than scoring every cell of every trial.  Each accepted
     # cell is uniform over the array, so the resulting distinct set is a
     # uniform subset of the requested size.
     select = np.arange(kmax)[None, :] < counts[:, None]
-    trial_idx = np.broadcast_to(np.arange(n_trials)[:, None], (n_trials, kmax))
+    trial_idx = np.arange(n_trials, dtype=np.int64)[:, None]
     draws = rng.integers(0, n_sites, size=(n_trials, kmax))
-    masks[trial_idx[select], draws[select]] = 1
-    deficit_rows = np.nonzero(masks.sum(axis=1) < counts)[0]
+    keys = np.unique((trial_idx * n_sites + draws)[select])
+    distinct = np.bincount(keys // n_sites, minlength=n_trials)
+    deficit_rows = np.nonzero(distinct < counts)[0]
     while deficit_rows.size:
-        need = counts[deficit_rows] - masks[deficit_rows].sum(axis=1)
+        need = counts[deficit_rows] - distinct[deficit_rows]
         extra = rng.integers(0, n_sites, size=(deficit_rows.size, int(need.max())))
         take = np.arange(extra.shape[1])[None, :] < need[:, None]
-        row_idx = np.broadcast_to(
-            deficit_rows[:, None], extra.shape
+        keys = np.unique(
+            np.concatenate([keys, (deficit_rows[:, None] * n_sites + extra)[take]])
         )
-        masks[row_idx[take], extra[take]] = 1
-        still = masks[deficit_rows].sum(axis=1) < counts[deficit_rows]
-        deficit_rows = deficit_rows[still]
+        distinct = np.bincount(keys // n_sites, minlength=n_trials)
+        deficit_rows = deficit_rows[distinct[deficit_rows] < counts[deficit_rows]]
+    return keys
+
+
+def counted_cells_masks(
+    rng: np.random.Generator, counts: np.ndarray, rows: int, cols: int
+) -> np.ndarray:
+    """Per-trial varying numbers of distinct uniformly-placed cells.
+
+    Generalizes :func:`exact_cells_masks` to a different cell count per
+    trial (see :func:`_draw_counted_cells` for the draw).
+    """
+    n_trials = np.asarray(counts).shape[0]
+    masks = np.zeros(n_trials * rows * cols, dtype=np.uint8)
+    masks[_draw_counted_cells(rng, counts, rows * cols)] = 1
     return masks.reshape(n_trials, rows, cols)
 
 
 def counted_cells_sparse(
-    rng: np.random.Generator, counts: np.ndarray, rows: int, cols: int
+    rng: np.random.Generator, counts: np.ndarray, spec
 ) -> SparseRowBatch:
-    """Sparse view of :func:`counted_cells_masks` (identical draws).
-
-    The draw-and-patch sampler's redraw loop keys off the running dense
-    occupancy, so the dense masks are still built internally; the win
-    is everything downstream — the sparse batch carries only the dirty
-    rows into decode.
-    """
-    return SparseRowBatch.from_masks(counted_cells_masks(rng, counts, rows, cols))
+    """Sparse twin of :func:`counted_cells_masks` (shared draw helper)."""
+    n_sites = spec.rows * spec.row_bits
+    trials, sites = np.divmod(_draw_counted_cells(rng, counts, n_sites), n_sites)
+    return SparseRowBatch.from_cells(
+        np.asarray(counts).shape[0], spec.rows, spec.row_bits, trials, sites,
+        interleave_of(spec),
+    )
 
 
 def _draw_poisson_counts(
@@ -404,8 +410,8 @@ def poisson_defect_masks(
 
 
 def poisson_defect_sparse(
-    rng: np.random.Generator, count: int, rows: int, cols: int, density: float
+    rng: np.random.Generator, count: int, spec, density: float
 ) -> SparseRowBatch:
     """Sparse twin of :func:`poisson_defect_masks` (shared draw helpers)."""
-    counts = _draw_poisson_counts(rng, count, rows * cols, density)
-    return counted_cells_sparse(rng, counts, rows, cols)
+    counts = _draw_poisson_counts(rng, count, spec.rows * spec.row_bits, density)
+    return counted_cells_sparse(rng, counts, spec)

@@ -47,7 +47,7 @@ from .base import Geometry, ScenarioBase, scenario, scenario_from_config
 from .generators import (
     bernoulli_masks,
     burst_masks,
-    burst_row_sparse,
+    burst_sparse,
     exact_cells_masks,
     exact_cells_sparse,
     mostly_single_bit_footprints,
@@ -58,7 +58,6 @@ from .generators import (
     solid_cluster_sparse,
     spread_footprints,
 )
-from .sparse import SparseRowBatch
 
 if TYPE_CHECKING:  # the scalar distribution type; never imported at runtime
     from repro.errors.injector import FootprintDistribution
@@ -102,6 +101,7 @@ class IidUniformScenario(ScenarioBase):
 
     n_cells: "int | None" = None
     flip_probability: "float | None" = None
+    example_params = {"n_cells": 4}
 
     def __post_init__(self) -> None:
         if self.n_cells is not None and self.flip_probability is not None:
@@ -125,7 +125,7 @@ class IidUniformScenario(ScenarioBase):
         # the exact-count mode is reliably sparse.
         if self.n_cells is None:
             return None
-        return exact_cells_sparse(rng, count, spec.rows, spec.row_bits, self.n_cells)
+        return exact_cells_sparse(rng, count, spec, self.n_cells)
 
     def to_key(self) -> dict:
         # The exact-count mode keeps the original RandomCellsModel key so
@@ -195,7 +195,7 @@ class ClusteredMbuScenario(ScenarioBase):
         heights, widths = sample_footprints(rng, self.footprints, count)
         if self.spread:
             heights, widths = spread_footprints(rng, heights, widths, self.spread)
-        return solid_cluster_sparse(rng, heights, widths, spec.rows, spec.row_bits)
+        return solid_cluster_sparse(rng, heights, widths, spec)
 
     def to_key(self) -> dict:
         key = {
@@ -216,6 +216,7 @@ class FixedClusterScenario(ScenarioBase):
 
     height: int
     width: int
+    example_params = {"height": 8, "width": 8}
 
     def __post_init__(self) -> None:
         if self.height < 1 or self.width < 1:
@@ -229,7 +230,7 @@ class FixedClusterScenario(ScenarioBase):
     def sample_sparse(self, rng: np.random.Generator, count: int, spec: Geometry):
         heights = np.full(count, self.height, dtype=np.int64)
         widths = np.full(count, self.width, dtype=np.int64)
-        return solid_cluster_sparse(rng, heights, widths, spec.rows, spec.row_bits)
+        return solid_cluster_sparse(rng, heights, widths, spec)
 
     def to_key(self) -> dict:
         return {"model": "fixed_cluster", "height": self.height, "width": self.width}
@@ -254,7 +255,7 @@ class BurstRowScenario(ScenarioBase):
         return burst_masks(rng, count, spec.rows, spec.row_bits, self.span, "row")
 
     def sample_sparse(self, rng: np.random.Generator, count: int, spec: Geometry):
-        return burst_row_sparse(rng, count, spec.rows, spec.row_bits, self.span)
+        return burst_sparse(rng, count, spec, self.span, "row")
 
     def to_key(self) -> dict:
         return {"model": "burst_row", "span": self.span}
@@ -273,6 +274,9 @@ class BurstColumnScenario(ScenarioBase):
 
     def sample(self, rng: np.random.Generator, count: int, spec: Geometry) -> np.ndarray:
         return burst_masks(rng, count, spec.rows, spec.row_bits, self.span, "column")
+
+    def sample_sparse(self, rng: np.random.Generator, count: int, spec: Geometry):
+        return burst_sparse(rng, count, spec, self.span, "column")
 
     def to_key(self) -> dict:
         return {"model": "burst_column", "span": self.span}
@@ -306,9 +310,7 @@ class HardFaultMapScenario(ScenarioBase):
         )
 
     def sample_sparse(self, rng: np.random.Generator, count: int, spec: Geometry):
-        return poisson_defect_sparse(
-            rng, count, spec.rows, spec.row_bits, self.defect_density
-        )
+        return poisson_defect_sparse(rng, count, spec, self.defect_density)
 
     def to_key(self) -> dict:
         return {"model": "hard_fault_map", "defect_density": self.defect_density}

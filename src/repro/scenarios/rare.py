@@ -182,6 +182,7 @@ class TiltedHardFaultMapScenario(WeightedScenarioBase):
     defect_density: float = 1e-4
     tilt: float = 0.0
     shift: int = 0
+    example_params = {"tilt": 1.0, "shift": 1}
 
     def __post_init__(self) -> None:
         if self.defect_density < 0:
@@ -221,7 +222,7 @@ class TiltedHardFaultMapScenario(WeightedScenarioBase):
         self, rng: np.random.Generator, count: int, spec: Geometry
     ):
         counts, weights = self._draw_counts(rng, count, spec.rows * spec.row_bits)
-        batch = counted_cells_sparse(rng, counts, spec.rows, spec.row_bits)
+        batch = counted_cells_sparse(rng, counts, spec)
         return batch, weights
 
     def to_key(self) -> dict:
@@ -250,6 +251,7 @@ class TiltedClusteredMbuScenario(WeightedScenarioBase):
 
     footprints: "Footprints | None" = None
     tilt: float = 0.0
+    example_params = {"tilt": 0.1}
 
     def __post_init__(self) -> None:
         footprints = self.footprints
@@ -302,7 +304,7 @@ class TiltedClusteredMbuScenario(WeightedScenarioBase):
         self, rng: np.random.Generator, count: int, spec: Geometry
     ):
         heights, widths, weights = self._draw_shapes(rng, count)
-        batch = solid_cluster_sparse(rng, heights, widths, spec.rows, spec.row_bits)
+        batch = solid_cluster_sparse(rng, heights, widths, spec)
         return batch, weights
 
     def to_key(self) -> dict:
@@ -331,6 +333,7 @@ class FaultCountBandScenario(ScenarioBase):
     defect_density: float = 1e-4
     k_min: int = 0
     k_max: "int | None" = None
+    example_params = {"k_min": 2, "k_max": 8}
 
     def __post_init__(self) -> None:
         if self.defect_density < 0:
@@ -376,7 +379,7 @@ class FaultCountBandScenario(ScenarioBase):
 
     def sample_sparse(self, rng: np.random.Generator, count: int, spec: Geometry):
         counts = self._draw_counts(rng, count, spec.rows * spec.row_bits)
-        return counted_cells_sparse(rng, counts, spec.rows, spec.row_bits)
+        return counted_cells_sparse(rng, counts, spec)
 
     def band_probability(self, spec: Geometry) -> float:
         """Nominal-law probability of this band for ``spec``'s geometry."""

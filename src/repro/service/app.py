@@ -125,7 +125,9 @@ class ExperimentService:
         trace_dir: "str | Path | None" = None,
         profile_dir: "str | Path | None" = None,
     ):
-        self.recorder = RunRecorder()
+        # Counters only: the service lives indefinitely, so its recorder
+        # must not keep an ever-growing event list.
+        self.recorder = RunRecorder(keep_events=False)
         self.instruments = ServiceInstruments(registry)
         self._trace_dir = Path(trace_dir) if trace_dir is not None else None
         self._profile_dir = (
@@ -292,7 +294,7 @@ class ExperimentService:
             experiment=spec.experiment,
             priority=priority,
         )
-        stored = self.store.get(spec_hash)
+        stored = self.store.get_json(spec_hash)
         if stored is not None:
             ins.store_lookups_total.labels(result="hit").inc()
             ins.submissions_total.labels(via="store").inc()
@@ -339,14 +341,15 @@ class ExperimentService:
         )
         return job, "coalesced" if deduped else "queued"
 
-    def _synthetic_job(self, spec: ExperimentSpec, result) -> Job:
+    def _synthetic_job(self, spec: ExperimentSpec, text: str) -> Job:
         """A pre-completed job wrapping a store hit (keeps the job API
-        uniform: every submission yields an awaitable job)."""
+        uniform: every submission yields an awaitable job).  It holds
+        the store's JSON text itself, never a parsed copy."""
         self._synthetic += 1
         job = Job(f"s{self._synthetic:06d}", spec)
         job.from_store = True
         job.mark_running()
-        job.resolve(result)
+        job.resolve_json(text)
         self._jobs[job.id] = job
         return job
 
@@ -379,15 +382,18 @@ class ExperimentService:
             return self.session.run(job.spec, profile=True)
         return self.session.run(job.spec)
 
-    def _on_success(self, job: Job, result) -> None:
-        """Store the result before the job resolves (event loop).
+    def _on_success(self, job: Job, result) -> "Optional[str]":
+        """Store the result before the job resolves (event loop); the
+        job then resolves with the stored JSON text, shared with the
+        store instead of pinning the :class:`Result` object.
 
         Runs inside the worker's ``worker.run`` span context, so the
         ``store.write`` span nests under it automatically.
         """
         with job.trace.span("store.write", hash=job.hash):
-            self.store.put(result)
+            spec_hash = self.store.put(result)
         self.instruments.store_entries.set(len(self.store))
+        return self.store.peek(spec_hash)
 
     def _on_finish(self, job: Job) -> None:
         """Terminal-state hook (event loop): persist trace + profile."""

@@ -99,7 +99,8 @@ class Job:
         "attempts",
         "submissions",
         "error",
-        "result",
+        "_result",
+        "result_json",
         "from_store",
         "cancel_requested",
         "trace",
@@ -126,13 +127,18 @@ class Job:
         self.attempts = 0
         self.submissions = 1
         self.error: "str | None" = None
-        self.result: "Result | None" = None
+        self._result: "Result | None" = None
+        #: The settled result as the store's JSON text (the very ``str``
+        #: the store holds, so a settled job pins no parsed copy).
+        self.result_json: "str | None" = None
         self.from_store = False
         self.cancel_requested = False
         # Every job carries its own trace from birth; spans are added
         # by whoever touches the job (service admit, worker, engine).
         self.trace = Trace(name=spec.experiment)
-        self._done = asyncio.Event()
+        # Created by the first wait() on an unsettled job and dropped
+        # once set, so a settled job carries no event object.
+        self._done: "asyncio.Event | None" = None
 
     # ------------------------------------------------------------------
     @property
@@ -143,6 +149,16 @@ class Job:
     def trace_id(self) -> str:
         return self.trace.trace_id
 
+    @property
+    def result(self) -> "Result | None":
+        """The settled :class:`Result` (parsed on demand from
+        :attr:`result_json` when the job holds the stored text)."""
+        if self.result_json is not None:
+            from repro.api.result import Result
+
+            return Result.from_json(self.result_json)
+        return self._result
+
     async def wait(self, timeout: "float | None" = None) -> bool:
         """Block until the job reaches a terminal state.
 
@@ -151,6 +167,8 @@ class Job:
         """
         if self.done:
             return True
+        if self._done is None:
+            self._done = asyncio.Event()
         try:
             await asyncio.wait_for(self._done.wait(), timeout)
         except asyncio.TimeoutError:
@@ -166,7 +184,14 @@ class Job:
         """Terminal success: attach the result and wake every waiter."""
         if self.done:  # settle exactly once
             return
-        self.result = result
+        self._result = result
+        self._finish(DONE)
+
+    def resolve_json(self, text: str) -> None:
+        """Terminal success with the result's stored JSON text."""
+        if self.done:
+            return
+        self.result_json = text
         self._finish(DONE)
 
     def reject(self, state: str, error: str) -> None:
@@ -181,7 +206,9 @@ class Job:
     def _finish(self, state: str) -> None:
         self.state = state
         self.finished = time.time()
-        self._done.set()
+        if self._done is not None:
+            self._done.set()
+            self._done = None
 
     # ------------------------------------------------------------------
     def to_payload(self, *, include_result: bool = True) -> dict:
@@ -202,10 +229,14 @@ class Job:
             "error": self.error,
             "trace_id": self.trace.trace_id,
         }
-        if include_result and self.result is not None:
-            import json
+        if include_result:
+            text = self.result_json
+            if text is None and self._result is not None:
+                text = self._result.to_json()
+            if text is not None:
+                import json
 
-            payload["result"] = json.loads(self.result.to_json())
+                payload["result"] = json.loads(text)
         return payload
 
     def __repr__(self) -> str:

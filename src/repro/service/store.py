@@ -164,6 +164,11 @@ class ResultStore:
         emit("store.miss", logger=_log, key=spec_hash)
         return None
 
+    def peek(self, spec_hash: str) -> "Optional[str]":
+        """The in-memory entry's JSON text, without counting a lookup."""
+        entry = self._entries.get(spec_hash)
+        return entry.text if entry is not None else None
+
     def get(self, spec_hash: str) -> "Optional[Result]":
         """The stored :class:`Result` (lossless round trip), or ``None``."""
         text = self.get_json(spec_hash)

@@ -89,6 +89,8 @@ class WorkerPool:
         Optional hook ``on_success(job, result)`` invoked on the event
         loop before the job resolves (the service stores the result
         here, so waiters can never observe a done-but-unstored job).
+        When it returns the result's stored JSON text, the job resolves
+        with that text instead of the :class:`Result` object.
     on_finish:
         Optional hook ``on_finish(job)`` invoked on the event loop after
         the job settles in *any* terminal state (the service persists
@@ -261,9 +263,13 @@ class WorkerPool:
                         if job.cancel_requested:
                             job.reject(CANCELLED, "cancelled while running")
                         else:
+                            stored = None
                             if self._on_success is not None:
-                                self._on_success(job, result)
-                            job.resolve(result)
+                                stored = self._on_success(job, result)
+                            if stored is None:
+                                job.resolve(result)
+                            else:
+                                job.resolve_json(stored)
                         break
                 span.set(state=job.state, attempts=job.attempts)
         finally:

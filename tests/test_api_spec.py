@@ -102,19 +102,15 @@ class TestContentHash:
 
     def test_runner_stores_entries_under_cache_key(self, tmp_path):
         """The exported cache_key() locates what run_experiment writes."""
-        from repro.engine import (
-            EngineSpec,
-            FixedClusterModel,
-            ResultCache,
-            run_experiment,
-        )
+        from repro.engine import EngineSpec, ResultCache, run_experiment
         from repro.engine.cache import ENGINE_VERSION, cache_key
+        from repro.scenarios import FixedClusterScenario
 
         spec = EngineSpec(
             rows=8, data_bits=8, interleave_degree=2,
             horizontal_code="EDC4", vertical_groups=4,
         )
-        model = FixedClusterModel(1, 1)
+        model = FixedClusterScenario(1, 1)
         cache = ResultCache(tmp_path)
         run_experiment(spec, model, 32, seed=3, block_size=16, cache=cache)
         key = cache_key({

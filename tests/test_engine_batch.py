@@ -27,15 +27,15 @@ from repro.coding.base import CodeStatus
 from repro.engine import (
     VERDICT_CORRECTED,
     VERDICT_DETECTED,
-    ClusterErrorModel,
     EngineSpec,
-    FixedClusterModel,
-    RandomCellsModel,
     make_decoder,
     run_recovery_batch,
     scalar_verdicts,
 )
 from repro.engine.rng import block_generator
+from repro.scenarios import ClusteredMbuScenario, FixedClusterScenario, IidUniformScenario
+
+from helpers import ENGINE_CONFIGS
 
 
 # ----------------------------------------------------------------------
@@ -127,14 +127,7 @@ def test_byte_parity_decoder_matches_scalar():
 # recovery equivalence against the TwoDProtectedArray oracle
 # ----------------------------------------------------------------------
 
-_CONFIGS = [
-    # (rows, data_bits, D, code, V)
-    (16, 16, 2, "EDC4", 8),
-    (16, 32, 4, "EDC8", 8),
-    (32, 32, 4, "EDC8", 16),
-    (32, 32, 2, "SECDED", 16),
-    (16, 16, 4, "SECDED", 4),
-]
+_CONFIGS = ENGINE_CONFIGS
 
 
 def _spec_for(config_index: int) -> EngineSpec:
@@ -161,7 +154,7 @@ def test_in_coverage_clusters_match_oracle_exactly(config, seed):
     rng = np.random.default_rng(seed)
     height = int(rng.integers(1, spec.vertical_groups + 1))
     width = int(rng.integers(1, _detect_width(spec) + 1))
-    model = FixedClusterModel(height, width)
+    model = FixedClusterScenario(height, width)
     masks = model.sample(block_generator(seed, 0), 6, spec)
     engine = run_recovery_batch(spec, masks)
     oracle = scalar_verdicts(spec, masks)
@@ -178,7 +171,7 @@ def test_arbitrary_clusters_are_sound_against_oracle(config, seed):
     rng = np.random.default_rng(seed + 1)
     height = int(rng.integers(1, spec.rows + 1))
     width = int(rng.integers(1, spec.row_bits + 1))
-    model = FixedClusterModel(height, width)
+    model = FixedClusterScenario(height, width)
     masks = model.sample(block_generator(seed, 0), 4, spec)
     engine = run_recovery_batch(spec, masks)
     oracle = scalar_verdicts(spec, masks)
@@ -196,7 +189,7 @@ def test_random_cell_faults_are_sound_against_oracle(config, seed):
     spec = _spec_for(config)
     rng = np.random.default_rng(seed + 2)
     n_cells = int(rng.integers(0, 24))
-    model = RandomCellsModel(n_cells)
+    model = IidUniformScenario(n_cells)
     masks = model.sample(block_generator(seed, 0), 4, spec)
     engine = run_recovery_batch(spec, masks)
     oracle = scalar_verdicts(spec, masks)
@@ -216,20 +209,20 @@ class TestErrorModels:
         )
 
     def test_cluster_model_shapes_and_bounds(self):
-        model = ClusterErrorModel.mostly_single_bit(0.5)
+        model = ClusteredMbuScenario.mostly_single_bit(0.5)
         masks = model.sample(block_generator(0, 0), 40, self.spec)
         assert masks.shape == (40, self.spec.rows, self.spec.row_bits)
         assert masks.max() <= 1
         assert (masks.sum(axis=(1, 2)) >= 1).all()
 
     def test_cluster_model_is_deterministic_per_block(self):
-        model = ClusterErrorModel.mostly_single_bit(0.5)
+        model = ClusteredMbuScenario.mostly_single_bit(0.5)
         a = model.sample(block_generator(5, 3), 16, self.spec)
         b = model.sample(block_generator(5, 3), 16, self.spec)
         assert np.array_equal(a, b)
 
     def test_fixed_cluster_footprint(self):
-        masks = FixedClusterModel(3, 5).sample(block_generator(1, 0), 8, self.spec)
+        masks = FixedClusterScenario(3, 5).sample(block_generator(1, 0), 8, self.spec)
         assert (masks.sum(axis=(1, 2)) == 15).all()
         # solid rectangle: rows hit are contiguous
         rows_hit = masks.any(axis=2).sum(axis=1)
@@ -237,20 +230,20 @@ class TestErrorModels:
         assert (rows_hit == 3).all() and (cols_hit == 5).all()
 
     def test_random_cells_exact_count(self):
-        masks = RandomCellsModel(7).sample(block_generator(2, 0), 8, self.spec)
+        masks = IidUniformScenario(7).sample(block_generator(2, 0), 8, self.spec)
         assert (masks.sum(axis=(1, 2)) == 7).all()
 
     def test_random_cells_zero(self):
-        masks = RandomCellsModel(0).sample(block_generator(2, 0), 4, self.spec)
+        masks = IidUniformScenario(0).sample(block_generator(2, 0), 4, self.spec)
         assert masks.sum() == 0
 
     def test_model_validation(self):
         with pytest.raises(ValueError):
-            FixedClusterModel(0, 3)
+            FixedClusterScenario(0, 3)
         with pytest.raises(ValueError):
-            RandomCellsModel(-1)
+            IidUniformScenario(-1)
         with pytest.raises(ValueError):
-            ClusterErrorModel(footprints=())
+            ClusteredMbuScenario(footprints=())
 
 
 class TestEngineSpec:

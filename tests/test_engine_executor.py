@@ -17,20 +17,20 @@ import pytest
 
 from repro.api import ExperimentSpec, Session
 from repro.engine import (
-    ClusterErrorModel,
     EngineSpec,
     SharedExecutor,
     resolve_mp_context,
     run_experiment,
 )
 from repro.engine.executor import MP_CONTEXT_ENV
+from repro.scenarios import ClusteredMbuScenario
 from repro.perf import run_performance_grid
 from repro.cmp.config import ProtectionConfig, lean_cmp_config
 from repro.workloads import get_profile
 
 SPEC = EngineSpec(rows=64, data_bits=64, interleave_degree=4,
                   horizontal_code="EDC8", vertical_groups=32)
-MODEL = ClusterErrorModel.mostly_single_bit(0.3)
+MODEL = ClusteredMbuScenario.mostly_single_bit(0.3)
 
 
 def _square(x):

@@ -1,0 +1,178 @@
+"""The packed engine path against the ``uint8`` reference, trial for trial.
+
+Every block the engine evaluates runs on packed words
+(:mod:`repro.engine.packed`).  The ``uint8`` kernels of
+:mod:`repro.engine.batch` (``ParityVectorDecoder``,
+``SecdedVectorDecoder``, ``run_recovery_batch``) are kept as the
+reference: driven with the dense masks a scenario's ``sample_block``
+draws for the same block, they must reproduce the engine's verdicts
+(and likelihood-ratio weights) exactly — for every registered scenario,
+over the small 2D geometries, for generic and non-dividing parity group
+maps, and for any worker count.  The default fig3/fig8/``sweep.mc_coverage``
+result bytes and engine cache keys are pinned to their values before
+the packed rewrite.
+"""
+
+from __future__ import annotations
+
+import hashlib
+
+import numpy as np
+import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
+
+from repro.api import ExperimentSpec, Session
+from repro.engine import EngineSpec, run_experiment, run_recovery_batch
+from repro.engine.batch import ParityVectorDecoder
+from repro.engine.packed import PackedParityDecoder, run_recovery_batch_sparse
+from repro.scenarios import SparseRowBatch, list_scenarios, make_scenario
+
+from helpers import ENGINE_CONFIGS, ScrambledParityCode, reference_verdicts
+
+#: Denser settings for the small property-test banks, where the Fig. 3
+#: sized ``example_params`` would mostly draw clean dies.  Scenarios not
+#: listed run with their ``example_params`` alone.
+_SMALL_BANK_PARAMS = {
+    "iid_uniform": {"n_cells": 5},
+    "hard_fault_map": {"defect_density": 0.004},
+    "composite": {"hard": {"scenario": "hard_fault_map", "defect_density": 0.002}},
+    "tilted_hard_fault_map": {"defect_density": 0.002, "tilt": 1.5},
+    "tilted_clustered_mbu": {"tilt": 0.4},
+    "fault_count_band": {"defect_density": 0.002, "k_min": 1, "k_max": 6},
+}
+
+#: Extra configurations that take other sampling branches (Bernoulli
+#: flips have no sparse emitter; spread and column bursts of width > 1).
+_VARIANTS = [
+    ("iid_uniform", {"flip_probability": 0.01}),
+    ("clustered_mbu", {"spread": 0.3}),
+    ("burst_column", {"span": 3}),
+    ("burst_row", {"span": 2}),
+    ("composite", {"soft": {"scenario": "burst_column", "span": 2}}),
+]
+
+SCENARIOS = [
+    (name, {**cls.example_params, **_SMALL_BANK_PARAMS.get(name, {})})
+    for name, cls in list_scenarios().items()
+] + _VARIANTS
+
+
+def _spec(index: int) -> EngineSpec:
+    rows, data_bits, d, code, v = ENGINE_CONFIGS[index]
+    return EngineSpec(rows=rows, data_bits=data_bits, interleave_degree=d,
+                      horizontal_code=code, vertical_groups=v)
+
+
+def _assert_matches_reference(spec, model, n_trials, seed, block_size, **kwargs):
+    result = run_experiment(spec, model, n_trials, seed, block_size=block_size,
+                            **kwargs)
+    verdicts, weights = reference_verdicts(spec, model, n_trials, seed, block_size)
+    assert np.array_equal(result.verdicts, verdicts)
+    if weights is not None:
+        assert np.array_equal(result.weights, weights)
+    return result
+
+
+def test_every_registered_scenario_is_covered():
+    assert {name for name, _ in SCENARIOS} >= set(list_scenarios())
+
+
+@settings(max_examples=60, deadline=None,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(
+    scenario=st.sampled_from(SCENARIOS),
+    config=st.integers(0, len(ENGINE_CONFIGS) - 1),
+    one_d=st.booleans(),
+    seed=st.integers(0, 2**16),
+    block_size=st.sampled_from([16, 48, 64]),
+)
+def test_packed_verdicts_equal_reference(scenario, config, one_d, seed, block_size):
+    name, params = scenario
+    spec = _spec(config)
+    if one_d:
+        spec = EngineSpec(rows=spec.rows, data_bits=spec.data_bits,
+                          interleave_degree=spec.interleave_degree,
+                          horizontal_code=spec.horizontal_code)
+    _assert_matches_reference(spec, make_scenario(name, **params), 100, seed,
+                              block_size)
+
+
+@pytest.mark.parametrize("name,params", SCENARIOS, ids=[s[0] for s in SCENARIOS])
+def test_one_and_four_workers_equal_reference(name, params):
+    spec = _spec(2)
+    model = make_scenario(name, **params)
+    serial = _assert_matches_reference(spec, model, 160, 11, 32)
+    pooled = run_experiment(spec, model, 160, 11, block_size=32, n_workers=4)
+    assert np.array_equal(pooled.verdicts, serial.verdicts)
+    assert pooled.counts == serial.counts
+    if serial.tally is not None:
+        assert pooled.tally == serial.tally
+
+
+@settings(max_examples=40, deadline=None,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(
+    group_seed=st.integers(0, 10_000),
+    shape=st.sampled_from([(32, 4, 2), (16, 5, 3), (24, 6, 1), (64, 8, 4)]),
+    two_d=st.booleans(),
+    p=st.sampled_from([0.005, 0.03, 0.2]),
+    mask_seed=st.integers(0, 2**16),
+)
+def test_generic_group_maps_equal_reference(group_seed, shape, two_d, p, mask_seed):
+    """Scrambled (and non-dividing) bit->group maps through the whole
+    recovery pipeline: packed tables vs the reference's gather path."""
+    data_bits, interleave, degree = shape
+    code = ScrambledParityCode(data_bits, interleave, seed=group_seed)
+    spec = EngineSpec(rows=16, data_bits=data_bits, interleave_degree=degree,
+                      horizontal_code=f"EDC{interleave}",
+                      vertical_groups=8 if two_d else None)
+    reference = ParityVectorDecoder(code, degree)
+    assert reference._pattern == "generic"
+    rng = np.random.default_rng(mask_seed)
+    masks = (rng.random((48, spec.rows, spec.row_bits)) < p).astype(np.uint8)
+    expected = run_recovery_batch(spec, masks, reference)
+    batch = SparseRowBatch.from_masks(masks, degree)
+    got = run_recovery_batch_sparse(spec, batch, PackedParityDecoder(code, degree))
+    assert np.array_equal(got, expected)
+
+
+# ----------------------------------------------------------------------
+# pinned bytes
+# ----------------------------------------------------------------------
+
+#: sha256 of ``Result.without_telemetry().to_json()`` for the default
+#: Monte Carlo run of each experiment.
+PINNED_RESULTS = {
+    "fig3.coverage": "575c5762492dd14bab1a3858bb65ee647c48766e4e1bb06f83b49375115a7e0e",
+    "fig8.yield": "666e4ee5a584903e7413573e8cd64aa2c2cd6e650a73065a95ce5447db75d6df",
+    "sweep.mc_coverage": "ccdb220abf4d0db1528ee335bffa9949d80d54115e6a181690f8127fbdb9c4f1",
+}
+
+#: The engine ``.npz`` cache entries those three runs write.
+PINNED_CACHE_KEYS = sorted([
+    "20246745dc386ecaaa13761e62d854dcde491c16628e03eac2e9ce66e77ba1b2",
+    "23728fddd316ef36a75abc90c4929a5ae7e278a55b69951c0b75569d6281d757",
+    "29ab3b37a61fd22d3b98bcc6056b92cf31bff1cb96d2c5cee925c80a60332556",
+    "4bc4d091b283ca1b83f51fe7f2feae72807bb15f7ba7766e43b3c095cb4d5e40",
+    "8844e4f648220d496844d344e796c47c18698bc50bedcada603ee85e9c3623ef",
+    "aa9d531186efa57df338fe50b544429577b5575a2d7be103106d67e05232aec7",
+    "aeae2b4ca6d7ccc0c9a7ab4b7cc14ed096dba796ef97e39233635ea91d1bd780",
+    "b741d8f803f199de69fed603f5f592a8d2ef3f539c2357900a6f408b114aaae2",
+    "dc84c77f5a969b9d1e0d59f50462d3a347849a093ae072ecb4f57a8048ac7dab",
+])
+
+
+def test_default_result_bytes_and_cache_keys_are_pinned(tmp_path):
+    with Session(workers=1, cache_dir=tmp_path) as session:
+        digests = {
+            name: hashlib.sha256(
+                session.run(ExperimentSpec(name, backend="monte_carlo"))
+                .without_telemetry()
+                .to_json()
+                .encode()
+            ).hexdigest()
+            for name in PINNED_RESULTS
+        }
+    assert digests == PINNED_RESULTS
+    assert sorted(p.stem for p in tmp_path.rglob("*.npz")) == PINNED_CACHE_KEYS

@@ -10,19 +10,14 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.engine import (
-    ClusterErrorModel,
-    EngineSpec,
-    FixedClusterModel,
-    ResultCache,
-    run_experiment,
-)
+from repro.engine import EngineSpec, ResultCache, run_experiment
+from repro.scenarios import ClusteredMbuScenario, FixedClusterScenario
 
 SPEC = EngineSpec(
     rows=16, data_bits=16, interleave_degree=2,
     horizontal_code="EDC4", vertical_groups=8,
 )
-MODEL = ClusterErrorModel.mostly_single_bit(0.6)
+MODEL = ClusteredMbuScenario.mostly_single_bit(0.6)
 
 
 def _run(**kwargs):
@@ -60,7 +55,7 @@ class TestSchedulingInvariance:
     def test_seed_changes_results(self):
         # A bimodal model (tiny in-coverage upsets vs clusters taller
         # than V) makes the verdict sequence a fingerprint of the seed.
-        model = ClusterErrorModel(footprints=(((1, 1), 0.5), ((12, 4), 0.5)))
+        model = ClusteredMbuScenario(footprints=(((1, 1), 0.5), ((12, 4), 0.5)))
         a = run_experiment(SPEC, model, n_trials=200, seed=1, block_size=16)
         b = run_experiment(SPEC, model, n_trials=200, seed=2, block_size=16)
         assert not np.array_equal(a.verdicts, b.verdicts)
@@ -120,7 +115,7 @@ class TestResultCache:
         # Different seed, trials, model or spec -> distinct entries.
         _run(cache=cache, seed=32)
         _run(cache=cache, n_trials=121)
-        run_experiment(SPEC, FixedClusterModel(2, 2), n_trials=120, seed=31,
+        run_experiment(SPEC, FixedClusterScenario(2, 2), n_trials=120, seed=31,
                        block_size=16, cache=cache)
         other_spec = EngineSpec(rows=16, data_bits=16, interleave_degree=2,
                                 horizontal_code="EDC4", vertical_groups=4)

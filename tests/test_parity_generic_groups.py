@@ -5,8 +5,8 @@ branch, so it gets dedicated coverage here with scrambled group maps:
 an ``InterleavedParityCode`` whose bit→group assignment is a seeded
 random permutation of the modular layout.  The vectorized decoder must
 fall into its generic gather path and still agree word for word with
-the scalar ``code.decode`` — and with the packed decoder, whose masked
-popcount kernel is layout-agnostic by construction.
+the scalar ``code.decode`` — and with the packed decoder, whose
+byte-table syndrome kernel is layout-agnostic by construction.
 """
 
 from __future__ import annotations
@@ -17,41 +17,10 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from repro.coding.base import CodeStatus
-from repro.coding.parity import InterleavedParityCode
 from repro.engine.batch import ParityVectorDecoder
 from repro.engine.packed import PackedParityDecoder
 
-
-class ScrambledParityCode(InterleavedParityCode):
-    """Interleaved parity with a randomly permuted bit→group map."""
-
-    def __init__(self, data_bits: int, interleave: int, seed: int):
-        super().__init__(data_bits, interleave)
-        rng = np.random.default_rng(seed)
-        while True:
-            groups = rng.permutation(np.arange(data_bits) % interleave)
-            modular = np.array_equal(groups, np.arange(data_bits) % interleave)
-            span = data_bits // interleave if data_bits % interleave == 0 else None
-            contiguous = span is not None and np.array_equal(
-                groups, np.arange(data_bits) // span
-            )
-            if not modular and not contiguous:
-                break
-        self._groups = groups
-        self.name = f"ScrambledEDC{interleave}(seed={seed})"
-
-    def group_of(self, bit_position: int) -> int:
-        if not 0 <= bit_position < self.data_bits:
-            raise ValueError(f"bit position {bit_position} out of range")
-        return int(self._groups[bit_position])
-
-    def encode(self, data: np.ndarray) -> np.ndarray:
-        data = self._validate_word(data)
-        check = np.zeros(self.interleave, dtype=np.uint8)
-        for group in range(self.interleave):
-            members = np.nonzero(self._groups == group)[0]
-            check[group] = np.bitwise_xor.reduce(data[members])
-        return check
+from helpers import ScrambledParityCode
 
 
 def _scalar_word_faulty(code, row_mask, slot, degree):

@@ -22,10 +22,7 @@ from hypothesis import strategies as st
 
 from repro.engine import (
     BlockStreams,
-    ClusterErrorModel,
     EngineSpec,
-    FixedClusterModel,
-    RandomCellsModel,
     block_generator,
     lane_generator,
     run_experiment,
@@ -319,23 +316,18 @@ class TestComposite:
 
 
 # ----------------------------------------------------------------------
-# back-compat: historical engine model names
+# back-compat: the historical engine models' cache keys
 # ----------------------------------------------------------------------
 
 class TestLegacyAliases:
-    def test_aliases_are_scenario_classes(self):
-        assert ClusterErrorModel is ClusteredMbuScenario
-        assert FixedClusterModel is FixedClusterScenario
-        assert RandomCellsModel is IidUniformScenario
-
     def test_legacy_keys_unchanged(self):
         """Pre-scenario cache entries must stay addressable."""
-        assert RandomCellsModel(7).to_key() == {"model": "random_cells", "n_cells": 7}
-        assert FixedClusterModel(2, 3).to_key() == {
+        assert IidUniformScenario(7).to_key() == {"model": "random_cells", "n_cells": 7}
+        assert FixedClusterScenario(2, 3).to_key() == {
             "model": "fixed_cluster", "height": 2, "width": 3,
         }
         footprints = (((1, 1), 0.5), ((2, 2), 0.5))
-        assert ClusterErrorModel(footprints=footprints).to_key() == {
+        assert ClusteredMbuScenario(footprints=footprints).to_key() == {
             "model": "cluster_distribution",
             "footprints": [[[1, 1], 0.5], [[2, 2], 0.5]],
         }
@@ -343,7 +335,7 @@ class TestLegacyAliases:
     def test_mostly_single_bit_matches_scalar_distribution(self):
         from repro.errors import FootprintDistribution
 
-        model = ClusterErrorModel.mostly_single_bit(0.3)
+        model = ClusteredMbuScenario.mostly_single_bit(0.3)
         dist = FootprintDistribution.mostly_single_bit(0.3)
         assert model.footprints == tuple(sorted(dist.weights.items()))
 

@@ -509,3 +509,64 @@ class TestStats:
             assert service.healthz()["status"] == "stopped"
 
         run(main())
+
+
+class TestRetention:
+    def test_settled_submissions_retain_at_most_8kb_each(self, tmp_path):
+        """What a long-lived service keeps per settled submission (job
+        registry, result store, traces, recorder) stays bounded: a
+        settled job shares the store's JSON text instead of holding a
+        parsed Result, store hits are admitted without parsing, and the
+        service recorder keeps counters, not an event list."""
+        import gc
+        import logging
+        import tracemalloc
+
+        from repro.obs.metrics import MetricsRegistry
+
+        def mc_spec(seed: int) -> ExperimentSpec:
+            return ExperimentSpec("fig3.coverage", backend="monte_carlo", trials=64,
+                                  seed=seed, params={"array_rows": 64})
+
+        async def settle(service, seed: int) -> str:
+            job, via = service.submit(mc_spec(seed))
+            assert await job.wait(timeout=60.0) and job.state == DONE
+            return via
+
+        async def main() -> float:
+            service = ExperimentService(workers=2, engine_workers=1,
+                                        cache_dir=tmp_path, registry=MetricsRegistry())
+            await service.start()
+            try:
+                for seed in range(1000, 1010):  # warm caches and code paths
+                    await settle(service, seed)
+                    await settle(service, seed)
+                gc.collect()
+                tracemalloc.start()
+                try:
+                    before = tracemalloc.get_traced_memory()[0]
+                    n = 60
+                    vias = [
+                        via
+                        for seed in range(1, n + 1)
+                        for via in (await settle(service, seed),
+                                    await settle(service, seed))
+                    ]
+                    gc.collect()
+                    retained = tracemalloc.get_traced_memory()[0] - before
+                finally:
+                    tracemalloc.stop()
+                assert vias.count("queued") == n and vias.count("store") == n
+                return retained / (2 * n)
+            finally:
+                await service.stop()
+
+        # INFO records of the repro loggers (enabled by an earlier CLI
+        # test) would be kept by the test runner's log capture, which is
+        # not the service's retention.
+        logging.disable(logging.INFO)
+        try:
+            per_submission = run(main())
+        finally:
+            logging.disable(logging.NOTSET)
+        assert per_submission <= 8 * 1024, f"{per_submission / 1024:.1f} KB"
