@@ -16,7 +16,7 @@ import time
 import numpy as np
 
 from repro.core import fig3_schemes
-from repro.core.experiments import FIG3_MC_FOOTPRINTS
+from repro.core.coverage import FIG3_MC_FOOTPRINTS
 from repro.engine import (
     BlockStreams,
     EngineSpec,

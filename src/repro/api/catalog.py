@@ -7,9 +7,6 @@ parameterized sweep experiments.  Each implementation takes an
 :class:`~repro.api.result.Result` whose ``data`` payload has the
 figure's natural shape (JSON-pure, string keys) and whose ``series``
 normalize the same numbers for plotting/CSV export.
-
-The legacy ``fig*`` drivers in :mod:`repro.core.experiments` are thin
-deprecated shims over these registrations.
 """
 
 from __future__ import annotations

@@ -1,21 +1,8 @@
 """The paper's primary contribution, composed: 2D coding schemes, coverage
-analysis, protected array/cache factories and per-figure experiment
-drivers."""
+analysis and protected array/cache factories.  The per-figure
+experiments run through :mod:`repro.api` (``Session().run(ExperimentSpec(...))``)."""
 
 from .coverage import CoverageReport, analyze_scheme, fig3_schemes, monte_carlo_coverage
-from .experiments import (
-    fig1_energy_overhead,
-    fig1_storage_overhead,
-    fig2_interleaving_energy,
-    fig3_coverage,
-    fig3_coverage_monte_carlo,
-    fig5_performance,
-    fig6_access_breakdown,
-    fig7_scheme_comparison,
-    fig8_reliability,
-    fig8_yield,
-    fig8_yield_monte_carlo,
-)
 from .factory import build_protected_bank, build_protected_cache
 from .schemes import TWO_D_L1, TWO_D_L2, CodingScheme, SchemeCost, l1_schemes, l2_schemes
 
@@ -24,17 +11,6 @@ __all__ = [
     "analyze_scheme",
     "fig3_schemes",
     "monte_carlo_coverage",
-    "fig1_energy_overhead",
-    "fig1_storage_overhead",
-    "fig2_interleaving_energy",
-    "fig3_coverage",
-    "fig3_coverage_monte_carlo",
-    "fig8_yield_monte_carlo",
-    "fig5_performance",
-    "fig6_access_breakdown",
-    "fig7_scheme_comparison",
-    "fig8_reliability",
-    "fig8_yield",
     "build_protected_bank",
     "build_protected_cache",
     "TWO_D_L1",

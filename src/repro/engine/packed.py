@@ -53,7 +53,6 @@ from .batch import (
 __all__ = [
     "pack_rows",
     "unpack_rows",
-    "pack_batch",
     "SyndromeKernel",
     "PackedParityDecoder",
     "PackedSecdedDecoder",
@@ -89,13 +88,6 @@ def unpack_rows(
 ) -> np.ndarray:
     """Inverse of :func:`pack_rows`: back to ``(..., row_bits)`` uint8."""
     return unpack_row_words(packed, codeword_bits * interleave_degree)
-
-
-def pack_batch(spec: EngineSpec, masks: np.ndarray) -> SparseRowBatch:
-    """A dense ``(trials, rows, row_bits)`` mask batch as a packed sparse
-    batch — the runner's boundary for samplers that only draw masks."""
-    words = pack_rows(masks, spec.codeword_bits, spec.interleave_degree)
-    return SparseRowBatch.from_words(words, spec.row_bits)
 
 
 # ----------------------------------------------------------------------

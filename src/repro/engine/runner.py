@@ -27,6 +27,7 @@ import numpy as np
 
 from repro.obs import emit, memory_phase
 from repro.obs.profile import process_usage, usage_delta
+from repro.scenarios import ScenarioModel
 
 from .aggregate import (
     WEIGHTED_TARGETS,
@@ -42,14 +43,8 @@ from .aggregate import (
 from .batch import EngineSpec, run_recovery_batch  # noqa: F401
 from .cache import ENGINE_VERSION, ResultCache, cache_key
 from .executor import SharedExecutor
-from .packed import make_packed_decoder, pack_batch, run_recovery_batch_sparse
-from .rng import (
-    DEFAULT_BLOCK_SIZE,
-    BlockStreams,
-    block_generator,
-    iter_block_slices,
-    n_blocks,
-)
+from .packed import make_packed_decoder, run_recovery_batch_sparse
+from .rng import DEFAULT_BLOCK_SIZE, BlockStreams, iter_block_slices, n_blocks
 
 __all__ = [
     "EngineResult",
@@ -132,75 +127,17 @@ class EngineResult:
 
 
 def _sample_sparse_block(spec: EngineSpec, model, seed: int, block: int, block_size: int):
-    """A block's :class:`SparseRowBatch` from the model's sparse emitter,
-    or ``None`` when the model (configuration) has no sparse path.
-
-    The emitter protocol mirrors dense sampling: ``sample_sparse_block``
-    gets the block's :class:`BlockStreams` handle, a plain
-    ``sample_sparse`` gets the root generator.  Emitters that decline
-    must do so before drawing, so a dense retry on a fresh block
-    generator sees the pristine stream.
-    """
-    sparse_block = getattr(model, "sample_sparse_block", None)
-    if sparse_block is not None:
-        return sparse_block(BlockStreams(seed, block), block_size, spec)
-    sparse = getattr(model, "sample_sparse", None)
-    if sparse is not None:
-        return sparse(block_generator(seed, block), block_size, spec)
-    return None
+    """Block ``block``'s packed :class:`SparseRowBatch`, drawn whole."""
+    return model.sample_sparse_block(BlockStreams(seed, block), block_size, spec)
 
 
-def _sample_weighted_sparse_block(
-    spec: EngineSpec, model, seed: int, block: int, block_size: int
-):
-    """Weighted twin of :func:`_sample_sparse_block`: the block's
-    ``(SparseRowBatch, weights)`` or ``None`` (decline before drawing)."""
-    sparse_block = getattr(model, "sample_weighted_sparse_block", None)
-    if sparse_block is not None:
-        return sparse_block(BlockStreams(seed, block), block_size, spec)
-    sparse = getattr(model, "sample_weighted_sparse", None)
-    if sparse is not None:
-        return sparse(block_generator(seed, block), block_size, spec)
-    return None
+# perfbench's traced runs patch these names; weighted blocks take the same path.
+_sample_weighted_sparse_block = _sample_weighted_block = _sample_sparse_block
 
 
-def _sample_weighted_block(
-    spec: EngineSpec, model, seed: int, block: int, block_size: int
-):
-    """The block's dense ``(masks, weights)`` from a weighted model."""
-    dense_block = getattr(model, "sample_weighted_block", None)
-    if dense_block is not None:
-        return dense_block(BlockStreams(seed, block), block_size, spec)
-    return model.sample_weighted(block_generator(seed, block), block_size, spec)
-
-
-def _sample_piece(spec: EngineSpec, model, seed: int, piece, block_size: int):
-    """``(batch, weights, emitted_sparse)`` for one block slice.
-
-    A scenario's sparse emitter is preferred; a model that declines (or
-    has none) draws dense masks, which are packed once here, at the
-    runner boundary.  Either way the block is drawn whole and sliced,
-    so any partition of the trial space sees identical randomness.
-    """
-    block = piece.block
-    batch = weights = None
-    if getattr(model, "weighted", False):
-        emitted = _sample_weighted_sparse_block(spec, model, seed, block, block_size)
-        if emitted is None:
-            masks, weights = _sample_weighted_block(spec, model, seed, block, block_size)
-        else:
-            batch, weights = emitted
-    else:
-        batch = _sample_sparse_block(spec, model, seed, block, block_size)
-        if batch is None and getattr(model, "sample_block", None) is not None:
-            masks = model.sample_block(BlockStreams(seed, block), block_size, spec)
-        elif batch is None:
-            masks = model.sample(block_generator(seed, block), block_size, spec)
-    if weights is not None:
-        weights = np.asarray(weights[piece.start : piece.stop], dtype=np.float64)
-    if batch is None:
-        return pack_batch(spec, masks[piece.start : piece.stop]), weights, False
-    return batch.slice_trials(piece.start, piece.stop), weights, True
+def _join(pieces: "list[np.ndarray]", dtype) -> np.ndarray:
+    """Concatenate per-block arrays in order (empty when there are none)."""
+    return np.concatenate(pieces) if pieces else np.zeros(0, dtype=dtype)
 
 
 def _run_trial_range(
@@ -214,25 +151,23 @@ def _run_trial_range(
 ) -> tuple[TrialCounts, "np.ndarray | None", "np.ndarray | None", "WeightedTally | None", dict]:
     """Evaluate trials ``[first_trial, last_trial)`` block by block.
 
-    Samplers always draw for the whole block and slice, so any partition
-    of the trial space sees identical per-trial randomness.  Scenario
-    models sample through their block-keyed entry points with the
-    block's :class:`BlockStreams` handle (multi-population scenarios
-    draw each population from its own lane); plain models with only a
-    ``sample(rng, count, spec)`` method get the block's root generator —
-    the identical stream either way for single-population scenarios.
+    Every block takes one path: the model's ``sample_sparse_block``
+    draws the whole block as a packed batch from the block's
+    :class:`BlockStreams` handle, the batch is sliced to the range, and
+    its dirty rows are recovered on packed words.  Drawing whole blocks
+    means any partition of the trial space sees identical per-trial
+    randomness.
 
-    Models advertising ``weighted = True`` sample through the
-    ``sample_weighted*`` family instead; each block's likelihood-ratio
-    weights are sliced exactly like its trials and accumulated into a
-    :class:`WeightedTally` in block order, so weighted streams keep the
-    same partition-invariance as plain ones.
+    On models advertising ``weighted = True`` every batch must carry
+    ``weights`` (and on other models none may); each block's slice of
+    them is accumulated into a :class:`WeightedTally` in block order, so
+    weighted streams keep the same partition-invariance as plain ones.
 
     The last return value is the shard's telemetry: wall-clock seconds,
-    how many blocks were emitted sparse vs. drawn dense and packed
-    (``densified_blocks`` is always 0 since every block runs packed; the
-    key stays for the telemetry schema), and the worker's resource
-    deltas (CPU seconds, RSS watermark, pid) — observational only.
+    block counts (every block is a ``sparse_blocks`` one; the
+    ``dense_blocks`` and ``densified_blocks`` keys stay 0 for the
+    telemetry schema), and the worker's resource deltas (CPU seconds,
+    RSS watermark, pid) — observational only.
     """
     started = time.perf_counter()
     usage0 = process_usage()
@@ -255,26 +190,27 @@ def _run_trial_range(
     }
     for piece in iter_block_slices(first_trial, last_trial, block_size):
         stats["blocks"] += 1
-        batch, piece_weights, emitted = _sample_piece(spec, model, seed, piece, block_size)
-        stats["sparse_blocks" if emitted else "dense_blocks"] += 1
+        stats["sparse_blocks"] += 1
+        batch = _sample_sparse_block(spec, model, seed, piece.block, block_size)
+        if (batch.weights is not None) != weighted:
+            raise ValueError(
+                f"{type(model).__name__} has weighted={weighted}, but its "
+                f"sample_sparse_block returned a batch {'without' if weighted else 'with'} "
+                "likelihood-ratio weights"
+            )
+        batch = batch.slice_trials(piece.start, piece.stop)
         verdicts = run_recovery_batch_sparse(spec, batch, decoder)
         aggregator.update(verdicts)
         if weighted:
-            block_tallies.append(WeightedTally.from_verdicts(verdicts, piece_weights))
+            block_tallies.append(WeightedTally.from_verdicts(verdicts, batch.weights))
             if collect_verdicts:
-                collected_weights.append(piece_weights)
+                collected_weights.append(batch.weights)
         if collect_verdicts:
             collected.append(verdicts)
-    merged = np.concatenate(collected) if collected else None
-    if collect_verdicts and merged is None:
-        merged = np.zeros(0, dtype=np.uint8)
-    merged_weights = None
-    if collect_verdicts and weighted:
-        merged_weights = (
-            np.concatenate(collected_weights)
-            if collected_weights
-            else np.zeros(0, dtype=np.float64)
-        )
+    merged = _join(collected, np.uint8) if collect_verdicts else None
+    merged_weights = (
+        _join(collected_weights, np.float64) if collect_verdicts and weighted else None
+    )
     stats["elapsed"] = round(time.perf_counter() - started, 6)
     usage = usage_delta(usage0)
     stats["pid"] = usage["pid"]
@@ -391,8 +327,14 @@ def run_experiment(
     Parameters
     ----------
     spec, model:
-        What to simulate: bank configuration and vectorized error model
-        (any object with ``sample(rng, count, spec)`` and ``to_key()``).
+        What to simulate: bank configuration and fault scenario.  The
+        model must satisfy :class:`repro.scenarios.ScenarioModel`: the
+        engine draws every block through
+        ``model.sample_sparse_block(streams, count, spec)``, which
+        returns a packed :class:`~repro.scenarios.SparseRowBatch`
+        (carrying ``weights`` exactly when ``model.weighted``), and keys
+        the cache on ``model.to_key()``.  Any
+        :class:`~repro.scenarios.ScenarioBase` subclass qualifies.
     n_trials, seed:
         Trial count and root seed.  Together with ``block_size`` these
         fully determine the result; scheduling parameters cannot change
@@ -424,6 +366,7 @@ def run_experiment(
         raise ValueError("n_workers must be positive")
     if chunk_blocks < 1:
         raise ValueError("chunk_blocks must be positive")
+    _check_model(model)
 
     weighted = bool(getattr(model, "weighted", False))
     params = {
@@ -444,30 +387,11 @@ def run_experiment(
         block_size=block_size,
         workers=executor.workers if executor is not None else n_workers,
     )
-    if cache is not None:
-        payload = cache.load(key)
-        if payload is not None:
-            cached = _result_from_payload(
-                payload,
-                spec=spec,
-                n_trials=n_trials,
-                seed=seed,
-                block_size=block_size,
-                collect_verdicts=collect_verdicts,
-                weighted=weighted,
-            )
-            if cached is not None:
-                emit(
-                    "engine.run.finish",
-                    logger=_log,
-                    level=logging.INFO,
-                    key=key,
-                    n_trials=n_trials,
-                    from_cache=True,
-                    elapsed=0.0,
-                )
-                _maybe_emit_weighted(cached)
-                return cached
+    cached = _load_cached(cache, key, spec=spec, n_trials=n_trials, seed=seed,
+                          block_size=block_size, collect_verdicts=collect_verdicts,
+                          weighted=weighted)
+    if cached is not None:
+        return _finish(cached, key, params, cache, _maybe_emit_weighted)
 
     started = time.perf_counter()
     ranges = _chunk_ranges(0, n_trials, block_size, chunk_blocks)
@@ -480,8 +404,6 @@ def run_experiment(
     counts, all_verdicts, all_weights, block_tallies = _merge_outcomes(
         outcomes, collect_verdicts, weighted
     )
-    tally = _fold_tallies(block_tallies) if weighted else None
-
     result = EngineResult(
         spec=spec,
         counts=counts,
@@ -490,22 +412,56 @@ def run_experiment(
         seed=seed,
         block_size=block_size,
         elapsed_seconds=elapsed,
-        from_cache=False,
-        tally=tally,
+        tally=_fold_tallies(block_tallies) if weighted else None,
         weights=all_weights,
     )
+    return _finish(result, key, params, cache, _maybe_emit_weighted)
+
+
+def _check_model(model) -> None:
+    """Reject a model the engine cannot draw blocks from."""
+    if not isinstance(model, ScenarioModel):
+        raise TypeError(
+            f"{type(model).__name__} is not a scenario model: the engine draws "
+            "every block through sample_sparse_block(streams, count, spec) -> "
+            "SparseRowBatch and keys results on to_key() (subclass "
+            "repro.scenarios.ScenarioBase and implement sample)"
+        )
+
+
+def _load_cached(cache: "ResultCache | None", key: str, **rebuild) -> "EngineResult | None":
+    """The run's cached result, or ``None`` on a miss (or an entry that
+    lacks what this run needs).  ``n_trials=None`` takes the realized
+    count the entry recorded (sequential runs)."""
+    payload = cache.load(key) if cache is not None else None
+    if payload is None:
+        return None
+    if rebuild["n_trials"] is None:
+        rebuild["n_trials"] = int(payload["n"])
+    return _result_from_payload(payload, **rebuild)
+
+
+def _finish(result: EngineResult, key: str, params: dict, cache, report) -> EngineResult:
+    """Emit a run's ``engine.run.finish`` and ``report(result)`` events,
+    then store a fresh (not cache-hit) result under ``key``."""
+    if result.from_cache:
+        timing = {"elapsed": 0.0}
+    else:
+        timing = {
+            "elapsed": round(result.elapsed_seconds, 6),
+            "trials_per_second": round(result.trials_per_second, 3),
+        }
     emit(
         "engine.run.finish",
         logger=_log,
         level=logging.INFO,
         key=key,
-        n_trials=n_trials,
-        from_cache=False,
-        elapsed=round(elapsed, 6),
-        trials_per_second=round(result.trials_per_second, 3),
+        n_trials=result.n_trials,
+        from_cache=result.from_cache,
+        **timing,
     )
-    _maybe_emit_weighted(result)
-    if cache is not None:
+    report(result)
+    if cache is not None and not result.from_cache:
         cache.store(key, _payload_from_result(result), params)
     return result
 
@@ -546,14 +502,8 @@ def _merge_outcomes(
             pieces.append(verdicts)
         if collect_verdicts and weights is not None:
             weight_pieces.append(weights)
-    all_verdicts = (
-        np.concatenate(pieces) if pieces else np.zeros(0, dtype=np.uint8)
-    ) if collect_verdicts else None
-    all_weights = (
-        np.concatenate(weight_pieces)
-        if weight_pieces
-        else np.zeros(0, dtype=np.float64)
-    ) if (collect_verdicts and weighted) else None
+    all_verdicts = _join(pieces, np.uint8) if collect_verdicts else None
+    all_weights = _join(weight_pieces, np.float64) if collect_verdicts and weighted else None
     return aggregator.counts, all_verdicts, all_weights, block_tallies
 
 
@@ -685,6 +635,7 @@ def run_experiment_sequential(
         raise ValueError("initial_trials must be positive")
     if max_trials < initial_trials:
         raise ValueError("max_trials must be >= initial_trials")
+    _check_model(model)
 
     weighted = bool(getattr(model, "weighted", False))
     stopping = {
@@ -715,30 +666,12 @@ def run_experiment_sequential(
         block_size=block_size,
         workers=executor.workers if executor is not None else n_workers,
     )
-    if cache is not None:
-        payload = cache.load(key)
-        if payload is not None:
-            cached = _result_from_payload(
-                payload,
-                spec=spec,
-                n_trials=int(payload["n"]),
-                seed=seed,
-                block_size=block_size,
-                collect_verdicts=collect_verdicts,
-                weighted=weighted,
-            )
-            if cached is not None:
-                emit(
-                    "engine.run.finish",
-                    logger=_log,
-                    level=logging.INFO,
-                    key=key,
-                    n_trials=cached.n_trials,
-                    from_cache=True,
-                    elapsed=0.0,
-                )
-                _emit_sequential(cached, stopping, rounds=None)
-                return cached
+    cached = _load_cached(cache, key, spec=spec, n_trials=None, seed=seed,
+                          block_size=block_size, collect_verdicts=collect_verdicts,
+                          weighted=weighted)
+    if cached is not None:
+        return _finish(cached, key, params, cache,
+                       lambda r: _emit_sequential(r, stopping, rounds=None))
 
     def _round_targets():
         goal = min(_round_up_blocks(initial_trials, block_size), max_trials)
@@ -786,43 +719,19 @@ def run_experiment_sequential(
             break
     elapsed = time.perf_counter() - started
 
-    all_verdicts = (
-        np.concatenate(verdict_pieces)
-        if verdict_pieces
-        else np.zeros(0, dtype=np.uint8)
-    ) if collect_verdicts else None
-    all_weights = (
-        np.concatenate(weight_pieces)
-        if weight_pieces
-        else np.zeros(0, dtype=np.float64)
-    ) if (collect_verdicts and weighted) else None
-
     result = EngineResult(
         spec=spec,
         counts=counts,
-        verdicts=all_verdicts,
+        verdicts=_join(verdict_pieces, np.uint8) if collect_verdicts else None,
         n_trials=realized,
         seed=seed,
         block_size=block_size,
         elapsed_seconds=elapsed,
-        from_cache=False,
         tally=tally,
-        weights=all_weights,
+        weights=_join(weight_pieces, np.float64) if collect_verdicts and weighted else None,
     )
-    emit(
-        "engine.run.finish",
-        logger=_log,
-        level=logging.INFO,
-        key=key,
-        n_trials=realized,
-        from_cache=False,
-        elapsed=round(elapsed, 6),
-        trials_per_second=round(result.trials_per_second, 3),
-    )
-    _emit_sequential(result, stopping, rounds=rounds)
-    if cache is not None:
-        cache.store(key, _payload_from_result(result), params)
-    return result
+    return _finish(result, key, params, cache,
+                   lambda r: _emit_sequential(r, stopping, rounds=rounds))
 
 
 def _round_up_blocks(trials: int, block_size: int) -> int:

@@ -5,8 +5,10 @@ batched ``(trials, rows, row_bits)`` error-mask generators, decoupled
 from *how it is evaluated* (:mod:`repro.engine`) and from *where the
 numbers surface* (:mod:`repro.api`):
 
-* :mod:`repro.scenarios.base` — the :class:`ScenarioModel` protocol,
-  the ``@scenario("name")`` decorator registry and the
+* :mod:`repro.scenarios.base` — the :class:`ScenarioModel` protocol
+  (the engine's one sampling call, ``sample_sparse_block``),
+  :class:`ScenarioBase` (which derives it from a dense ``sample``), the
+  ``@scenario("name")`` decorator registry and the
   :func:`make_scenario` factory.
 * :mod:`repro.scenarios.generators` — the one source of geometry truth:
   batched NumPy kernels for cluster/burst placement, footprint
@@ -20,10 +22,11 @@ numbers surface* (:mod:`repro.api`):
   (``tilted_hard_fault_map``, ``tilted_clustered_mbu``) and the
   band-conditioned ``fault_count_band`` stratification model.
 * :mod:`repro.scenarios.sparse` — :class:`SparseRowBatch`, the dirty
-  rows only, as packed ``uint64`` words: the one row format the engine
-  recovers on.  Scenarios emit it through ``sample_sparse`` so the
-  engine never materializes (or decodes) the clean bulk of the mask
-  tensor.
+  rows only, as packed ``uint64`` words plus optional likelihood-ratio
+  ``weights``: the one row format the engine recovers on.  Every
+  scenario emits it through ``sample_sparse`` — natively, or by packing
+  its dense draw — so the engine never decodes the clean bulk of the
+  mask tensor.
 
 Every registered scenario is reachable from the experiment catalog
 (``scenario="..."`` params on Monte Carlo experiments) and from the CLI

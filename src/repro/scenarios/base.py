@@ -2,8 +2,11 @@
 
 A *scenario* is a pluggable, fully vectorized fault-population model:
 given a per-block random generator and a bank geometry it emits a
-``(trials, rows, row_bits)`` error-mask batch in one shot.  Scenarios
-are small frozen dataclasses registered under a stable name::
+block's faults in one shot — as ``(trials, rows, row_bits)`` dense
+masks from :meth:`~ScenarioBase.sample`, and as a packed
+:class:`~repro.scenarios.sparse.SparseRowBatch` from
+:meth:`~ScenarioBase.sample_sparse`, the one form the engine consumes.
+Scenarios are small frozen dataclasses registered under a stable name::
 
     @scenario("burst_row")
     @dataclass(frozen=True)
@@ -32,6 +35,8 @@ import difflib
 from typing import Any, Callable, Mapping, Protocol, runtime_checkable
 
 import numpy as np
+
+from .sparse import SparseRowBatch, interleave_of
 
 __all__ = [
     "Geometry",
@@ -63,12 +68,20 @@ class Geometry(Protocol):
 
 @runtime_checkable
 class ScenarioModel(Protocol):
-    """What the engine requires of an error-scenario model."""
+    """What the engine requires of an error-scenario model.
 
-    def sample(
-        self, rng: np.random.Generator, count: int, spec: Geometry
-    ) -> np.ndarray:
-        """``(count, rows, row_bits)`` uint8 error masks for one block."""
+    The engine calls exactly one sampling method: every block is drawn
+    whole through :meth:`sample_sparse_block` and evaluated on the
+    packed batch it returns.  :class:`ScenarioBase` supplies it from a
+    plain dense :meth:`~ScenarioBase.sample`.
+    """
+
+    def sample_sparse_block(
+        self, streams, count: int, spec: Geometry
+    ) -> SparseRowBatch:
+        """One block of ``count`` trials from a
+        :class:`repro.engine.rng.BlockStreams` handle, packed; its
+        ``weights`` are set exactly when the model is ``weighted``."""
         ...
 
     def to_key(self) -> dict:
@@ -77,18 +90,25 @@ class ScenarioModel(Protocol):
 
 
 class ScenarioBase:
-    """Mixin giving every scenario the block-keyed sampling entry point.
+    """Base class giving every scenario the engine's sampling contract.
 
-    The engine runner samples through :meth:`sample_block` with a
-    :class:`repro.engine.rng.BlockStreams` handle; the default
-    implementation draws from the block's *root* stream — exactly the
-    generator the pre-scenario engine passed to ``sample`` — so
-    single-population scenarios stay bit-exact with historical results.
-    Scenarios composing several independent populations override this
-    and draw each population from its own :meth:`~BlockStreams.lane`,
-    keeping the populations' randomness decoupled (reconfiguring one
-    never shifts the draws of another) while remaining worker- and
-    chunk-invariant.
+    A scenario implements :meth:`sample` (dense masks, the reference the
+    tests compare against) and :meth:`to_key`; everything else has a
+    default:
+
+    * :meth:`sample_sparse` packs the dense draw.  Scenarios with a
+      native emitter override it for speed; the override must consume
+      ``rng`` exactly as :meth:`sample` does, so its densified output
+      equals the dense masks bit for bit.
+    * :meth:`sample_block` / :meth:`sample_sparse_block` take a
+      :class:`repro.engine.rng.BlockStreams` handle and draw from the
+      block's *root* stream — the generator the pre-scenario engine
+      passed to ``sample`` — so single-population scenarios stay
+      bit-exact with historical results.  Scenarios composing several
+      independent populations override both and draw each population
+      from its own :meth:`~BlockStreams.lane`, keeping the populations'
+      randomness decoupled (reconfiguring one never shifts the draws of
+      another) while remaining worker- and chunk-invariant.
     """
 
     #: Registered name; filled in by the :func:`scenario` decorator.
@@ -101,6 +121,7 @@ class ScenarioBase:
     def sample(
         self, rng: np.random.Generator, count: int, spec: Geometry
     ) -> np.ndarray:
+        """``(count, rows, row_bits)`` uint8 error masks for one block."""
         raise NotImplementedError
 
     def to_key(self) -> dict:
@@ -109,30 +130,14 @@ class ScenarioBase:
     def sample_block(self, streams, count: int, spec: Geometry) -> np.ndarray:
         return self.sample(streams.root(), count, spec)
 
-    # ------------------------------------------------------------------
-    # sparse emission (optional fast path)
-    # ------------------------------------------------------------------
+    def sample_sparse(
+        self, rng: np.random.Generator, count: int, spec: Geometry
+    ) -> SparseRowBatch:
+        """The same draw as :meth:`sample`, as a packed batch of dirty rows."""
+        masks = self.sample(rng, count, spec)
+        return SparseRowBatch.from_masks(masks, interleave_of(spec))
 
-    def sample_sparse(self, rng: np.random.Generator, count: int, spec: Geometry):
-        """Dirty rows only, as a :class:`~repro.scenarios.sparse.SparseRowBatch`.
-
-        Scenarios whose fault populations touch few rows override this
-        to let the engine skip decoding clean rows entirely.  The
-        contract is strict: the override must consume ``rng`` exactly
-        as :meth:`sample` does, and its densified output must equal the
-        dense masks bit for bit — the engine's sparse and dense paths
-        are interchangeable per block.
-
-        Returning ``None`` (the default) means "no sparse emitter for
-        this configuration"; the decision must depend only on the
-        scenario's configuration, never on the draws, and the base
-        implementation draws nothing.
-        """
-        return None
-
-    def sample_sparse_block(self, streams, count: int, spec: Geometry):
-        """Block-keyed sparse emission (same lane discipline as
-        :meth:`sample_block`); ``None`` falls the block back to dense."""
+    def sample_sparse_block(self, streams, count: int, spec: Geometry) -> SparseRowBatch:
         return self.sample_sparse(streams.root(), count, spec)
 
 

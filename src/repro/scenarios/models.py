@@ -121,10 +121,10 @@ class IidUniformScenario(ScenarioBase):
         )
 
     def sample_sparse(self, rng: np.random.Generator, count: int, spec: Geometry):
-        # Bernoulli flips dirty a density-dependent row fraction; only
-        # the exact-count mode is reliably sparse.
+        # Bernoulli flips dirty a density-dependent row fraction and
+        # have no native emitter: the base class packs the dense draw.
         if self.n_cells is None:
-            return None
+            return super().sample_sparse(rng, count, spec)
         return exact_cells_sparse(rng, count, spec, self.n_cells)
 
     def to_key(self) -> dict:
@@ -327,7 +327,9 @@ class CompositeScenario(ScenarioBase):
     (a soft strike on a permanently faulty cell leaves it faulty).
 
     Sub-scenarios may be given as built objects, names, or config
-    mappings (``{"scenario": "clustered_mbu", "spread": 0.2}``).  On the
+    mappings (``{"scenario": "clustered_mbu", "spread": 0.2}``); weighted
+    (importance-sampling) scenarios are rejected, since a union of
+    populations has no per-trial likelihood ratio to carry.  On the
     engine path each population draws from its **own** block-keyed RNG
     lane, so results stay worker/chunk-invariant *and* reconfiguring one
     population never shifts the other's draws.
@@ -339,8 +341,15 @@ class CompositeScenario(ScenarioBase):
     def __post_init__(self) -> None:
         soft = self.soft if self.soft is not None else ClusteredMbuScenario()
         hard = self.hard if self.hard is not None else HardFaultMapScenario()
-        object.__setattr__(self, "soft", scenario_from_config(soft))
-        object.__setattr__(self, "hard", scenario_from_config(hard))
+        for name, config in (("soft", soft), ("hard", hard)):
+            model = scenario_from_config(config)
+            if getattr(model, "weighted", False):
+                raise ValueError(
+                    f"composite {name} population {model.scenario_name!r} is a "
+                    "weighted (importance-sampling) scenario; composite layers "
+                    "only unweighted populations"
+                )
+            object.__setattr__(self, name, model)
 
     def sample(self, rng: np.random.Generator, count: int, spec: Geometry) -> np.ndarray:
         # Sequential fallback for direct use; the engine path goes
@@ -356,24 +365,11 @@ class CompositeScenario(ScenarioBase):
 
     def sample_sparse(self, rng: np.random.Generator, count: int, spec: Geometry):
         hard = self.hard.sample_sparse(rng, count, spec)
-        if hard is None:
-            return None
-        soft = self.soft.sample_sparse(rng, count, spec)
-        if soft is None:
-            return None
-        return hard.merge(soft)
+        return hard.merge(self.soft.sample_sparse(rng, count, spec))
 
     def sample_sparse_block(self, streams, count: int, spec: Geometry):
-        # Both populations must go sparse together: mixing a sparse
-        # population with a dense one would still materialize the full
-        # tensor, so fall the whole block back to the dense path.
         hard = self.hard.sample_sparse(streams.lane(0), count, spec)
-        if hard is None:
-            return None
-        soft = self.soft.sample_sparse(streams.lane(1), count, spec)
-        if soft is None:
-            return None
-        return hard.merge(soft)
+        return hard.merge(self.soft.sample_sparse(streams.lane(1), count, spec))
 
     def to_key(self) -> dict:
         return {

@@ -34,13 +34,15 @@ indicator is almost surely zero.  The scenarios here reshape the
     stratum weight), a partition of bands reproduces the nominal law
     exactly: ``P(fail) = sum_bands P(band) * P(fail | band)``.
 
-Weighted scenarios advertise ``weighted = True`` and emit through
-``sample_weighted`` / ``sample_weighted_sparse``; their plain
-``sample`` raises, so an engine path that would silently drop the
-weights (and deliver a biased estimate) fails loudly instead.  All
-draws follow the block-keyed RNG discipline, and each dense emitter has
-a draw-identical sparse twin, so weighted streams inherit the engine's
-worker/chunk bit-identity unchanged.
+Weighted scenarios advertise ``weighted = True``.  Their
+``sample_sparse`` returns a packed batch whose ``weights`` column holds
+the likelihood ratios, and ``sample_weighted`` is the dense
+``(masks, weights)`` reference; their plain ``sample`` raises, so a
+path that would silently drop the weights (and deliver a biased
+estimate) fails loudly instead.  All draws follow the block-keyed RNG
+discipline, and each dense emitter has a draw-identical sparse twin, so
+weighted streams inherit the engine's worker/chunk bit-identity
+unchanged.
 """
 
 from __future__ import annotations
@@ -60,6 +62,7 @@ from .generators import (
     solid_cluster_sparse,
 )
 from .models import Footprints, _normalize_footprints
+from .sparse import SparseRowBatch, interleave_of
 
 __all__ = [
     "WeightedScenarioBase",
@@ -118,14 +121,17 @@ def poisson_band_probability(lam: float, k_min: int, k_max: "int | None") -> flo
 
 
 class WeightedScenarioBase(ScenarioBase):
-    """Mixin for importance-sampling scenarios that weight their trials.
+    """Base class for importance-sampling scenarios that weight their trials.
 
-    The engine checks ``weighted`` and routes through the
-    ``sample_weighted*`` family, accumulating the returned likelihood
-    ratios into a :class:`~repro.engine.aggregate.WeightedTally`.  The
-    plain ``sample`` entry points raise: evaluating a tilted stream
-    without its weights is not an approximation, it is a different
-    (biased) estimator, and nothing downstream could detect it.
+    A weighted scenario implements :meth:`sample_weighted` — the dense
+    ``(masks, weights)`` reference — and may override
+    :meth:`sample_sparse` with a native emitter that sets the batch's
+    ``weights``.  The engine draws through ``sample_sparse_block`` as for
+    any scenario and accumulates the batch weights into a
+    :class:`~repro.engine.aggregate.WeightedTally`.  The plain
+    :meth:`sample` raises: evaluating a tilted stream without its
+    weights is not an approximation, it is a different (biased)
+    estimator, and nothing downstream could detect it.
     """
 
     weighted = True
@@ -137,12 +143,6 @@ class WeightedScenarioBase(ScenarioBase):
             "(use sample_weighted, or an estimator that understands them)"
         )
 
-    def sample_sparse(self, rng: np.random.Generator, count: int, spec: Geometry):
-        raise TypeError(
-            f"scenario {self.scenario_name!r} requires the weighted path "
-            "(sample_weighted_sparse)"
-        )
-
     def sample_weighted(
         self, rng: np.random.Generator, count: int, spec: Geometry
     ) -> "tuple[np.ndarray, np.ndarray]":
@@ -150,18 +150,13 @@ class WeightedScenarioBase(ScenarioBase):
         proposal likelihood ratio per trial."""
         raise NotImplementedError
 
-    def sample_weighted_sparse(
+    def sample_sparse(
         self, rng: np.random.Generator, count: int, spec: Geometry
-    ):
-        """Sparse twin of :meth:`sample_weighted` (same draw contract as
-        ``sample_sparse``); ``None`` falls back to dense."""
-        return None
-
-    def sample_weighted_block(self, streams, count: int, spec: Geometry):
-        return self.sample_weighted(streams.root(), count, spec)
-
-    def sample_weighted_sparse_block(self, streams, count: int, spec: Geometry):
-        return self.sample_weighted_sparse(streams.root(), count, spec)
+    ) -> SparseRowBatch:
+        """The same draw as :meth:`sample_weighted`, packed, weights set."""
+        masks, weights = self.sample_weighted(rng, count, spec)
+        batch = SparseRowBatch.from_masks(masks, interleave_of(spec))
+        return batch.with_weights(weights)
 
 
 @scenario("tilted_hard_fault_map")
@@ -218,12 +213,9 @@ class TiltedHardFaultMapScenario(WeightedScenarioBase):
         masks = counted_cells_masks(rng, counts, spec.rows, spec.row_bits)
         return masks, weights
 
-    def sample_weighted_sparse(
-        self, rng: np.random.Generator, count: int, spec: Geometry
-    ):
+    def sample_sparse(self, rng: np.random.Generator, count: int, spec: Geometry):
         counts, weights = self._draw_counts(rng, count, spec.rows * spec.row_bits)
-        batch = counted_cells_sparse(rng, counts, spec)
-        return batch, weights
+        return counted_cells_sparse(rng, counts, spec).with_weights(weights)
 
     def to_key(self) -> dict:
         return {
@@ -300,12 +292,9 @@ class TiltedClusteredMbuScenario(WeightedScenarioBase):
         masks = solid_cluster_masks(rng, heights, widths, spec.rows, spec.row_bits)
         return masks, weights
 
-    def sample_weighted_sparse(
-        self, rng: np.random.Generator, count: int, spec: Geometry
-    ):
+    def sample_sparse(self, rng: np.random.Generator, count: int, spec: Geometry):
         heights, widths, weights = self._draw_shapes(rng, count)
-        batch = solid_cluster_sparse(rng, heights, widths, spec)
-        return batch, weights
+        return solid_cluster_sparse(rng, heights, widths, spec).with_weights(weights)
 
     def to_key(self) -> dict:
         return {

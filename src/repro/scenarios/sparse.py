@@ -116,6 +116,10 @@ class SparseRowBatch:
     rows:
         ``(n_pairs, D, W)`` ``uint64`` error masks in the packed word
         layout (module docstring), one per dirty row.
+    weights:
+        ``(n_trials,)`` ``float64`` likelihood-ratio weights when the
+        batch was drawn from an importance-sampling proposal, else
+        ``None``.
     """
 
     n_trials: int
@@ -124,6 +128,7 @@ class SparseRowBatch:
     trial_idx: np.ndarray
     row_idx: np.ndarray
     rows: np.ndarray
+    weights: "np.ndarray | None" = None
 
     @property
     def n_pairs(self) -> int:
@@ -133,7 +138,9 @@ class SparseRowBatch:
     def interleave_degree(self) -> int:
         return self.rows.shape[1]
 
-    def _like(self, trial_idx, row_idx, rows, n_trials=None) -> "SparseRowBatch":
+    def _like(
+        self, trial_idx, row_idx, rows, n_trials=None, weights=None
+    ) -> "SparseRowBatch":
         return SparseRowBatch(
             n_trials=self.n_trials if n_trials is None else n_trials,
             array_rows=self.array_rows,
@@ -141,7 +148,17 @@ class SparseRowBatch:
             trial_idx=trial_idx,
             row_idx=row_idx,
             rows=rows,
+            weights=self.weights if weights is None else weights,
         )
+
+    def with_weights(self, weights) -> "SparseRowBatch":
+        """This batch carrying one likelihood-ratio weight per trial."""
+        weights = np.asarray(weights, dtype=np.float64)
+        if weights.shape != (self.n_trials,):
+            raise ValueError(
+                f"expected {self.n_trials} trial weights, got shape {weights.shape}"
+            )
+        return self._like(self.trial_idx, self.row_idx, self.rows, weights=weights)
 
     # ------------------------------------------------------------------
     # constructors
@@ -273,7 +290,13 @@ class SparseRowBatch:
     # ------------------------------------------------------------------
 
     def merge(self, other: "SparseRowBatch") -> "SparseRowBatch":
-        """OR-combine two fault populations over the same trial space."""
+        """OR-combine two fault populations over the same trial space.
+
+        Weighted batches do not merge: the likelihood ratio of a union of
+        populations is not a function of either operand's weights.
+        """
+        if self.weights is not None or other.weights is not None:
+            raise ValueError("cannot merge batches that carry likelihood-ratio weights")
         if (
             self.n_trials != other.n_trials
             or self.array_rows != other.array_rows
@@ -315,6 +338,7 @@ class SparseRowBatch:
             self.row_idx[lo:hi],
             self.rows[lo:hi],
             n_trials=stop - start,
+            weights=None if self.weights is None else self.weights[start:stop],
         )
 
     # ------------------------------------------------------------------

@@ -69,10 +69,11 @@ def fill_random(bank: TwoDProtectedArray, rng: np.random.Generator) -> dict[int,
 
 def reference_verdicts(spec, model, n_trials: int, seed: int, block_size: int):
     """Per-trial verdicts (and weights) of the ``uint8`` reference path:
-    each block's dense masks from the model's block-keyed dense entry
-    point through :func:`repro.engine.run_recovery_batch` with the
-    reference vector decoders — what the engine's packed path must
-    reproduce bit for bit."""
+    each block's dense masks (``sample_block``, or ``sample_weighted`` on
+    the block's root stream for weighted models) through
+    :func:`repro.engine.run_recovery_batch` with the reference vector
+    decoders — what the engine's packed path must reproduce bit for
+    bit."""
     from repro.engine import BlockStreams, make_decoder, run_recovery_batch
 
     decoder = make_decoder(spec)
@@ -80,7 +81,7 @@ def reference_verdicts(spec, model, n_trials: int, seed: int, block_size: int):
     for block, start in enumerate(range(0, n_trials, block_size)):
         streams = BlockStreams(seed, block)
         if getattr(model, "weighted", False):
-            masks, block_weights = model.sample_weighted_block(streams, block_size, spec)
+            masks, block_weights = model.sample_weighted(streams.root(), block_size, spec)
         else:
             masks, block_weights = model.sample_block(streams, block_size, spec), None
         stop = min(block_size, n_trials - start)

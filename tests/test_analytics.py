@@ -4,18 +4,15 @@ from __future__ import annotations
 
 import pytest
 
+from repro.api import ExperimentSpec, Session
 from repro.core import (
     CodingScheme,
+    CoverageReport,
     TWO_D_L1,
     TWO_D_L2,
     analyze_scheme,
     build_protected_bank,
-    fig1_storage_overhead,
-    fig3_coverage,
     fig3_schemes,
-    fig7_scheme_comparison,
-    fig8_reliability,
-    fig8_yield,
     l1_schemes,
     l2_schemes,
 )
@@ -27,6 +24,11 @@ from repro.reliability import (
     YieldModel,
 )
 from repro.vlsi import OptimizationTarget, SramArrayModel
+
+
+def _figure(name: str, **params) -> dict:
+    """A figure's data payload, as the experiment API returns it."""
+    return Session().run(ExperimentSpec(name, params=params)).data_dict()
 
 
 class TestSramArrayModel:
@@ -142,7 +144,10 @@ class TestSchemes:
         assert secded2.horizontal_coverage_bits() == 2
 
     def test_fig3_coverage_and_overhead(self):
-        reports = fig3_coverage()
+        reports = {
+            key: CoverageReport(**fields)
+            for key, fields in _figure("fig3.coverage").items()
+        }
         two_d = reports["2d_edc8_edc32"]
         secded = reports["secded_intv4"]
         oecned = reports["oecned_intv4"]
@@ -157,15 +162,15 @@ class TestSchemes:
         assert two_d.storage_overhead < oecned.storage_overhead / 3
 
     def test_scheme_cost_normalization(self):
-        costs = fig7_scheme_comparison()["64kB L1 data cache"]
-        assert costs["baseline"].dynamic_power == pytest.approx(100.0)
+        costs = _figure("fig7.schemes")["64kB L1 data cache"]
+        assert costs["baseline"]["dynamic_power"] == pytest.approx(100.0)
         # 2D coding is far cheaper in power than every conventional
         # 32-bit-coverage alternative (the paper's headline claim).
         for key in ("dected", "qecped", "oecned"):
-            assert costs[key].dynamic_power > 2 * costs["2d"].dynamic_power
+            assert costs[key]["dynamic_power"] > 2 * costs["2d"]["dynamic_power"]
         # And cheaper in code storage.
         for key in ("dected", "qecped", "oecned"):
-            assert costs[key].code_area > costs["2d"].code_area
+            assert costs[key]["code_area"] > costs["2d"]["code_area"]
 
     def test_factory_builds_matching_bank(self):
         bank = build_protected_bank(TWO_D_L1, n_words=256)
@@ -175,14 +180,14 @@ class TestSchemes:
             build_protected_bank(l1_schemes()["baseline"], n_words=256)
 
     def test_fig1_storage_values(self):
-        storage = fig1_storage_overhead()
-        assert storage[64]["SECDED"] == pytest.approx(12.5)
-        assert storage[64]["OECNED"] == pytest.approx(89.06, abs=0.1)
-        assert storage[256]["OECNED"] < storage[64]["OECNED"]
+        storage = _figure("fig1.storage")
+        assert storage["64"]["SECDED"] == pytest.approx(12.5)
+        assert storage["64"]["OECNED"] == pytest.approx(89.06, abs=0.1)
+        assert storage["256"]["OECNED"] < storage["64"]["OECNED"]
 
     def test_fig8_driver_shapes(self):
-        y = fig8_yield((0, 1000, 2000))
+        y = _figure("fig8.yield", failing_cells=[0, 1000, 2000])
         assert len(y["ECC Only"]) == 3
-        r = fig8_reliability((0.0, 5.0))
+        r = _figure("fig8.reliability", years=[0.0, 5.0])
         assert r["With 2D coding"] == [1.0, 1.0]
         assert r["Without 2D, HER=0.005%"][1] < 1.0

@@ -135,6 +135,15 @@ class TestRun:
         assert code == 2
         assert "unknown scenario" in capsys.readouterr().err
 
+    def test_weighted_composite_population_exits_with_clean_error(self, capsys):
+        code = main([
+            "run", "fig3.coverage", "--backend", "monte_carlo", "--trials", "8",
+            "--scenario", "composite", "-p",
+            'scenario_params={"soft": {"scenario": "tilted_clustered_mbu", "tilt": 0.1}}',
+        ])
+        assert code == 1
+        assert "weighted" in capsys.readouterr().err
+
     def test_conflicting_scenario_flag_and_param_exit_usage_error(self, capsys):
         code = main([
             "run", "fig3.coverage", "--trials", "8",

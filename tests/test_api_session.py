@@ -12,8 +12,6 @@ from repro.api import (
     list_experiments,
 )
 
-pytestmark = pytest.mark.filterwarnings("ignore::DeprecationWarning")
-
 #: Fast spec for every registered experiment (small trial/cycle counts).
 _FAST_SPECS = {
     "fig1.storage": ExperimentSpec("fig1.storage"),
@@ -202,112 +200,3 @@ class TestSession:
             )
         with pytest.raises(ValueError, match="cache must be"):
             Session().run(ExperimentSpec("sweep.scheme_cost", params={"cache": "l3"}))
-
-
-class TestLegacyShims:
-    """Each deprecated fig* driver returns data equal to its registry twin."""
-
-    def test_fig1_storage(self):
-        from repro.core import fig1_storage_overhead
-
-        data = Session().run(_FAST_SPECS["fig1.storage"]).data_dict()
-        assert fig1_storage_overhead() == {int(k): v for k, v in data.items()}
-
-    def test_fig1_energy(self):
-        from repro.core import fig1_energy_overhead
-
-        assert fig1_energy_overhead() == Session().run(
-            _FAST_SPECS["fig1.energy"]
-        ).data_dict()
-
-    def test_fig2_interleaving(self):
-        from repro.core import fig2_interleaving_energy
-
-        assert fig2_interleaving_energy((1, 4)) == Session().run(
-            _FAST_SPECS["fig2.interleaving"]
-        ).data_dict()
-
-    def test_fig3_coverage(self):
-        from repro.core import fig3_coverage
-
-        data = Session().run(_FAST_SPECS["fig3.coverage"]).data_dict()
-        reports = fig3_coverage()
-        assert set(reports) == set(data)
-        for key, report in reports.items():
-            assert report.scheme_name == data[key]["scheme_name"]
-            assert report.correctable_rows == data[key]["correctable_rows"]
-            assert report.correctable_columns == data[key]["correctable_columns"]
-            assert report.storage_overhead == data[key]["storage_overhead"]
-
-    def test_fig3_coverage_monte_carlo(self):
-        from repro.core.experiments import fig3_coverage_monte_carlo
-
-        estimates = fig3_coverage_monte_carlo(n_trials=128, seed=11)
-        data = Session().run(
-            ExperimentSpec("fig3.coverage", backend="monte_carlo", trials=128, seed=11)
-        ).data_dict()["estimates"]
-        assert set(estimates) == set(data)
-        for key, estimate in estimates.items():
-            assert estimate.n == data[key]["n"]
-            assert estimate.successes == data[key]["successes"]
-            assert estimate.point == data[key]["point"]
-
-    def test_fig5_performance(self):
-        from repro.core import fig5_performance
-
-        data = Session().run(_FAST_SPECS["fig5.performance"]).data_dict()
-        assert fig5_performance(n_cycles=600, seed=7) == data["ipc_loss"]
-
-    def test_fig6_access_breakdown(self):
-        from repro.core import fig6_access_breakdown
-
-        data = Session().run(_FAST_SPECS["fig6.access_breakdown"]).data_dict()
-        assert fig6_access_breakdown(n_cycles=600, seed=7) == data["breakdowns"]
-
-    def test_fig7_scheme_comparison(self):
-        from repro.core import fig7_scheme_comparison
-
-        data = Session().run(_FAST_SPECS["fig7.schemes"]).data_dict()
-        costs = fig7_scheme_comparison()
-        assert {k: set(v) for k, v in costs.items()} == {
-            k: set(v) for k, v in data.items()
-        }
-        for cache_label, per_scheme in costs.items():
-            for key, cost in per_scheme.items():
-                assert cost.name == data[cache_label][key]["name"]
-                assert cost.code_area == data[cache_label][key]["code_area"]
-                assert cost.dynamic_power == data[cache_label][key]["dynamic_power"]
-
-    def test_fig8_yield(self):
-        from repro.core import fig8_yield
-
-        assert fig8_yield((0, 2000)) == Session().run(
-            _FAST_SPECS["fig8.yield"]
-        ).data_dict()
-
-    def test_fig8_yield_monte_carlo(self):
-        from repro.core import fig8_yield_monte_carlo
-
-        curves = fig8_yield_monte_carlo(failing_cells=(0, 8), n_trials=64)
-        data = Session().run(
-            ExperimentSpec(
-                "fig8.yield",
-                backend="monte_carlo",
-                trials=64,
-                params={"failing_cells": [0, 8], "rows": 64},
-            )
-        ).data_dict()
-        assert curves == data
-
-    def test_fig8_reliability(self):
-        from repro.core import fig8_reliability
-
-        assert fig8_reliability((0.0, 5.0)) == Session().run(
-            _FAST_SPECS["fig8.reliability"]
-        ).data_dict()
-
-    def test_shims_warn_deprecation(self):
-        from repro.core import fig1_storage_overhead
-
-        with pytest.warns(DeprecationWarning, match="fig1.storage"):
-            fig1_storage_overhead()

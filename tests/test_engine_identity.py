@@ -16,6 +16,7 @@ the packed rewrite.
 from __future__ import annotations
 
 import hashlib
+from dataclasses import dataclass
 
 import numpy as np
 import pytest
@@ -26,7 +27,7 @@ from repro.api import ExperimentSpec, Session
 from repro.engine import EngineSpec, run_experiment, run_recovery_batch
 from repro.engine.batch import ParityVectorDecoder
 from repro.engine.packed import PackedParityDecoder, run_recovery_batch_sparse
-from repro.scenarios import SparseRowBatch, list_scenarios, make_scenario
+from repro.scenarios import ScenarioBase, SparseRowBatch, list_scenarios, make_scenario
 
 from helpers import ENGINE_CONFIGS, ScrambledParityCode, reference_verdicts
 
@@ -43,13 +44,15 @@ _SMALL_BANK_PARAMS = {
 }
 
 #: Extra configurations that take other sampling branches (Bernoulli
-#: flips have no sparse emitter; spread and column bursts of width > 1).
+#: flips have no native emitter and are packed by ScenarioBase, also as
+#: a composite population; spread and column bursts of width > 1).
 _VARIANTS = [
     ("iid_uniform", {"flip_probability": 0.01}),
     ("clustered_mbu", {"spread": 0.3}),
     ("burst_column", {"span": 3}),
     ("burst_row", {"span": 2}),
     ("composite", {"soft": {"scenario": "burst_column", "span": 2}}),
+    ("composite", {"hard": {"scenario": "iid_uniform", "flip_probability": 0.004}}),
 ]
 
 SCENARIOS = [
@@ -108,6 +111,33 @@ def test_one_and_four_workers_equal_reference(name, params):
     assert pooled.counts == serial.counts
     if serial.tally is not None:
         assert pooled.tally == serial.tally
+
+
+@dataclass(frozen=True)
+class _DiagonalStripe(ScenarioBase):
+    """A user scenario that defines only the dense ``sample``: one
+    diagonal stripe of ``length`` cells from a random start per trial."""
+
+    length: int = 5
+
+    def sample(self, rng, count, spec):
+        masks = np.zeros((count, spec.rows, spec.row_bits), dtype=np.uint8)
+        rows = rng.integers(0, spec.rows, size=count)
+        cols = rng.integers(0, spec.row_bits, size=count)
+        steps = np.arange(self.length)
+        masks[np.arange(count)[:, None], (rows[:, None] + steps) % spec.rows,
+              (cols[:, None] + steps) % spec.row_bits] = 1
+        return masks
+
+    def to_key(self):
+        return {"model": "diagonal_stripe", "length": self.length}
+
+
+@pytest.mark.parametrize("config", range(len(ENGINE_CONFIGS)))
+def test_sample_only_user_scenario_equals_reference(config):
+    result = _assert_matches_reference(_spec(config), _DiagonalStripe(), 150, 3, 32,
+                                       n_workers=2)
+    assert result.counts.n == 150
 
 
 @settings(max_examples=40, deadline=None,

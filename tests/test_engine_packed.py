@@ -173,6 +173,27 @@ class TestSparseRowBatch:
         merged = SparseRowBatch.from_masks(a).merge(SparseRowBatch.from_masks(b))
         assert np.array_equal(merged.densify(), a | b)
 
+    def test_weights_follow_trial_slices(self, rng):
+        masks = (rng.random((20, 16, 24)) < 0.1).astype(np.uint8)
+        weights = rng.random(20)
+        batch = SparseRowBatch.from_masks(masks).with_weights(weights)
+        assert SparseRowBatch.from_masks(masks).weights is None
+        sub = batch.slice_trials(5, 13)
+        assert sub.weights.dtype == np.float64
+        assert np.array_equal(sub.weights, weights[5:13])
+        assert np.array_equal(sub.densify(), masks[5:13])
+        assert batch.slice_trials(0, 20) is batch
+        with pytest.raises(ValueError, match="trial weights"):
+            SparseRowBatch.from_masks(masks).with_weights(weights[:5])
+
+    def test_merge_rejects_weighted_batches(self, rng):
+        masks = (rng.random((6, 8, 24)) < 0.1).astype(np.uint8)
+        plain = SparseRowBatch.from_masks(masks)
+        weighted = plain.with_weights(np.ones(6))
+        for a, b in ((plain, weighted), (weighted, plain), (weighted, weighted)):
+            with pytest.raises(ValueError, match="likelihood-ratio"):
+                a.merge(b)
+
     def test_empty_batch(self):
         spec = EngineSpec(rows=8, data_bits=4, interleave_degree=6,
                           horizontal_code="EDC4", vertical_groups=None)
@@ -212,40 +233,26 @@ class TestSparseEmitters:
         assert np.array_equal(batch.densify(), dense)
 
     def test_every_registered_scenario_is_sparse_or_declines(self):
+        # Every registered scenario, and the Bernoulli configurations
+        # with no native emitter, returns a packed batch that densifies
+        # to its dense reference draw (weighted ones carry its weights).
         spec = FIG3_SPEC
-        for name, cls in list_scenarios().items():
-            if name == "fixed_cluster":
-                model = cls(height=2, width=5)
-            else:
-                model = cls()
-            if getattr(model, "weighted", False):
-                # Weighted scenarios expose the same sparse-or-decline
-                # contract through the likelihood-ratio-carrying API.
-                out = model.sample_weighted_sparse(block_generator(1, 0), 32, spec)
-                if out is None:
-                    continue
-                batch, weights = out
-                dense, dense_weights = model.sample_weighted(
-                    block_generator(1, 0), 32, spec
-                )
-                assert np.array_equal(batch.densify(), dense), name
-                assert np.array_equal(weights, dense_weights), name
-                continue
+        models = [cls(**cls.example_params) for cls in list_scenarios().values()] + [
+            IidUniformScenario(flip_probability=0.01),
+            CompositeScenario(hard=IidUniformScenario(flip_probability=0.002)),
+        ]
+        for model in models:
+            name = model.to_key()
             batch = model.sample_sparse(block_generator(1, 0), 32, spec)
-            if batch is None:
-                continue  # dense-only configuration; the runner falls back
-            dense = model.sample(block_generator(1, 0), 32, spec)
+            assert isinstance(batch, SparseRowBatch), name
+            if getattr(model, "weighted", False):
+                dense, weights = model.sample_weighted(block_generator(1, 0), 32, spec)
+                assert batch.weights.dtype == np.float64, name
+                assert np.array_equal(batch.weights, weights), name
+            else:
+                dense = model.sample(block_generator(1, 0), 32, spec)
+                assert batch.weights is None, name
             assert np.array_equal(batch.densify(), dense), name
-
-    def test_decliners_do_not_consume_rng(self):
-        # A scenario that returns None must leave the stream pristine so
-        # the dense retry sees the historical draws.
-        spec = FIG3_SPEC
-        model = IidUniformScenario(flip_probability=0.01)
-        gen = block_generator(5, 0)
-        assert model.sample_sparse(gen, 16, spec) is None
-        replay = model.sample(gen, 16, spec)
-        assert np.array_equal(replay, model.sample(block_generator(5, 0), 16, spec))
 
 
 # ----------------------------------------------------------------------
@@ -306,9 +313,9 @@ class TestExecutionModes:
         assert np.array_equal(result.verdicts, reference)
 
     def test_dense_only_model_auto_dispatch(self):
-        # Bernoulli flips have no sparse emitter: their dense masks are
-        # packed once at the runner boundary (a "dense" block in the
-        # shard stats), at any density, with reference verdicts.
+        # Bernoulli flips have no native emitter: ScenarioBase.sample_sparse
+        # packs their dense masks, so every block still counts as sparse
+        # in the shard stats, at any density, with reference verdicts.
         spec = FIG3_SPEC
         for p in (0.0005, 0.4):
             model = IidUniformScenario(flip_probability=p)
@@ -316,7 +323,7 @@ class TestExecutionModes:
             result = run_experiment(spec, model, 256, seed=3, block_size=128)
             assert np.array_equal(result.verdicts, reference)
             stats = _run_trial_range(spec, model, 3, 128, 0, 256, False)[-1]
-            assert (stats["sparse_blocks"], stats["dense_blocks"]) == (0, 2)
+            assert (stats["sparse_blocks"], stats["dense_blocks"]) == (2, 0)
             assert stats["densified_blocks"] == 0
 
     def test_cache_keys_unchanged_across_modes(self, tmp_path):

@@ -10,8 +10,12 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.engine import EngineSpec, ResultCache, run_experiment
-from repro.scenarios import ClusteredMbuScenario, FixedClusterScenario
+from repro.engine import EngineSpec, ResultCache, run_experiment, run_experiment_sequential
+from repro.scenarios import (
+    ClusteredMbuScenario,
+    FixedClusterScenario,
+    TiltedClusteredMbuScenario,
+)
 
 SPEC = EngineSpec(
     rows=16, data_bits=16, interleave_degree=2,
@@ -146,3 +150,45 @@ class TestResultCache:
         _run(cache=cache)
         assert cache.clear() == 1
         assert len(cache) == 0
+
+
+class _MaskOnlyModel:
+    """The pre-contract model shape: dense ``sample`` and ``to_key`` only."""
+
+    def sample(self, rng, count, spec):
+        return np.zeros((count, spec.rows, spec.row_bits), dtype=np.uint8)
+
+    def to_key(self):
+        return {"model": "mask_only"}
+
+
+class _ClaimsWeighted(FixedClusterScenario):
+    weighted = True
+
+
+class _DropsWeighted(TiltedClusteredMbuScenario):
+    weighted = False
+
+
+class _InventsWeights(FixedClusterScenario):
+    def sample_sparse(self, rng, count, spec):
+        return super().sample_sparse(rng, count, spec).with_weights(np.ones(count))
+
+
+class TestModelContract:
+    def test_model_without_sample_sparse_block_is_rejected(self):
+        with pytest.raises(TypeError, match="sample_sparse_block"):
+            run_experiment(SPEC, _MaskOnlyModel(), 32, seed=1, block_size=16)
+        with pytest.raises(TypeError, match="sample_sparse_block"):
+            run_experiment_sequential(SPEC, _MaskOnlyModel(), 1, tolerance=0.1,
+                                      block_size=16)
+
+    @pytest.mark.parametrize(
+        "model",
+        [_ClaimsWeighted(height=2, width=2), _DropsWeighted(tilt=0.2),
+         _InventsWeights(height=2, width=2)],
+        ids=lambda m: type(m).__name__,
+    )
+    def test_weights_must_match_the_weighted_flag(self, model):
+        with pytest.raises(ValueError, match="likelihood-ratio weights"):
+            run_experiment(SPEC, model, 32, seed=1, block_size=16)

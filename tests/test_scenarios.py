@@ -136,8 +136,8 @@ class TestEveryScenario:
     def test_deterministic_per_block(self, name):
         model = make_scenario(name, **SCENARIO_CONFIGS[name])
         if getattr(model, "weighted", False):
-            a_masks, a_w = model.sample_weighted_block(BlockStreams(5, 3), 16, SPEC)
-            b_masks, b_w = model.sample_weighted_block(BlockStreams(5, 3), 16, SPEC)
+            a_masks, a_w = model.sample_weighted(BlockStreams(5, 3).root(), 16, SPEC)
+            b_masks, b_w = model.sample_weighted(BlockStreams(5, 3).root(), 16, SPEC)
             assert np.array_equal(a_w, b_w)
             assert np.array_equal(a_masks, b_masks)
         else:
@@ -313,6 +313,15 @@ class TestComposite:
         key = model.to_key()
         assert key["model"] == "composite"
         assert key["soft"]["model"] == "cluster_distribution"
+
+    @pytest.mark.parametrize("population", ["soft", "hard"])
+    def test_rejects_weighted_populations(self, population):
+        # A union of populations has no per-trial likelihood ratio, so a
+        # weighted sub-scenario is a configuration error, not a crash
+        # inside the engine.
+        weighted = {"scenario": "tilted_clustered_mbu", "tilt": 0.1}
+        with pytest.raises(ValueError, match="weighted"):
+            CompositeScenario(**{population: weighted})
 
 
 # ----------------------------------------------------------------------
