@@ -35,7 +35,7 @@ import time
 import numpy as np
 
 from repro.cmp import PROTECTION_SCENARIOS, compare_protection, fat_cmp_config, lean_cmp_config
-from repro.engine import MeanEstimate
+from repro.engine import MeanEstimate, SharedExecutor
 from repro.perf import run_performance_grid
 from repro.workloads import get_profile
 
@@ -116,8 +116,9 @@ def test_perf_results_bit_identical_across_workers():
     cmp_cfg = lean_cmp_config()
     profile = get_profile("Web")
     kwargs = dict(n_cycles=800, n_trials=64, seed=5, block_size=16)
-    serial = run_performance_grid(cmp_cfg, profile, _FIG5_GRID, n_workers=1, **kwargs)
-    parallel = run_performance_grid(cmp_cfg, profile, _FIG5_GRID, n_workers=4, **kwargs)
+    serial = run_performance_grid(cmp_cfg, profile, _FIG5_GRID, **kwargs)
+    with SharedExecutor(workers=4) as pool:
+        parallel = run_performance_grid(cmp_cfg, profile, _FIG5_GRID, executor=pool, **kwargs)
     for key in _FIG5_GRID:
         for field in ("aggregate_ipc", "l1_reads", "l2_extra_reads",
                       "port_steals", "forced_steals", "l1_port_utilization"):

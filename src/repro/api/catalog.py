@@ -22,7 +22,6 @@ from repro.core.coverage import (
     FIG3_MC_FOOTPRINTS,
     analyze_scheme,
     fig3_schemes,
-    monte_carlo_coverage,
 )
 from repro.core.schemes import CodingScheme, l1_schemes, l2_schemes
 from repro.errors.rates import PAPER_HARD_ERROR_RATES, PAPER_SOFT_ERROR_RATE
@@ -543,36 +542,24 @@ def _fig3_coverage_mc(ctx):
     estimates: dict[str, dict] = {}
     skipped: list[str] = []
     for key, scheme in fig3_schemes().items():
-        if not has_vectorized_decoder(EngineSpec.from_scheme(scheme, rows=rows)):
+        engine_spec = EngineSpec.from_scheme(scheme, rows=rows)
+        if not has_vectorized_decoder(engine_spec):
             # Scheme whose horizontal code has no vectorized decoder
             # (OECNED); skip it rather than fall back to the slow path.
             skipped.append(key)
             continue
+        expected = scheme.data_bits * scheme.interleave_degree
+        if columns != expected:
+            raise ValueError(
+                "array_data_columns must equal data_bits * "
+                f"interleave_degree ({expected}) for the bit-accurate "
+                "engine geometry"
+            )
         if rare is None:
-            estimate = monte_carlo_coverage(
-                scheme,
-                array_rows=rows,
-                array_data_columns=columns,
-                n_trials=ctx.trials,
-                seed=ctx.seed,
-                model=model,
-                n_workers=ctx.session.workers,
-                cache=ctx.session.cache,
-                confidence=ctx.confidence,
-                executor=ctx.session.executor,
-            )
-            estimates[key] = _estimate_payload(estimate)
+            result = ctx.run_engine(engine_spec, model)
+            estimates[key] = _estimate_payload(result.estimate(ctx.confidence))
         else:
-            expected = scheme.data_bits * scheme.interleave_degree
-            if columns != expected:
-                raise ValueError(
-                    "array_data_columns must equal data_bits * "
-                    f"interleave_degree ({expected}) for the bit-accurate "
-                    "engine geometry"
-                )
-            payload, _counts = _rare_estimate(
-                ctx, EngineSpec.from_scheme(scheme, rows=rows), model, rare
-            )
+            payload, _counts = _rare_estimate(ctx, engine_spec, model, rare)
             estimates[key] = payload
     keys = tuple(estimates)
     series = [
@@ -609,7 +596,6 @@ def _run_perf_grid(ctx, cmp_cfg, profile, protections, n_cycles):
         n_cycles=n_cycles,
         n_trials=ctx.trials,
         seed=ctx.seed,
-        n_workers=ctx.session.workers,
         cache=ctx.session.cache,
         executor=ctx.session.executor,
     )
@@ -1170,7 +1156,7 @@ def _sweep_perf_sensitivity(ctx):
     from dataclasses import replace as _replace
 
     from repro.engine import MeanEstimate
-    from repro.perf import paired_loss_percent, run_performance_grid
+    from repro.perf import paired_loss_percent
 
     n_cycles = int(ctx.param("n_cycles"))
     cmp_name = str(ctx.param("cmp"))
@@ -1212,19 +1198,15 @@ def _sweep_perf_sensitivity(ctx):
                     ),
                     l1d=_replace(base_cmp.l1d, n_ports=ports),
                 )
-                results = run_performance_grid(
+                results = _run_perf_grid(
+                    ctx,
                     cmp_cfg,
                     profile,
                     {
                         "baseline": ProtectionConfig(label="baseline"),
                         "protected": protection,
                     },
-                    n_cycles=n_cycles,
-                    n_trials=ctx.trials,
-                    seed=ctx.seed,
-                    n_workers=ctx.session.workers,
-                    cache=ctx.session.cache,
-                    executor=ctx.session.executor,
+                    n_cycles,
                 )
                 per_trial = paired_loss_percent(
                     results["baseline"].aggregate_ipc,

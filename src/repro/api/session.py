@@ -162,7 +162,6 @@ class ExperimentContext:
             model,
             trials,
             seed,
-            n_workers=self.session.workers,
             cache=self.session.cache,
             executor=self.session.executor,
             collect_verdicts=collect_verdicts,
@@ -208,7 +207,6 @@ class ExperimentContext:
             confidence=self.confidence,
             target=target,
             max_trials=max_trials,
-            n_workers=self.session.workers,
             cache=self.session.cache,
             executor=self.session.executor,
         )
@@ -243,7 +241,6 @@ class ExperimentContext:
             allocation=allocation,
             target=target,
             confidence=self.confidence,
-            n_workers=self.session.workers,
             cache=self.session.cache,
             executor=self.session.executor,
         )

@@ -2,7 +2,7 @@
 analysis and protected array/cache factories.  The per-figure
 experiments run through :mod:`repro.api` (``Session().run(ExperimentSpec(...))``)."""
 
-from .coverage import CoverageReport, analyze_scheme, fig3_schemes, monte_carlo_coverage
+from .coverage import CoverageReport, analyze_scheme, fig3_schemes
 from .factory import build_protected_bank, build_protected_cache
 from .schemes import TWO_D_L1, TWO_D_L2, CodingScheme, SchemeCost, l1_schemes, l2_schemes
 
@@ -10,7 +10,6 @@ __all__ = [
     "CoverageReport",
     "analyze_scheme",
     "fig3_schemes",
-    "monte_carlo_coverage",
     "build_protected_bank",
     "build_protected_cache",
     "TWO_D_L1",

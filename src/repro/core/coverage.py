@@ -18,19 +18,14 @@ simulation of :mod:`repro.array`.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import TYPE_CHECKING
 
 from .schemes import CodingScheme
-
-if TYPE_CHECKING:
-    from repro.engine import CoverageEstimate, ResultCache
 
 __all__ = [
     "CoverageReport",
     "FIG3_MC_FOOTPRINTS",
     "analyze_scheme",
     "fig3_schemes",
-    "monte_carlo_coverage",
 ]
 
 #: Clustered-error workload for the Monte Carlo version of Fig. 3: the
@@ -102,58 +97,6 @@ def analyze_scheme(
         correctable_columns=correctable_columns,
         storage_overhead=scheme.storage_overhead(n_words, rows_per_bank=array_rows),
     )
-
-
-def monte_carlo_coverage(
-    scheme: CodingScheme,
-    array_rows: int = 256,
-    array_data_columns: int = 256,
-    *,
-    n_trials: int = 2048,
-    seed: int = 2007,
-    model=None,
-    n_workers: int = 1,
-    cache: "ResultCache | None" = None,
-    confidence: float = 0.95,
-    executor=None,
-) -> "CoverageEstimate":
-    """Monte Carlo estimate of a scheme's error coverage (engine-backed).
-
-    Complements :func:`analyze_scheme`: instead of the *guaranteed*
-    correctable footprint, this estimates the *probability* that a
-    random error event is fully corrected, by injecting ``n_trials``
-    random patterns into a bit-accurate vectorized model of the
-    protected array (:mod:`repro.engine`) and counting verdicts.
-
-    ``model`` is any engine error model; the default draws clustered
-    upsets from the mostly-single-bit footprint distribution.  The
-    array geometry must match the scheme's row organization
-    (``array_data_columns == data_bits * interleave_degree``), as in
-    the Fig. 3 setup.
-    """
-    from repro.engine import EngineSpec, run_experiment
-    from repro.scenarios import ClusteredMbuScenario
-
-    expected_columns = scheme.data_bits * scheme.interleave_degree
-    if array_data_columns != expected_columns:
-        raise ValueError(
-            "array_data_columns must equal data_bits * interleave_degree "
-            f"({expected_columns}) for the bit-accurate engine geometry"
-        )
-    if model is None:
-        model = ClusteredMbuScenario.mostly_single_bit(0.3)
-    spec = EngineSpec.from_scheme(scheme, rows=array_rows)
-    result = run_experiment(
-        spec,
-        model,
-        n_trials,
-        seed,
-        n_workers=n_workers,
-        cache=cache,
-        executor=executor,
-        collect_verdicts=False,
-    )
-    return result.estimate(confidence)
 
 
 def fig3_schemes() -> dict[str, CodingScheme]:

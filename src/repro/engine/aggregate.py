@@ -44,22 +44,19 @@ __all__ = [
 #: rare-event machinery exists to resolve.
 WEIGHTED_TARGETS = ("corrected", "detected", "silent", "uncorrected")
 
-#: Fallback z-scores when scipy is unavailable.
+#: z-scores of the common confidence levels: scipy's exact
+#: ``norm.ppf(0.5 + c / 2)`` values, so these levels never import scipy.
 _Z_TABLE = {0.90: 1.6448536269514722, 0.95: 1.959963984540054, 0.99: 2.5758293035489004}
 
 
 def _z_score(confidence: float) -> float:
     if not 0 < confidence < 1:
         raise ValueError("confidence must be in (0, 1)")
-    try:
-        from scipy import stats
+    if confidence in _Z_TABLE:
+        return _Z_TABLE[confidence]
+    from scipy import stats
 
-        return float(stats.norm.ppf(0.5 + confidence / 2.0))
-    except ImportError:  # pragma: no cover - scipy is a hard dep elsewhere
-        key = round(confidence, 2)
-        if key in _Z_TABLE:
-            return _Z_TABLE[key]
-        raise
+    return float(stats.norm.ppf(0.5 + confidence / 2.0))
 
 
 def half_width(lower: float, upper: float) -> float:

@@ -19,7 +19,8 @@ generator derived via ``numpy.random.SeedSequence`` spawning —
 Any partition of ``[0, n_trials)`` into chunks therefore sees exactly the
 same random numbers per trial, and results are independent of worker
 count, chunk size, and even of ``n_trials`` itself (the first ``n``
-trials of a longer run are the same trials).
+trials of a longer run are the same trials).  :func:`chunk_ranges` is
+the one partition rule the engine and the performance backend share.
 """
 
 from __future__ import annotations
@@ -38,6 +39,7 @@ __all__ = [
     "BlockSlice",
     "iter_block_slices",
     "n_blocks",
+    "chunk_ranges",
 ]
 
 #: Default number of trials per RNG block.  Large enough to amortize the
@@ -146,3 +148,27 @@ def iter_block_slices(
         stop = min(last_trial - block_start, block_size)
         yield BlockSlice(block=block, start=start, stop=stop)
         trial = block_start + stop
+
+
+def chunk_ranges(
+    first_trial: int, last_trial: int, block_size: int, workers: int
+) -> "list[tuple[int, int]]":
+    """Whole-block work items covering ``[first_trial, last_trial)``.
+
+    Each item holds ``ceil(blocks / workers)`` blocks, so every worker
+    gets at most one item.  ``first_trial`` must sit on a block boundary
+    (a sequential run's rounds always do; fixed-trial runs start at 0).
+    Because trial randomness is keyed by block, the partition cannot
+    change any result.
+    """
+    if first_trial < 0 or last_trial < first_trial:
+        raise ValueError("invalid trial range")
+    total_blocks = n_blocks(last_trial, block_size)
+    if first_trial % block_size:
+        raise ValueError("first_trial must be block-aligned")
+    first_block = first_trial // block_size
+    per_item = max(1, -(-(total_blocks - first_block) // workers))
+    return [
+        (block * block_size, min((block + per_item) * block_size, last_trial))
+        for block in range(first_block, total_blocks, per_item)
+    ]

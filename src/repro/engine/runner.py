@@ -1,13 +1,17 @@
 """Sharded Monte Carlo executor: chunk trials, fan out, merge.
 
-:func:`run_experiment` is the engine's front door.  It splits the trial
-space into chunks of whole RNG blocks, evaluates them serially or across
-a persistent :class:`~repro.engine.executor.SharedExecutor` pool, and
-merges the per-chunk tallies.  Because every trial's randomness is keyed
-by its block (:mod:`repro.engine.rng`) and the merge is a commutative sum
-plus an order-restoring concatenation, **the result is bit-identical for
-any worker count, chunk size and executor** — parallelism is purely a
-throughput knob.  Every block is evaluated on packed words
+:func:`run_experiment` is the engine's front door.  Every run, fixed or
+sequential (:func:`run_experiment_sequential`), goes through one round
+loop: each round splits its trials into whole-RNG-block work items
+(:func:`repro.engine.rng.chunk_ranges`, one item per worker), fans them
+out on a :class:`~repro.engine.executor.SharedExecutor` — the only
+place a pool is configured; the default one-worker executor runs
+inline — and merges the per-chunk tallies.  A fixed-trial run is one
+round with no stopping check.  Because every trial's randomness is
+keyed by its block (:mod:`repro.engine.rng`) and the merge is a
+commutative sum plus an order-restoring concatenation, **the result is
+bit-identical for any executor** — parallelism is purely a throughput
+choice.  Every block is evaluated on packed words
 (:mod:`repro.engine.packed`).
 
 Results can be transparently memoized through
@@ -44,7 +48,13 @@ from .batch import EngineSpec, run_recovery_batch  # noqa: F401
 from .cache import ENGINE_VERSION, ResultCache, cache_key
 from .executor import SharedExecutor
 from .packed import make_packed_decoder, run_recovery_batch_sparse
-from .rng import DEFAULT_BLOCK_SIZE, BlockStreams, iter_block_slices, n_blocks
+from .rng import (
+    DEFAULT_BLOCK_SIZE,
+    BlockStreams,
+    chunk_ranges,
+    iter_block_slices,
+    n_blocks,
+)
 
 __all__ = [
     "EngineResult",
@@ -148,7 +158,7 @@ def _run_trial_range(
     first_trial: int,
     last_trial: int,
     collect_verdicts: bool,
-) -> tuple[TrialCounts, "np.ndarray | None", "np.ndarray | None", "WeightedTally | None", dict]:
+) -> tuple[TrialCounts, "list[np.ndarray]", "list[np.ndarray]", "list[WeightedTally]", dict]:
     """Evaluate trials ``[first_trial, last_trial)`` block by block.
 
     Every block takes one path: the model's ``sample_sparse_block``
@@ -162,6 +172,8 @@ def _run_trial_range(
     ``weights`` (and on other models none may); each block's slice of
     them is accumulated into a :class:`WeightedTally` in block order, so
     weighted streams keep the same partition-invariance as plain ones.
+    Verdicts and weights (when collected) come back as per-block lists
+    too, joined once by the run loop.
 
     The last return value is the shard's telemetry: wall-clock seconds,
     block counts (every block is a ``sparse_blocks`` one; the
@@ -172,15 +184,15 @@ def _run_trial_range(
     started = time.perf_counter()
     usage0 = process_usage()
     aggregator = StreamingAggregator()
-    collected: list[np.ndarray] = []
-    collected_weights: list[np.ndarray] = []
+    verdict_pieces: list[np.ndarray] = []
+    weight_pieces: list[np.ndarray] = []
     weighted = bool(getattr(model, "weighted", False))
     decoder = _cached_packed_decoder(spec)
     # One tally PER BLOCK, never pre-summed: float addition is not
     # associative, so folding must happen once, flat, in block order at
     # the merge — otherwise the chunk size would leak into the last ulp
     # of the weighted sums and break cross-worker bit-identity.
-    block_tallies: "list[WeightedTally] | None" = [] if weighted else None
+    block_tallies: list[WeightedTally] = []
     stats = {
         "trials": last_trial - first_trial,
         "blocks": 0,
@@ -203,44 +215,18 @@ def _run_trial_range(
         aggregator.update(verdicts)
         if weighted:
             block_tallies.append(WeightedTally.from_verdicts(verdicts, batch.weights))
-            if collect_verdicts:
-                collected_weights.append(batch.weights)
         if collect_verdicts:
-            collected.append(verdicts)
-    merged = _join(collected, np.uint8) if collect_verdicts else None
-    merged_weights = (
-        _join(collected_weights, np.float64) if collect_verdicts and weighted else None
-    )
+            verdict_pieces.append(verdicts)
+            if weighted:
+                weight_pieces.append(batch.weights)
     stats["elapsed"] = round(time.perf_counter() - started, 6)
     usage = usage_delta(usage0)
-    stats["pid"] = usage["pid"]
-    stats["cpu_seconds"] = usage["cpu_seconds"]
-    stats["max_rss_bytes"] = usage["max_rss_bytes"]
-    return aggregator.counts, merged, merged_weights, block_tallies, stats
+    stats.update({name: usage[name] for name in ("pid", "cpu_seconds", "max_rss_bytes")})
+    return aggregator.counts, verdict_pieces, weight_pieces, block_tallies, stats
 
 
 def _worker(payload: tuple):
     return _run_trial_range(*payload)
-
-
-def _chunk_ranges(
-    first_trial: int, last_trial: int, block_size: int, chunk_blocks: int
-) -> list[tuple[int, int]]:
-    """Whole-block work items covering ``[first_trial, last_trial)``.
-
-    ``first_trial`` must sit on a block boundary (the sequential loop's
-    rounds always do; fixed-trial runs start at 0).
-    """
-    if first_trial % block_size:
-        raise ValueError("first_trial must be block-aligned")
-    first_block = first_trial // block_size
-    total_blocks = n_blocks(last_trial, block_size)
-    ranges = []
-    for chunk_first in range(first_block, total_blocks, chunk_blocks):
-        first = chunk_first * block_size
-        last = min((chunk_first + chunk_blocks) * block_size, last_trial)
-        ranges.append((first, last))
-    return ranges
 
 
 def _execute_ranges(
@@ -250,9 +236,7 @@ def _execute_ranges(
     block_size: int,
     ranges: "list[tuple[int, int]]",
     collect_verdicts: bool,
-    executor: "SharedExecutor | None",
-    n_workers: int,
-    mp_context,
+    executor: SharedExecutor,
 ) -> list:
     """Fan the chunk ranges out and return their outcomes in chunk order."""
     payloads = [
@@ -260,10 +244,7 @@ def _execute_ranges(
         for first, last in ranges
     ]
     with memory_phase("engine.run"):
-        if executor is not None:
-            return executor.map(_worker, payloads)
-        with SharedExecutor(workers=n_workers, mp_context=mp_context) as transient:
-            return transient.map(_worker, payloads)
+        return executor.map(_worker, payloads)
 
 
 def _emit_estimator(
@@ -278,13 +259,15 @@ def _emit_estimator(
     tolerance: "float | None" = None,
     relative: bool = False,
     rounds: "int | None" = None,
+    **extra,
 ) -> None:
     """One ``engine.estimator`` telemetry event per estimator-aware run.
 
     ``variance_reduction_factor`` compares the achieved variance against
     what plain binomial sampling would deliver at the same trial count —
     the honest "how many plain trials did this replace" number the
-    benchmarks gate on.
+    benchmarks gate on.  ``extra`` fields (e.g. a stratified run's
+    ``allocation``/``strata``) are appended to the event.
     """
     if std_error > 0 and 0.0 < point < 1.0 and realized_trials > 0:
         plain_variance = point * (1.0 - point) / realized_trials
@@ -305,6 +288,7 @@ def _emit_estimator(
         tolerance=tolerance,
         relative=relative,
         rounds=rounds,
+        **extra,
     )
 
 
@@ -314,13 +298,10 @@ def run_experiment(
     n_trials: int,
     seed: int,
     *,
-    n_workers: int = 1,
     block_size: int = DEFAULT_BLOCK_SIZE,
-    chunk_blocks: int = 1,
     collect_verdicts: bool = True,
     cache: "ResultCache | None" = None,
     executor: "SharedExecutor | None" = None,
-    mp_context=None,
 ) -> EngineResult:
     """Run ``n_trials`` Monte Carlo fault-injection trials.
 
@@ -337,36 +318,23 @@ def run_experiment(
         :class:`~repro.scenarios.ScenarioBase` subclass qualifies.
     n_trials, seed:
         Trial count and root seed.  Together with ``block_size`` these
-        fully determine the result; scheduling parameters cannot change
-        it.
-    n_workers:
-        Process count.  1 (the default) runs in-process.  Ignored when
-        ``executor`` is given.
+        fully determine the result; the executor cannot change it.
     block_size:
         Trials per RNG block — part of the experiment identity.
-    chunk_blocks:
-        Scheduling granularity in blocks per work item.
     collect_verdicts:
         Keep the per-trial verdict array (1 byte/trial) in the result.
     cache:
         Optional :class:`ResultCache`; hits skip the simulation.
     executor:
-        A persistent :class:`SharedExecutor` to fan out on (e.g. the
-        one owned by a :class:`repro.api.Session`).  When omitted a
-        transient executor is built from ``n_workers``/``mp_context``
-        and torn down after the run.
-    mp_context:
-        Explicit multiprocessing start method for the transient
-        executor (name or context; default per
-        :func:`repro.engine.executor.resolve_mp_context`).
+        The :class:`SharedExecutor` to fan out on (e.g. the one owned
+        by a :class:`repro.api.Session`); its worker count sets the
+        chunking.  Omitted, a one-worker executor runs the trials
+        inline.
     """
     if n_trials < 0:
         raise ValueError("n_trials must be non-negative")
-    if n_workers < 1:
-        raise ValueError("n_workers must be positive")
-    if chunk_blocks < 1:
-        raise ValueError("chunk_blocks must be positive")
-    _check_model(model)
+    _check_run(model, block_size)
+    executor = executor if executor is not None else SharedExecutor()
 
     weighted = bool(getattr(model, "weighted", False))
     params = {
@@ -385,41 +353,78 @@ def run_experiment(
         key=key,
         n_trials=n_trials,
         block_size=block_size,
-        workers=executor.workers if executor is not None else n_workers,
+        workers=executor.workers,
     )
-    cached = _load_cached(cache, key, spec=spec, n_trials=n_trials, seed=seed,
+    result = _load_cached(cache, key, spec=spec, n_trials=n_trials, seed=seed,
                           block_size=block_size, collect_verdicts=collect_verdicts,
                           weighted=weighted)
-    if cached is not None:
-        return _finish(cached, key, params, cache, _maybe_emit_weighted)
-
-    started = time.perf_counter()
-    ranges = _chunk_ranges(0, n_trials, block_size, chunk_blocks)
-    outcomes = _execute_ranges(
-        spec, model, seed, block_size, ranges,
-        collect_verdicts, executor, n_workers, mp_context,
-    )
-    elapsed = time.perf_counter() - started
-
-    counts, all_verdicts, all_weights, block_tallies = _merge_outcomes(
-        outcomes, collect_verdicts, weighted
-    )
-    result = EngineResult(
-        spec=spec,
-        counts=counts,
-        verdicts=all_verdicts,
-        n_trials=n_trials,
-        seed=seed,
-        block_size=block_size,
-        elapsed_seconds=elapsed,
-        tally=_fold_tallies(block_tallies) if weighted else None,
-        weights=all_weights,
-    )
+    if result is None:
+        result, _ = _run_rounds(spec, model, seed, [n_trials], block_size=block_size,
+                                collect_verdicts=collect_verdicts, executor=executor)
     return _finish(result, key, params, cache, _maybe_emit_weighted)
 
 
-def _check_model(model) -> None:
-    """Reject a model the engine cannot draw blocks from."""
+def _run_rounds(
+    spec: EngineSpec,
+    model,
+    seed: int,
+    goals,
+    *,
+    block_size: int,
+    collect_verdicts: bool,
+    executor: SharedExecutor,
+    stop=None,
+) -> "tuple[EngineResult, int]":
+    """The one run loop: evaluate trials up to each goal in ``goals`` in
+    turn, until ``stop(counts, tally)`` holds after a round (never, when
+    ``stop`` is None).  Returns the result and the number of rounds run.
+
+    Each round extends the same block-keyed trial stream, and the
+    weighted tally is re-folded flat over every block so far, so the
+    result is byte-identical to a single round of the realized count.
+    """
+    weighted = bool(getattr(model, "weighted", False))
+    started = time.perf_counter()
+    counts = TrialCounts()
+    verdict_pieces: list[np.ndarray] = []
+    weight_pieces: list[np.ndarray] = []
+    block_tallies: list[WeightedTally] = []
+    tally = None
+    realized = rounds = 0
+    for goal in goals:
+        ranges = chunk_ranges(realized, goal, block_size, executor.workers)
+        outcomes = _execute_ranges(
+            spec, model, seed, block_size, ranges, collect_verdicts, executor
+        )
+        round_counts, round_verdicts, round_weights, round_tallies = _merge_outcomes(outcomes)
+        counts = counts + round_counts
+        verdict_pieces += round_verdicts
+        weight_pieces += round_weights
+        block_tallies += round_tallies
+        if weighted:
+            tally = _fold_tallies(block_tallies)
+        realized = goal
+        rounds += 1
+        if stop is not None and stop(counts, tally):
+            break
+    result = EngineResult(
+        spec=spec,
+        counts=counts,
+        verdicts=_join(verdict_pieces, np.uint8) if collect_verdicts else None,
+        n_trials=realized,
+        seed=seed,
+        block_size=block_size,
+        elapsed_seconds=time.perf_counter() - started,
+        tally=tally,
+        weights=_join(weight_pieces, np.float64) if collect_verdicts and weighted else None,
+    )
+    return result, rounds
+
+
+def _check_run(model, block_size: int) -> None:
+    """Reject a block size or model the engine cannot run."""
+    if block_size < 1:
+        raise ValueError("block_size must be positive")
     if not isinstance(model, ScenarioModel):
         raise TypeError(
             f"{type(model).__name__} is not a scenario model: the engine draws "
@@ -480,31 +485,24 @@ def _fold_tallies(block_tallies: "list[WeightedTally]") -> WeightedTally:
     return total
 
 
-def _merge_outcomes(
-    outcomes: list, collect_verdicts: bool, weighted: bool
-):
+def _merge_outcomes(outcomes: list):
     """Merge chunk outcomes in chunk (trial) order.
 
-    Count sums are commutative-exact; weighted tallies stay a flat
-    per-block list (in block order) so the caller's single fold is
-    independent of the chunking.
+    Count sums are commutative-exact; verdict and weight pieces and the
+    weighted tallies stay flat per-block lists (in block order), so the
+    caller's single join and fold are independent of the chunking.
     """
     aggregator = StreamingAggregator()
-    block_tallies: "list[WeightedTally] | None" = [] if weighted else None
-    pieces: list[np.ndarray] = []
-    weight_pieces: list[np.ndarray] = []
-    for index, (counts, verdicts, weights, chunk_tallies, stats) in enumerate(outcomes):
+    verdicts: list[np.ndarray] = []
+    weights: list[np.ndarray] = []
+    block_tallies: list[WeightedTally] = []
+    for index, (counts, chunk_verdicts, chunk_weights, chunk_tallies, stats) in enumerate(outcomes):
         emit("engine.shard", logger=_log, index=index, **stats)
         aggregator.update(counts)
-        if weighted and chunk_tallies is not None:
-            block_tallies.extend(chunk_tallies)
-        if collect_verdicts and verdicts is not None:
-            pieces.append(verdicts)
-        if collect_verdicts and weights is not None:
-            weight_pieces.append(weights)
-    all_verdicts = _join(pieces, np.uint8) if collect_verdicts else None
-    all_weights = _join(weight_pieces, np.float64) if collect_verdicts and weighted else None
-    return aggregator.counts, all_verdicts, all_weights, block_tallies
+        verdicts += chunk_verdicts
+        weights += chunk_weights
+        block_tallies += chunk_tallies
+    return aggregator.counts, verdicts, weights, block_tallies
 
 
 def _payload_from_result(result: EngineResult) -> dict:
@@ -597,13 +595,10 @@ def run_experiment_sequential(
     initial_trials: "int | None" = None,
     growth: float = 2.0,
     max_trials: int = 1 << 20,
-    n_workers: int = 1,
     block_size: int = DEFAULT_BLOCK_SIZE,
-    chunk_blocks: int = 1,
     collect_verdicts: bool = False,
     cache: "ResultCache | None" = None,
     executor: "SharedExecutor | None" = None,
-    mp_context=None,
 ) -> EngineResult:
     """Run trials until the CI half-width reaches ``tolerance``.
 
@@ -619,10 +614,12 @@ def run_experiment_sequential(
     block-aggregated sums, and each round extends the *same* block-keyed
     trial stream (trials ``[0, n)`` of a longer run are bit-identical to
     a shorter one), so the realized trial count is a pure function of
-    ``(spec, model, seed, block_size, stopping rule)`` — worker count,
-    chunking and executor cannot change it.  The result is cached under
-    the stopping rule, not a trial count.
+    ``(spec, model, seed, block_size, stopping rule)`` — the executor
+    cannot change it.  The result is cached under the stopping rule, not
+    a trial count.  Each round runs through the same loop as
+    :func:`run_experiment` (whose ``executor`` semantics apply here).
     """
+    _check_run(model, block_size)
     if tolerance <= 0:
         raise ValueError("tolerance must be positive")
     if growth <= 1.0:
@@ -635,7 +632,7 @@ def run_experiment_sequential(
         raise ValueError("initial_trials must be positive")
     if max_trials < initial_trials:
         raise ValueError("max_trials must be >= initial_trials")
-    _check_model(model)
+    executor = executor if executor is not None else SharedExecutor()
 
     weighted = bool(getattr(model, "weighted", False))
     stopping = {
@@ -664,7 +661,7 @@ def run_experiment_sequential(
         n_trials=None,
         tolerance=tolerance,
         block_size=block_size,
-        workers=executor.workers if executor is not None else n_workers,
+        workers=executor.workers,
     )
     cached = _load_cached(cache, key, spec=spec, n_trials=None, seed=seed,
                           block_size=block_size, collect_verdicts=collect_verdicts,
@@ -684,51 +681,13 @@ def run_experiment_sequential(
                 max_trials,
             )
 
-    started = time.perf_counter()
-    counts = TrialCounts()
-    all_block_tallies: "list[WeightedTally] | None" = [] if weighted else None
-    tally = None
-    verdict_pieces: list[np.ndarray] = []
-    weight_pieces: list[np.ndarray] = []
-    realized = 0
-    rounds = 0
-    for goal in _round_targets():
-        ranges = _chunk_ranges(realized, goal, block_size, chunk_blocks)
-        outcomes = _execute_ranges(
-            spec, model, seed, block_size, ranges,
-            collect_verdicts, executor, n_workers, mp_context,
-        )
-        round_counts, round_verdicts, round_weights, round_tallies = _merge_outcomes(
-            outcomes, collect_verdicts, weighted
-        )
-        counts = counts + round_counts
-        if weighted:
-            # Re-fold the full flat block list each round: the running
-            # tally is then byte-identical to a fixed-trial run of the
-            # realized count, whatever the round boundaries were.
-            all_block_tallies.extend(round_tallies)
-            tally = _fold_tallies(all_block_tallies)
-        if collect_verdicts:
-            verdict_pieces.append(round_verdicts)
-            if round_weights is not None:
-                weight_pieces.append(round_weights)
-        realized = goal
-        rounds += 1
+    def _stop(counts, tally) -> bool:
         estimate = _sequential_estimate(counts, tally, target, confidence)
-        if _tolerance_met(estimate, tolerance, relative):
-            break
-    elapsed = time.perf_counter() - started
+        return _tolerance_met(estimate, tolerance, relative)
 
-    result = EngineResult(
-        spec=spec,
-        counts=counts,
-        verdicts=_join(verdict_pieces, np.uint8) if collect_verdicts else None,
-        n_trials=realized,
-        seed=seed,
-        block_size=block_size,
-        elapsed_seconds=elapsed,
-        tally=tally,
-        weights=_join(weight_pieces, np.float64) if collect_verdicts and weighted else None,
+    result, rounds = _run_rounds(
+        spec, model, seed, _round_targets(), block_size=block_size,
+        collect_verdicts=collect_verdicts, executor=executor, stop=_stop,
     )
     return _finish(result, key, params, cache,
                    lambda r: _emit_sequential(r, stopping, rounds=rounds))

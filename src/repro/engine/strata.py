@@ -20,16 +20,13 @@ error, and trial budget flows to the strata where it buys the most:
 
 Every stratum runs through :func:`repro.engine.runner.run_experiment`
 with its own derived seed, inheriting sharding, sparse dispatch,
-caching and worker/chunk bit-identity wholesale.
+caching and executor bit-identity wholesale.
 """
 
 from __future__ import annotations
 
-import logging
 import math
 from dataclasses import dataclass
-
-from repro.obs import emit
 
 from .aggregate import (
     WEIGHTED_TARGETS,
@@ -37,7 +34,7 @@ from .aggregate import (
     StratifiedEstimate,
 )
 from .rng import DEFAULT_BLOCK_SIZE
-from .runner import run_experiment
+from .runner import _emit_estimator, run_experiment
 
 __all__ = [
     "Stratum",
@@ -46,8 +43,6 @@ __all__ = [
     "run_stratified",
     "ALLOCATION_MODES",
 ]
-
-_log = logging.getLogger(__name__)
 
 ALLOCATION_MODES = ("proportional", "neyman")
 
@@ -142,12 +137,9 @@ def run_stratified(
     allocation: str = "proportional",
     target: str = "corrected",
     confidence: float = 0.95,
-    n_workers: int = 1,
     block_size: int = DEFAULT_BLOCK_SIZE,
-    chunk_blocks: int = 1,
     cache=None,
     executor=None,
-    mp_context=None,
 ) -> StratifiedEstimate:
     """Run one engine experiment per stratum and combine exactly.
 
@@ -162,7 +154,13 @@ def run_stratified(
     The per-stratum estimates use the Agresti–Coull standard error, so
     a stratum whose sampled trials all agree still contributes an honest
     nonzero width to the combined interval.
+
+    ``executor`` is passed to every stratum's
+    :func:`~repro.engine.runner.run_experiment` (one-worker inline when
+    omitted).
     """
+    if block_size < 1:
+        raise ValueError("block_size must be positive")
     if not strata:
         raise ValueError("need at least one stratum")
     if allocation not in ALLOCATION_MODES:
@@ -172,13 +170,7 @@ def run_stratified(
     probabilities = [s.probability for s in strata]
 
     run_kwargs = dict(
-        n_workers=n_workers,
-        block_size=block_size,
-        chunk_blocks=chunk_blocks,
-        collect_verdicts=False,
-        cache=cache,
-        executor=executor,
-        mp_context=mp_context,
+        block_size=block_size, collect_verdicts=False, cache=cache, executor=executor
     )
 
     def _stratum_seed(index: int) -> int:
@@ -243,25 +235,14 @@ def run_stratified(
     combined = StratifiedEstimate.combine(
         kept_probabilities, estimates, confidence, labels=labels
     )
-    emit(
-        "engine.estimator",
-        logger=_log,
+    _emit_estimator(
         estimator="stratified",
         target=target,
         realized_trials=realized,
         point=combined.point,
         std_error=combined.std_error,
-        half_width=combined.half_width,
+        half_width_value=combined.half_width,
         ess=float(realized),
-        variance_reduction_factor=(
-            (combined.point * (1.0 - combined.point) / realized)
-            / (combined.std_error**2)
-            if combined.std_error > 0 and 0.0 < combined.point < 1.0 and realized
-            else 1.0
-        ),
-        tolerance=None,
-        relative=False,
-        rounds=None,
         allocation=allocation,
         strata=len(estimates),
     )

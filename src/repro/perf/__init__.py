@@ -14,9 +14,9 @@ trials per (CMP, workload, protection) cell in one shot.
   port/bank booking and the exact steal-queue recursion.
 * :mod:`repro.perf.kernel` — trial evaluation and the scalar-matched
   single-trial replay used for oracle testing.
-* :mod:`repro.perf.backend` — block-keyed RNG lanes, multiprocessing
-  sharding, on-disk caching; results are bit-identical for any worker
-  count or chunk size.
+* :mod:`repro.perf.backend` — block-keyed RNG lanes, sharding over a
+  shared executor, on-disk caching; results are bit-identical for any
+  worker count.
 
 The scalar simulator stays as the property-tested oracle; modelling
 assumptions and the vectorization derivations are documented in

@@ -6,11 +6,12 @@ fixed-size RNG blocks, every block draws its arrivals and bank
 assignments from its own block-keyed lanes
 (:class:`repro.engine.rng.BlockStreams` — lane 0 burst chain, lane 1
 event counts, lane 2 bank assignment), blocks are fanned out over a
-persistent :class:`repro.engine.executor.SharedExecutor` pool (shared
-with the fault-injection engine; sessions keep one warm across cells),
-and the per-trial outputs are concatenated in trial order.  Results are therefore **bit-identical for any worker
-count and chunk size** — parallelism is purely a throughput knob, the
-same contract the fault-injection engine makes.
+:class:`repro.engine.executor.SharedExecutor` (shared with the
+fault-injection engine; sessions keep one warm across cells) in one
+work item per worker (:func:`repro.engine.rng.chunk_ranges`), and the
+per-trial outputs are concatenated in trial order.  Results are
+therefore **bit-identical for any executor** — parallelism is purely a
+throughput choice, the same contract the fault-injection engine makes.
 
 Cells that share a CMP/workload can be evaluated together through
 :func:`run_performance_grid`: all protections of the grid see the same
@@ -40,7 +41,7 @@ from repro.obs.profile import process_usage, usage_delta
 from repro.engine.aggregate import MeanEstimate
 from repro.engine.cache import ResultCache, cache_key
 from repro.engine.executor import SharedExecutor
-from repro.engine.rng import BlockStreams, iter_block_slices
+from repro.engine.rng import BlockStreams, chunk_ranges, iter_block_slices
 from repro.workloads.profiles import WorkloadProfile
 
 from .arrivals import concat_arrivals, sample_arrivals
@@ -334,23 +335,6 @@ def _worker(payload: tuple) -> tuple[dict, dict]:
     return _run_trial_range(*payload)
 
 
-def _chunk_ranges(
-    n_trials: int, block_size: int, chunk_blocks: "int | None", n_workers: int
-) -> list:
-    total_blocks = -(-n_trials // block_size)
-    if chunk_blocks is None:
-        # Whole-run chunks in-process; one chunk per worker otherwise.
-        # Chunking cannot change results, so this is purely a throughput
-        # choice: bigger chunks amortize the per-call kernel overhead.
-        chunk_blocks = max(1, -(-total_blocks // n_workers))
-    ranges = []
-    for first_block in range(0, total_blocks, chunk_blocks):
-        first = first_block * block_size
-        last = min((first_block + chunk_blocks) * block_size, n_trials)
-        ranges.append((first, last))
-    return ranges
-
-
 def _cache_params(
     cmp_cfg, profile, protection, n_cycles, n_trials, seed, block_size
 ) -> dict:
@@ -371,12 +355,9 @@ def run_performance_grid(
     n_cycles: int,
     n_trials: int,
     seed: int,
-    n_workers: int = 1,
     block_size: int = DEFAULT_PERF_BLOCK_SIZE,
-    chunk_blocks: "int | None" = None,
     cache: "ResultCache | None" = None,
     executor: "SharedExecutor | None" = None,
-    mp_context=None,
 ) -> dict:
     """Run every protection of a grid on shared draws; returns
     ``{label: PerfResult}``.
@@ -384,28 +365,23 @@ def run_performance_grid(
     Cached labels are served from the result cache; the remaining ones
     are computed together in one pass over the trial space (shared
     arrivals, shared bank draws, shared booking work per L1/L2 mode).
-    ``chunk_blocks`` (blocks per work item) defaults to an even split
-    over the workers; like the worker count it cannot change results.
 
-    ``executor`` shares a persistent worker pool across grids (the same
-    :class:`~repro.engine.executor.SharedExecutor` the fault-injection
-    engine uses; a :class:`repro.api.Session` passes its own), so a
-    multi-cell sweep forks once instead of once per cell; ``n_workers``
-    is ignored when one is given.  ``mp_context`` picks the start
-    method for the transient pool built otherwise.
+    ``executor`` is the :class:`~repro.engine.executor.SharedExecutor`
+    to fan out on — the same one the fault-injection engine uses; a
+    :class:`repro.api.Session` passes its own, so a multi-cell sweep
+    forks once instead of once per cell.  The trial space is split into
+    one work item per worker, which cannot change results.  Omitted, a
+    one-worker executor runs the grid inline.
     """
     if n_cycles < 100:
         raise ValueError("n_cycles must be at least 100")
     if n_trials < 1:
         raise ValueError("n_trials must be positive")
-    if n_workers < 1 or block_size < 1:
-        raise ValueError("workers and block_size must be positive")
-    if chunk_blocks is not None and chunk_blocks < 1:
-        raise ValueError("chunk_blocks must be positive")
+    if block_size < 1:
+        raise ValueError("block_size must be positive")
     if not protections:
         raise ValueError("need at least one protection configuration")
-    if executor is not None:
-        n_workers = executor.workers
+    executor = executor if executor is not None else SharedExecutor()
 
     def build(label: str, fields: dict, elapsed: float, cached: bool) -> PerfResult:
         return PerfResult(
@@ -449,19 +425,13 @@ def run_performance_grid(
     )
     if missing:
         started = time.perf_counter()
-        ranges = _chunk_ranges(n_trials, block_size, chunk_blocks, n_workers)
+        ranges = chunk_ranges(0, n_trials, block_size, executor.workers)
         payloads = [
             (cmp_cfg, profile, missing, n_cycles, seed, block_size, first, last)
             for first, last in ranges
         ]
         with memory_phase("perf.grid"):
-            if executor is not None:
-                outcomes = executor.map(_worker, payloads)
-            else:
-                with SharedExecutor(
-                    workers=n_workers, mp_context=mp_context
-                ) as transient:
-                    outcomes = transient.map(_worker, payloads)
+            outcomes = executor.map(_worker, payloads)
         elapsed = time.perf_counter() - started
         for index, (_, stats) in enumerate(outcomes):
             emit("perf.shard", logger=_log, index=index, **stats)
@@ -499,7 +469,12 @@ def run_performance(
     protection: ProtectionConfig,
     **kwargs,
 ) -> PerfResult:
-    """Replicated trials for a single protection configuration."""
+    """Replicated trials for a single protection configuration.
+
+    Keyword arguments (``n_cycles``, ``n_trials``, ``seed``,
+    ``block_size``, ``cache``, ``executor``) are those of
+    :func:`run_performance_grid`.
+    """
     return run_performance_grid(cmp_cfg, profile, {"cell": protection}, **kwargs)[
         "cell"
     ]
@@ -511,7 +486,12 @@ def compare_performance(
     protection: ProtectionConfig,
     **kwargs,
 ) -> PerfComparison:
-    """Matched-pair baseline-vs-protected comparison on shared draws."""
+    """Matched-pair baseline-vs-protected comparison on shared draws.
+
+    Keyword arguments are those of :func:`run_performance_grid`; pass a
+    :class:`~repro.engine.executor.SharedExecutor` as ``executor`` to
+    fan out.
+    """
     grid = run_performance_grid(
         cmp_cfg,
         profile,

@@ -21,8 +21,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from scipy import stats
-
 __all__ = ["YieldModel", "MemoryGeometry"]
 
 
@@ -79,6 +77,10 @@ class YieldModel:
         n_words = self._geometry.n_words
         if n_faulty_cells == 0:
             return 1.0, 0.0, 0.0
+        # scipy is imported where it is used, keeping it off the default
+        # import and Monte Carlo paths.
+        from scipy import stats
+
         p = 1.0 / n_words
         p0 = float(stats.binom.pmf(0, n_faulty_cells, p))
         p1 = float(stats.binom.pmf(1, n_faulty_cells, p))
@@ -134,6 +136,8 @@ class YieldModel:
             raise ValueError("n_spares must be non-negative")
         if mean_words_needing_repair <= 0:
             return 1.0
+        from scipy import stats
+
         return float(stats.poisson.cdf(n_spares, mean_words_needing_repair))
 
     # ------------------------------------------------------------------

@@ -2,7 +2,15 @@
 
 from __future__ import annotations
 
+import os
+import subprocess
+import sys
+import textwrap
+from pathlib import Path
+
 import pytest
+
+import repro
 
 from repro.api import (
     ExperimentSpec,
@@ -200,3 +208,31 @@ class TestSession:
             )
         with pytest.raises(ValueError, match="cache must be"):
             Session().run(ExperimentSpec("sweep.scheme_cost", params={"cache": "l3"}))
+
+
+def test_monte_carlo_path_does_not_import_scipy():
+    """Importing the catalog and running a fig3 Monte Carlo estimate and
+    a fig5 run keeps scipy out of a fresh interpreter."""
+    script = textwrap.dedent(
+        """
+        import sys
+        import repro.api.catalog
+        from repro.api import ExperimentSpec, Session
+
+        with Session() as session:
+            session.run(ExperimentSpec("fig3.coverage", backend="monte_carlo",
+                                       trials=256))
+            session.run(ExperimentSpec("fig5.performance", backend="monte_carlo",
+                                       trials=4, params={"n_cycles": 100}))
+        assert "scipy" not in sys.modules, "scipy was imported"
+        """
+    )
+    src = str(Path(repro.__file__).resolve().parent.parent)
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])
+    )}
+    proc = subprocess.run(
+        [sys.executable, "-c", script], capture_output=True, text=True,
+        timeout=120, env=env,
+    )
+    assert proc.returncode == 0, proc.stderr

@@ -110,3 +110,20 @@ class TestCoverageEstimate:
         assert not a.overlaps(c)
         assert a.contains(0.9)
         assert not a.contains(0.5)
+
+
+class TestZScore:
+    @pytest.mark.parametrize("confidence", [0.90, 0.95, 0.99])
+    def test_table_equals_scipy(self, confidence):
+        from scipy import stats
+
+        from repro.engine.aggregate import _z_score
+
+        assert _z_score(confidence) == float(stats.norm.ppf(0.5 + confidence / 2.0))
+
+    def test_other_levels_use_scipy(self):
+        from scipy import stats
+
+        from repro.engine.aggregate import _z_score
+
+        assert _z_score(0.8) == float(stats.norm.ppf(0.9))

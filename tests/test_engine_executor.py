@@ -109,8 +109,9 @@ class TestEngineOnExecutor:
 
     def test_spawn_context_is_bit_identical(self):
         serial = run_experiment(SPEC, MODEL, 512, seed=22, block_size=128)
-        spawned = run_experiment(SPEC, MODEL, 512, seed=22, block_size=128,
-                                 n_workers=2, mp_context="spawn")
+        with SharedExecutor(workers=2, mp_context="spawn") as executor:
+            spawned = run_experiment(SPEC, MODEL, 512, seed=22, block_size=128,
+                                     executor=executor)
         assert np.array_equal(spawned.verdicts, serial.verdicts)
         assert spawned.counts == serial.counts
 

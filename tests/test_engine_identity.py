@@ -24,7 +24,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from repro.api import ExperimentSpec, Session
-from repro.engine import EngineSpec, run_experiment, run_recovery_batch
+from repro.engine import EngineSpec, SharedExecutor, run_experiment, run_recovery_batch
 from repro.engine.batch import ParityVectorDecoder
 from repro.engine.packed import PackedParityDecoder, run_recovery_batch_sparse
 from repro.scenarios import ScenarioBase, SparseRowBatch, list_scenarios, make_scenario
@@ -106,7 +106,8 @@ def test_one_and_four_workers_equal_reference(name, params):
     spec = _spec(2)
     model = make_scenario(name, **params)
     serial = _assert_matches_reference(spec, model, 160, 11, 32)
-    pooled = run_experiment(spec, model, 160, 11, block_size=32, n_workers=4)
+    with SharedExecutor(workers=4) as pool:
+        pooled = run_experiment(spec, model, 160, 11, block_size=32, executor=pool)
     assert np.array_equal(pooled.verdicts, serial.verdicts)
     assert pooled.counts == serial.counts
     if serial.tally is not None:
@@ -135,8 +136,9 @@ class _DiagonalStripe(ScenarioBase):
 
 @pytest.mark.parametrize("config", range(len(ENGINE_CONFIGS)))
 def test_sample_only_user_scenario_equals_reference(config):
-    result = _assert_matches_reference(_spec(config), _DiagonalStripe(), 150, 3, 32,
-                                       n_workers=2)
+    with SharedExecutor(workers=2) as pool:
+        result = _assert_matches_reference(_spec(config), _DiagonalStripe(), 150, 3, 32,
+                                           executor=pool)
     assert result.counts.n == 150
 
 

@@ -18,6 +18,7 @@ from hypothesis import strategies as st
 from repro.engine import (
     EngineSpec,
     ResultCache,
+    SharedExecutor,
     make_decoder,
     make_packed_decoder,
     pack_rows,
@@ -296,10 +297,11 @@ class TestExecutionModes:
         spec = FIG3_SPEC
         model = ClusteredMbuScenario.mostly_single_bit(0.3)
         reference, _ = reference_verdicts(spec, model, 700, seed=13, block_size=128)
-        for kwargs in ({}, {"n_workers": 4}, {"chunk_blocks": 3}):
-            result = run_experiment(spec, model, 700, seed=13, block_size=128,
-                                    **kwargs)
-            assert np.array_equal(result.verdicts, reference), kwargs
+        for workers in (1, 2, 3, 4):
+            with SharedExecutor(workers=workers) as pool:
+                result = run_experiment(spec, model, 700, seed=13, block_size=128,
+                                        executor=pool)
+            assert np.array_equal(result.verdicts, reference), workers
 
     def test_dense_in_practice_sparse_emitter_auto_dispatch(self):
         # A sparse emitter whose batches dirty every row (array-spanning
@@ -336,7 +338,8 @@ class TestExecutionModes:
         assert [p.stem for p in tmp_path.glob("*.npz")] == [
             "fccdc543e08ac24076d98fa3303cc067154805014d5e2ddab195acfb8a0b5d48"
         ]
-        hit = run_experiment(spec, model, 256, seed=5, block_size=128,
-                             n_workers=2, chunk_blocks=2, cache=cache)
+        with SharedExecutor(workers=2) as pool:
+            hit = run_experiment(spec, model, 256, seed=5, block_size=128,
+                                 executor=pool, cache=cache)
         assert hit.from_cache
         assert np.array_equal(hit.verdicts, first.verdicts)

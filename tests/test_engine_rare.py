@@ -20,6 +20,7 @@ from hypothesis import strategies as st
 from repro.engine import (
     CoverageEstimate,
     EngineSpec,
+    SharedExecutor,
     StratifiedEstimate,
     Stratum,
     WeightedEstimate,
@@ -166,9 +167,8 @@ class TestSequentialRunner:
             max_trials=1 << 13,
         )
         serial = run_experiment_sequential(SPEC, model, 11, **kwargs)
-        parallel = run_experiment_sequential(
-            SPEC, model, 11, n_workers=4, chunk_blocks=2, **kwargs
-        )
+        with SharedExecutor(workers=4) as pool:
+            parallel = run_experiment_sequential(SPEC, model, 11, executor=pool, **kwargs)
         assert serial.n_trials == parallel.n_trials
         assert serial.counts == parallel.counts
 

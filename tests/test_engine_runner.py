@@ -1,8 +1,8 @@
 """Sharded runner: scheduling invariance, caching, result plumbing.
 
-The headline property (an ISSUE satellite): same seed + same trial
-count ==> bit-identical results regardless of worker count (1 vs 4) and
-chunk size.
+The headline property: same seed + same trial count ==> bit-identical
+results regardless of the executor's worker count (1 to 4), each of
+which partitions the trial space differently.
 """
 
 from __future__ import annotations
@@ -10,7 +10,15 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.engine import EngineSpec, ResultCache, run_experiment, run_experiment_sequential
+from repro.engine import (
+    EngineSpec,
+    ResultCache,
+    SharedExecutor,
+    Stratum,
+    run_experiment,
+    run_experiment_sequential,
+    run_stratified,
+)
 from repro.scenarios import (
     ClusteredMbuScenario,
     FixedClusterScenario,
@@ -24,29 +32,36 @@ SPEC = EngineSpec(
 MODEL = ClusteredMbuScenario.mostly_single_bit(0.6)
 
 
-def _run(**kwargs):
+def _run(workers=None, **kwargs):
+    """Run the default experiment, inline or on a ``workers``-process pool."""
     defaults = dict(n_trials=120, seed=31, block_size=16)
     defaults.update(kwargs)
-    return run_experiment(SPEC, MODEL, **defaults)
+    if workers is None:
+        return run_experiment(SPEC, MODEL, **defaults)
+    with SharedExecutor(workers=workers) as pool:
+        return run_experiment(SPEC, MODEL, **defaults, executor=pool)
 
 
 class TestSchedulingInvariance:
     def test_worker_count_does_not_change_results(self):
-        serial = _run(n_workers=1)
-        parallel = _run(n_workers=4)
+        serial = _run()
+        parallel = _run(workers=4)
         assert serial.counts == parallel.counts
         assert np.array_equal(serial.verdicts, parallel.verdicts)
 
     def test_chunk_size_does_not_change_results(self):
-        reference = _run(chunk_blocks=1)
-        for chunk_blocks in (2, 3, 100):
-            other = _run(chunk_blocks=chunk_blocks)
+        # Each worker count splits the 8 blocks differently (8, 4+4,
+        # 3+3+2, 2+2+2+2 blocks per item).
+        reference = _run()
+        for workers in (1, 2, 3, 4):
+            other = _run(workers=workers)
             assert reference.counts == other.counts
             assert np.array_equal(reference.verdicts, other.verdicts)
 
     def test_workers_and_chunking_combined(self):
-        reference = _run(n_workers=1, chunk_blocks=1)
-        other = _run(n_workers=4, chunk_blocks=2)
+        # 117 trials: the last of the 3+3+2 block items ends mid-block.
+        reference = _run(n_trials=117)
+        other = _run(workers=3, n_trials=117)
         assert reference.counts == other.counts
         assert np.array_equal(reference.verdicts, other.verdicts)
 
@@ -68,6 +83,39 @@ class TestSchedulingInvariance:
         result = _run(n_trials=50, block_size=16)
         assert result.counts.n == 50
         assert result.verdicts.shape == (50,)
+
+
+class TestSequentialRounds:
+    """A sequential run is rounds of the fixed-trial loop: collected
+    across rounds, it must equal one fixed run of the realized count."""
+
+    @pytest.mark.parametrize(
+        "model",
+        [MODEL, TiltedClusteredMbuScenario(
+            footprints=(((1, 1), 0.9), ((12, 4), 0.1)), tilt=0.05)],
+        ids=["plain", "tilted"],
+    )
+    @pytest.mark.parametrize("workers", [None, 2], ids=["inline", "pool2"])
+    def test_collected_rounds_equal_fixed_run(self, model, workers):
+        # Rounds of 32, 64, 128 and 200 trials: the 1e-6 tolerance is
+        # never met, so the run stops at max_trials, mid-block.
+        kwargs = dict(tolerance=1e-6, block_size=16, initial_trials=32,
+                      max_trials=200, collect_verdicts=True)
+        if workers is None:
+            sequential = run_experiment_sequential(SPEC, model, 31, **kwargs)
+        else:
+            with SharedExecutor(workers=workers) as pool:
+                sequential = run_experiment_sequential(SPEC, model, 31,
+                                                       executor=pool, **kwargs)
+        assert sequential.n_trials == 200
+        fixed = run_experiment(SPEC, model, 200, 31, block_size=16)
+        assert sequential.counts == fixed.counts
+        assert np.array_equal(sequential.verdicts, fixed.verdicts)
+        if fixed.is_weighted:
+            assert np.array_equal(sequential.weights, fixed.weights)
+            assert np.array_equal(sequential.tally.as_array(), fixed.tally.as_array())
+        else:
+            assert sequential.weights is None and sequential.tally is None
 
 
 class TestResultPlumbing:
@@ -96,10 +144,15 @@ class TestResultPlumbing:
     def test_invalid_arguments(self):
         with pytest.raises(ValueError):
             _run(n_trials=-1)
-        with pytest.raises(ValueError):
-            _run(n_workers=0)
-        with pytest.raises(ValueError):
-            _run(chunk_blocks=0)
+        for block_size in (0, -4):
+            with pytest.raises(ValueError, match="block_size"):
+                _run(block_size=block_size)
+            with pytest.raises(ValueError, match="block_size"):
+                run_experiment_sequential(SPEC, MODEL, 31, tolerance=0.1,
+                                          block_size=block_size)
+            with pytest.raises(ValueError, match="block_size"):
+                run_stratified(SPEC, [Stratum("all", 1.0, MODEL)], 64, 31,
+                               block_size=block_size)
 
 
 class TestResultCache:
@@ -130,8 +183,8 @@ class TestResultCache:
     def test_cache_is_scheduling_agnostic(self, tmp_path):
         """Runs at different parallelism share one cache entry."""
         cache = ResultCache(tmp_path)
-        first = _run(cache=cache, n_workers=1)
-        second = _run(cache=cache, n_workers=4, chunk_blocks=3)
+        first = _run(cache=cache)
+        second = _run(workers=3, cache=cache)
         assert len(cache) == 1
         assert second.from_cache
         assert np.array_equal(second.verdicts, first.verdicts)

@@ -7,7 +7,7 @@ import pytest
 
 from repro.api import ExperimentSpec, Session
 from repro.cmp import PROTECTION_SCENARIOS, ProtectionConfig, fat_cmp_config, lean_cmp_config
-from repro.engine import MeanEstimate
+from repro.engine import MeanEstimate, SharedExecutor
 from repro.perf import (
     PerfResult,
     compare_performance,
@@ -33,19 +33,17 @@ def _equal(a: PerfResult, b: PerfResult) -> bool:
 
 class TestInvariance:
     def test_results_independent_of_workers_and_chunking(self):
+        # Each worker count splits the 5 blocks differently (5, 3+2,
+        # 2+2+1, 2+2+1 blocks per item).
         cfg = lean_cmp_config()
         profile = get_profile("Web")
         kwargs = dict(n_cycles=500, n_trials=70, seed=5, block_size=16)
-        reference = run_performance_grid(cfg, profile, _GRID, n_workers=1, **kwargs)
-        for variant in (
-            run_performance_grid(cfg, profile, _GRID, n_workers=4, **kwargs),
-            run_performance_grid(
-                cfg, profile, _GRID, n_workers=2, chunk_blocks=2, **kwargs
-            ),
-            run_performance_grid(
-                cfg, profile, _GRID, n_workers=1, chunk_blocks=1, **kwargs
-            ),
-        ):
+        reference = run_performance_grid(cfg, profile, _GRID, **kwargs)
+        for workers in (1, 2, 3, 4):
+            with SharedExecutor(workers=workers) as pool:
+                variant = run_performance_grid(
+                    cfg, profile, _GRID, executor=pool, **kwargs
+                )
             for key in _GRID:
                 assert _equal(reference[key], variant[key])
 
@@ -157,10 +155,10 @@ class TestValidation:
             run_performance(cfg, profile, protection, n_cycles=50, n_trials=4, seed=0)
         with pytest.raises(ValueError, match="trials"):
             run_performance(cfg, profile, protection, n_cycles=400, n_trials=0, seed=0)
-        with pytest.raises(ValueError, match="positive"):
+        with pytest.raises(ValueError, match="block_size"):
             run_performance(
                 cfg, profile, protection,
-                n_cycles=400, n_trials=4, seed=0, n_workers=0,
+                n_cycles=400, n_trials=4, seed=0, block_size=0,
             )
         with pytest.raises(ValueError, match="protection"):
             run_performance_grid(

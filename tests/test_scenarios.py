@@ -23,6 +23,7 @@ from hypothesis import strategies as st
 from repro.engine import (
     BlockStreams,
     EngineSpec,
+    SharedExecutor,
     block_generator,
     lane_generator,
     run_experiment,
@@ -156,8 +157,9 @@ class TestEveryScenario:
     def test_one_vs_four_workers_bit_identical(self, name):
         model = make_scenario(name, **SCENARIO_CONFIGS[name])
         kwargs = dict(n_trials=96, seed=13, block_size=16)
-        serial = run_experiment(SPEC, model, **kwargs, n_workers=1)
-        parallel = run_experiment(SPEC, model, **kwargs, n_workers=4, chunk_blocks=2)
+        serial = run_experiment(SPEC, model, **kwargs)
+        with SharedExecutor(workers=4) as pool:
+            parallel = run_experiment(SPEC, model, **kwargs, executor=pool)
         assert serial.counts == parallel.counts
         assert np.array_equal(serial.verdicts, parallel.verdicts)
         if getattr(model, "weighted", False):
