@@ -687,6 +687,20 @@ def _cmd_run(args) -> int:
             raise SpecError(
                 f"--workers must be a positive process count, got {args.workers}"
             )
+        to_stdout = [
+            flag
+            for flag, value in (
+                ("--json", args.json),
+                ("--csv", args.csv),
+                ("--output", args.output),
+                ("--telemetry", args.telemetry),
+            )
+            if value == "-"
+        ]
+        if len(to_stdout) > 1:
+            raise SpecError(
+                f"only one output can go to stdout, got {' and '.join(to_stdout)} '-'"
+            )
         if args.telemetry and args.telemetry != "-":
             parent = Path(args.telemetry).parent
             if not parent.is_dir():
@@ -753,8 +767,7 @@ def _cmd_run(args) -> int:
 
     # A payload aimed at stdout must *be* the stdout: suppress the
     # human summary so `python -m repro run ... --json | jq .` works.
-    stdout_payload = "-" in (args.json, args.csv, args.output)
-    if not args.quiet and not stdout_payload:
+    if not args.quiet and not to_stdout:
         _print_summary(result, sys.stdout)
     if args.json:
         _write(args.json, result.to_json(indent=2))

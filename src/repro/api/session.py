@@ -24,13 +24,14 @@ from __future__ import annotations
 
 import contextlib
 import dataclasses
+import logging
 import threading
 import time
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Any, Callable, Mapping
 
-from repro.obs import RunRecorder, current_trace, use_recorder
+from repro.obs import RunRecorder, Trace, current_trace, emit
 from repro.obs import metrics as _metrics
 from repro.obs.profile import ProfileConfig, RunProfiler
 
@@ -59,42 +60,8 @@ _RUN_SECONDS = _metrics.histogram(
     ("experiment",),
 )
 
-
-def _span_event_forwarder(span) -> Callable[[dict], None]:
-    """Nest every recorder event into ``span`` as a point-in-time span
-    event, so a job trace carries the engine's full telemetry stream."""
-
-    def forward(event: dict) -> None:
-        attrs = {k: v for k, v in event.items() if k != "event"}
-        span.add_event(event["event"], **attrs)
-
-    return forward
-
-
-def _legacy_progress_subscriber(
-    progress: Callable[[dict], None], info: dict
-) -> Callable[[dict], None]:
-    """Adapt the historical ``Session.progress`` callback to a recorder
-    subscriber.
-
-    The legacy contract — one ``{"event": "start", ...}`` dict before
-    the run and one ``{"event": "finish", ..., "elapsed"}`` (plus
-    ``"error"`` on failure) after it — is preserved exactly; the richer
-    telemetry stream stays on the recorder.  Fault isolation (a raising
-    callback is logged and dropped) comes from the recorder's dispatch.
-    """
-
-    def subscriber(event: dict) -> None:
-        name = event.get("event")
-        if name == "run.start":
-            progress({"event": "start", **info, "elapsed": 0.0})
-        elif name == "run.finish":
-            payload = {"event": "finish", **info, "elapsed": event.get("elapsed", 0.0)}
-            if "error" in event:
-                payload["error"] = event["error"]
-            progress(payload)
-
-    return subscriber
+_log = logging.getLogger(__name__)
+_OBS_LOG = logging.getLogger("repro.obs")
 
 
 @dataclass
@@ -278,10 +245,9 @@ class Session:
         Optional callable receiving event dicts
         (``{"event": "start"|"finish", "experiment", "backend",
         "spec_hash", "elapsed"}``) around every run; a failed run's
-        ``finish`` event carries an additional ``error`` field.  The
-        callback is registered as one subscriber on the run's
-        :class:`~repro.obs.RunRecorder`; a callback that raises is
-        logged once and dropped instead of killing the run.
+        ``finish`` event carries an additional ``error`` field.  A
+        callback that raises is logged once and not called again for
+        that run, instead of killing it.
     mp_context:
         Explicit multiprocessing start method for the session's
         executor ("fork", "spawn", ... or a context object); the
@@ -295,14 +261,15 @@ class Session:
     Sessions are context managers; :meth:`close` (or ``with``-exit)
     tears the pool down.
 
-    Every :meth:`run` executes under its own
-    :class:`~repro.obs.RunRecorder`: engine, cache, executor and perf
-    events are collected and distilled into the result's
-    ``meta["telemetry"]`` summary (cache hits/misses, phase timings,
-    shard counts, dispatch decisions — see DESIGN.md §4).  Telemetry is
-    observational only: it never enters ``data`` or any cache key, so a
-    cached re-run returns bit-identical payloads with only
-    ``meta["telemetry"]`` differing.
+    Every :meth:`run` executes inside its own ``engine.execute`` span
+    (a child of the ambient trace's span, or the root of a fresh
+    :class:`~repro.obs.Trace`): engine, cache, executor and perf events
+    land in it, and a :class:`~repro.obs.RunRecorder` digests it into
+    the result's ``meta["telemetry"]`` summary (cache hits/misses, phase
+    timings, shard counts, dispatch decisions — see DESIGN.md §4).
+    Telemetry is observational only: it never enters ``data`` or any
+    cache key, so a cached re-run returns bit-identical payloads with
+    only ``meta["telemetry"]`` differing.
     """
 
     def __init__(
@@ -345,10 +312,11 @@ class Session:
 
     @property
     def last_telemetry(self) -> "RunRecorder | None":
-        """The :class:`~repro.obs.RunRecorder` of the most recent
-        :meth:`run` call (started or finished), or ``None`` before the
-        first run.  Gives access to the raw event stream
-        (``.to_jsonl()``) beyond the ``meta["telemetry"]`` summary."""
+        """The :class:`~repro.obs.RunRecorder` digest of the most recent
+        :meth:`run` call's span (started or finished), or ``None``
+        before the first run.  Gives access to the raw event stream
+        (``.events``, ``.to_jsonl()``) beyond the ``meta["telemetry"]``
+        summary."""
         return self._last_recorder
 
     @property
@@ -458,51 +426,62 @@ class Session:
             "backend": backend,
             "spec_hash": spec.content_hash(),
         }
-        recorder = RunRecorder()
-        self._last_recorder = recorder
-        if self.progress is not None:
-            # The ad-hoc progress hook is just one telemetry subscriber
-            # now; recorder dispatch isolates the run from a broken one.
-            recorder.subscribe(_legacy_progress_subscriber(self.progress, info))
-        recorder.record(
-            "run.start",
-            **info,
-            workers=self.workers,
-            cached=self._cache_dir is not None,
-        )
-        with self._counter_lock:
-            self._runs_started += 1
-        # When a trace is ambient (the service's worker.run span crosses
-        # asyncio.to_thread via contextvars), the run becomes an
-        # engine.execute child span and the recorder's whole event
-        # stream is nested into it.
+        # The run's span is its only event record: under an ambient
+        # trace (the service's worker.run span crosses asyncio.to_thread
+        # via contextvars) it is an engine.execute child span, otherwise
+        # the root of a one-span trace of its own.
         trace = current_trace()
-        span = None
-        profiler = None
-        started = time.perf_counter()
-        try:
-            with contextlib.ExitStack() as stack:
-                if trace is not None:
-                    span = stack.enter_context(trace.span("engine.execute", **info))
-                    recorder.subscribe(_span_event_forwarder(span))
-                stack.enter_context(use_recorder(recorder))
-                if profile is not None:
-                    profiler = stack.enter_context(RunProfiler(profile))
-                stack.enter_context(recorder.timer("execute"))
-                result = impl(context)
-        except BaseException as exc:
-            # Progress consumers pair start/finish events; a failed run
-            # must still deliver its terminal event.
-            recorder.record(
-                "run.finish",
+        ambient = trace is not None
+        if trace is None:
+            trace = Trace(name=spec.experiment)
+        progress = self.progress
+
+        def notify(event: str, **fields: Any) -> None:
+            # A raising callback is dropped for the rest of the run: an
+            # observer must never kill the run it observes.
+            nonlocal progress
+            if progress is None:
+                return
+            try:
+                progress({"event": event, **info, **fields})
+            except Exception:
+                progress = None
+                _OBS_LOG.warning(
+                    "progress callback %r raised and was dropped for this run",
+                    self.progress,
+                    exc_info=True,
+                )
+
+        with trace.span("engine.execute", **info) as span:
+            self._last_recorder = recorder = RunRecorder(span)
+            emit(
+                "run.start",
+                logger=_log,
                 **info,
-                elapsed=round(time.perf_counter() - started, 6),
-                error=repr(exc),
+                workers=self.workers,
+                cached=self._cache_dir is not None,
             )
-            _RUNS_TOTAL.labels(outcome="error").inc()
-            raise
-        elapsed = time.perf_counter() - started
-        recorder.record("run.finish", **info, elapsed=round(elapsed, 6))
+            notify("start", elapsed=0.0)
+            with self._counter_lock:
+                self._runs_started += 1
+            started = time.perf_counter()
+            try:
+                with (
+                    RunProfiler(profile) if profile is not None
+                    else contextlib.nullcontext()
+                ) as profiler:
+                    result = impl(context)
+            except BaseException as exc:
+                # Progress consumers pair start/finish events; a failed
+                # run must still deliver its terminal event.
+                elapsed = round(time.perf_counter() - started, 6)
+                emit("run.finish", logger=_log, **info, elapsed=elapsed, error=repr(exc))
+                notify("finish", elapsed=elapsed, error=repr(exc))
+                _RUNS_TOTAL.labels(outcome="error").inc()
+                raise
+            elapsed = time.perf_counter() - started
+            emit("run.finish", logger=_log, **info, elapsed=round(elapsed, 6))
+            notify("finish", elapsed=round(elapsed, 6))
         _RUNS_TOTAL.labels(outcome="ok").inc()
         _RUN_SECONDS.labels(experiment=spec.experiment).observe(elapsed)
         with self._counter_lock:
@@ -514,9 +493,8 @@ class Session:
         meta["telemetry"] = recorder.summary()
         if profiler is not None:
             meta["telemetry"]["profile"] = profiler.profile()
-            if span is not None:
-                span.set(profile=profiler.digest())
-        if span is not None:
+            span.set(profile=profiler.digest())
+        if ambient:
             meta["telemetry"]["trace_id"] = span.trace_id
             meta["telemetry"]["span_id"] = span.span_id
         return dataclasses.replace(result, meta=meta)

@@ -15,8 +15,8 @@ plus ``os.replace`` so a crashed run never leaves a truncated entry.
 Every lookup, store and eviction emits a telemetry event (``cache.hit``
 / ``cache.miss`` / ``cache.store`` / ``cache.corrupt`` /
 ``cache.evict``) through
-:func:`repro.obs.emit`, so any run under a
-:class:`~repro.obs.RunRecorder` gets hit/miss accounting for free.  A
+:func:`repro.obs.emit`, so every run's span (and the telemetry digest
+derived from it) gets hit/miss accounting for free.  A
 corrupt entry is *not* silently a miss: it is logged at WARNING with
 the offending path and quarantined to ``<name>.corrupt`` so repeated
 runs cannot keep tripping over (and masking) the same bad file.

@@ -1,32 +1,28 @@
-"""Run telemetry: structured events, typed counters/timers, module logging.
+"""Run telemetry: structured events, per-run digests, module logging.
 
 ``repro.obs`` is the observability core the rest of the package reports
 through.  It is deliberately stdlib-only (``logging``, ``contextvars``,
 ``time``, ``json``) so instrumentation can live in the hottest modules
 without adding dependencies or import weight.
 
-Two cooperating pieces:
+A run has one record, its span:
 
 :func:`emit`
     The one-line instrumentation hook.  Modules call
     ``emit("engine.run.start", logger=_log, key=..., n_trials=...)``;
-    the event is appended to the active :class:`RunRecorder` (if any)
-    and logged through the module's own logger, so ``python -m repro run
+    the event is appended to the ambient :class:`Span` (if any) and
+    logged through the module's own logger, so ``python -m repro run
     -v`` and plain ``logging`` configuration both see the stream.
+    :class:`repro.api.Session` opens an ``engine.execute`` span around
+    every run, so deep engine code needs no recorder parameter threaded
+    through — and code running outside any span still logs normally
+    and pays one context-variable read.
 
 :class:`RunRecorder`
-    Collects the structured event stream for one run plus typed
-    :class:`Counter`/:class:`Timer` aggregates, fans events out to
-    subscribers (the legacy ``Session.progress`` callback is exactly one
-    such subscriber), and distills everything into a JSON-pure
-    :meth:`~RunRecorder.summary` that
-    :class:`repro.api.Session` attaches to every result as
+    A read-only digest of one run's span: its events as dicts, the
+    JSON-lines stream, and the JSON-pure :meth:`~RunRecorder.summary`
+    that :class:`repro.api.Session` attaches to every result as
     ``meta["telemetry"]``.
-
-The recorder is installed with :func:`use_recorder` (a
-:mod:`contextvars` context manager), so deep engine code needs no
-recorder parameter threaded through — and code running outside any
-recorded run still logs normally and pays one context-variable read.
 
 Two further pieces extend the per-run view to the fleet level:
 
@@ -36,16 +32,18 @@ Two further pieces extend the per-run view to the fleet level:
     Prometheus text exposition format (the service's ``GET /metrics``).
 
 :mod:`repro.obs.trace`
-    Per-job :class:`Trace`/:class:`Span` trees propagated through
+    :class:`Trace`/:class:`Span` trees propagated through
     :mod:`contextvars` (across ``asyncio.to_thread``), exported as span
-    JSON and Chrome ``trace_event`` format.
+    JSON and Chrome ``trace_event`` format.  A service job's trace nests
+    the run's span under the job's own spans; a CLI run's trace is that
+    one span.
 
 Telemetry is observational by contract: it never participates in cache
 keys and never lands in ``Result.data``, so recording cannot change any
 result (see DESIGN.md §4).
 """
 
-from .events import current_recorder, emit, use_recorder
+from .events import emit
 from .metrics import MetricsRegistry, default_registry, parse_exposition
 from .profile import (
     DEFAULT_HZ,
@@ -59,12 +57,7 @@ from .profile import (
     process_usage,
     usage_delta,
 )
-from .recorder import (
-    TELEMETRY_SCHEMA_VERSION,
-    Counter,
-    RunRecorder,
-    Timer,
-)
+from .recorder import TELEMETRY_SCHEMA_VERSION, RunRecorder
 from .trace import (
     TRACE_SCHEMA_VERSION,
     Span,
@@ -86,12 +79,9 @@ __all__ = [
     "Span",
     "TELEMETRY_SCHEMA_VERSION",
     "TRACE_SCHEMA_VERSION",
-    "Counter",
     "RunRecorder",
-    "Timer",
     "Trace",
     "current_profiler",
-    "current_recorder",
     "current_span",
     "current_trace",
     "default_registry",
@@ -101,6 +91,5 @@ __all__ = [
     "parse_exposition",
     "process_usage",
     "usage_delta",
-    "use_recorder",
     "use_span",
 ]

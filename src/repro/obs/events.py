@@ -1,11 +1,13 @@
-"""Event emission: the bridge between instrumented modules and recorders.
+"""Event emission: the bridge between instrumented modules and spans.
 
-An *event* is a flat mapping with an ``event`` name plus free-form
-JSON-pure fields.  :func:`emit` delivers each event twice:
+An *event* is a dotted name plus free-form JSON-pure fields.
+:func:`emit` delivers each event twice:
 
-- to the active :class:`~repro.obs.recorder.RunRecorder` (installed via
-  :func:`use_recorder`), where it is timestamped, counted, and kept for
-  the run's telemetry summary;
+- to the ambient :class:`~repro.obs.trace.Span` (see
+  :func:`repro.obs.trace.current_span`) as a point-in-time span event —
+  ``Session.run`` always opens one (``engine.execute``), so a run's
+  span *is* its event record, and
+  :class:`~repro.obs.recorder.RunRecorder` digests it;
 - to a standard :mod:`logging` logger (the instrumented module's own,
   so records carry the ``repro.engine.runner`` / ``repro.engine.cache``
   / ... hierarchy), making the same stream visible to ``-v`` verbose
@@ -18,41 +20,14 @@ Emission is cheap when nobody listens: one context-variable read plus
 
 from __future__ import annotations
 
-import contextlib
-import contextvars
 import logging
-from typing import TYPE_CHECKING, Any, Iterator
+from typing import Any
 
-if TYPE_CHECKING:  # pragma: no cover - import cycle guard for typing only
-    from .recorder import RunRecorder
+from .trace import current_span
 
-__all__ = ["current_recorder", "emit", "use_recorder"]
-
-#: The active recorder for this execution context (None outside runs).
-_ACTIVE: "contextvars.ContextVar[RunRecorder | None]" = contextvars.ContextVar(
-    "repro_obs_recorder", default=None
-)
+__all__ = ["emit"]
 
 _FALLBACK_LOGGER = logging.getLogger("repro.obs")
-
-
-def current_recorder() -> "RunRecorder | None":
-    """The recorder events are currently being delivered to, if any."""
-    return _ACTIVE.get()
-
-
-@contextlib.contextmanager
-def use_recorder(recorder: "RunRecorder") -> "Iterator[RunRecorder]":
-    """Install ``recorder`` as the active event sink for this context.
-
-    Nests correctly (the previous recorder is restored on exit) and is
-    task/thread-safe by virtue of :mod:`contextvars`.
-    """
-    token = _ACTIVE.set(recorder)
-    try:
-        yield recorder
-    finally:
-        _ACTIVE.reset(token)
 
 
 def _jsonable(value: Any) -> Any:
@@ -99,17 +74,20 @@ def emit(
 
     ``event`` is a dotted name (``"engine.run.start"``,
     ``"cache.hit"``, ...); ``fields`` are JSON-pure (or coercible)
-    details.  Events reach the active recorder regardless of logging
-    configuration; the log line is a compact ``event k=v ...`` render
-    at ``level`` (DEBUG for chatty per-shard events, INFO for run-level
+    details, coerced once.  The event reaches the ambient span
+    regardless of logging configuration; with no ambient span it is
+    only logged.  The log line is a compact ``event k=v ...`` render at
+    ``level`` (DEBUG for chatty per-shard events, INFO for run-level
     milestones, WARNING for trouble like corrupt cache entries).
     """
-    clean = {key: _jsonable(value) for key, value in fields.items()}
-    recorder = _ACTIVE.get()
-    if recorder is not None:
-        recorder.record(event, **clean)
+    span = current_span()
+    clean = None
+    if span is not None:
+        clean = span.add_event(event, **fields).get("attrs", {})
     log = logger if logger is not None else _FALLBACK_LOGGER
     if log.isEnabledFor(level):
+        if clean is None:
+            clean = {key: _jsonable(value) for key, value in fields.items()}
         rendered = " ".join(f"{key}={_compact(value)}" for key, value in clean.items())
         log.log(level, "%s%s", event, f" {rendered}" if rendered else "")
 

@@ -1,6 +1,6 @@
 """Service-wide metrics: counters, gauges, fixed-bucket histograms.
 
-Where :class:`~repro.obs.recorder.RunRecorder` captures *one run's*
+Where a run's span captures *one run's*
 event stream, :class:`MetricsRegistry` aggregates over the *process
 lifetime* — fleet-level counters, gauges and latency distributions the
 experiment service exposes on ``GET /metrics``.  The module is

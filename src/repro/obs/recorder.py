@@ -1,215 +1,52 @@
-"""The per-run telemetry recorder and its typed counter/timer primitives.
+"""The per-run telemetry digest: a read-only view of one run's span.
 
-One :class:`RunRecorder` lives for one ``Session.run`` call (or any
-other scope a caller wraps in :func:`repro.obs.use_recorder`).  It
-keeps the ordered structured-event stream, auto-counts events by name,
-hosts explicit :class:`Counter`/:class:`Timer` aggregates (phase
-timings), and fans every event out to subscribers.
+A run's events live in exactly one place: the ``engine.execute``
+:class:`~repro.obs.trace.Span` ``Session.run`` opens, which
+:func:`repro.obs.emit` appends to.  :class:`RunRecorder` wraps that
+span and derives everything else from it:
 
-The recorder's :meth:`~RunRecorder.summary` is the serializable
-artifact: a JSON-pure digest of cache behavior, phase timings, engine
-shard/dispatch statistics and executor lifecycle that survives the
-``Result`` JSON round-trip as ``meta["telemetry"]``.  The full raw
-stream is available as JSON lines via :meth:`~RunRecorder.to_jsonl`
-(the CLI's ``--telemetry PATH``).
+- :attr:`~RunRecorder.events` — the event dicts
+  (``{"event", "t", **fields}``, ``t`` in seconds since the span began);
+- :meth:`~RunRecorder.to_jsonl` — the same stream as JSON lines (the
+  CLI's ``--telemetry PATH``);
+- :meth:`~RunRecorder.summary` — the JSON-pure digest of cache
+  behavior, phase timing, engine shard/dispatch statistics and executor
+  lifecycle that survives the ``Result`` JSON round-trip as
+  ``meta["telemetry"]``.
 
-Subscribers are fault-isolated: a subscriber that raises is logged once
-(WARNING) and dropped for the rest of the run, so a broken progress
-hook can no longer kill a simulation (it used to propagate out of
-``Session.run``).
+Nothing is counted or timed alongside the span, so the digest cannot
+disagree with the trace.
 """
 
 from __future__ import annotations
 
 import json
-import logging
-import threading
-import time
-from typing import Any, Callable
+from typing import TYPE_CHECKING, Any
 
-__all__ = ["TELEMETRY_SCHEMA_VERSION", "Counter", "Timer", "RunRecorder"]
+if TYPE_CHECKING:  # pragma: no cover - typing only
+    from .trace import Span
+
+__all__ = ["TELEMETRY_SCHEMA_VERSION", "RunRecorder"]
 
 #: Bump when the summary layout changes incompatibly.
 TELEMETRY_SCHEMA_VERSION = 1
 
-_log = logging.getLogger("repro.obs")
-
-
-class Counter:
-    """A named monotonically increasing integer (thread-safe: executor
-    and service paths bump counters from several threads at once)."""
-
-    __slots__ = ("name", "value", "_lock")
-
-    def __init__(self, name: str):
-        self.name = name
-        self.value = 0
-        self._lock = threading.Lock()
-
-    def add(self, n: int = 1) -> int:
-        with self._lock:
-            self.value += int(n)
-            return self.value
-
-    def __repr__(self) -> str:
-        return f"Counter({self.name!r}, value={self.value})"
-
-
-class Timer:
-    """A named accumulating stopwatch (context manager, re-usable).
-
-    ``with recorder.timer("execute"): ...`` accumulates wall-clock
-    seconds and an activation count; one Timer may time many intervals
-    (e.g. one per engine run of a sweep).
-
-    Nested or overlapping activations of the *same* Timer merge into
-    the outermost interval: re-entering while running no longer resets
-    the start (which silently dropped the first interval); instead the
-    entry is depth-counted, a one-time WARNING is logged, and only the
-    outermost exit accumulates — so wall-clock time is never counted
-    twice and never lost.
-    """
-
-    __slots__ = ("name", "count", "seconds", "_started", "_depth", "_warned", "_lock")
-
-    def __init__(self, name: str):
-        self.name = name
-        self.count = 0
-        self.seconds = 0.0
-        self._started: "float | None" = None
-        self._depth = 0
-        self._warned = False
-        self._lock = threading.Lock()
-
-    def __enter__(self) -> "Timer":
-        with self._lock:
-            if self._depth == 0:
-                self._started = time.perf_counter()
-            elif not self._warned:
-                self._warned = True
-                _log.warning(
-                    "Timer %r re-entered while already running; nested "
-                    "activations merge into the outermost interval",
-                    self.name,
-                )
-            self._depth += 1
-        return self
-
-    def __exit__(self, *exc_info) -> None:
-        with self._lock:
-            if self._depth == 0:
-                return  # unbalanced __exit__: nothing to close
-            self._depth -= 1
-            if self._depth == 0 and self._started is not None:
-                self.seconds += time.perf_counter() - self._started
-                self.count += 1
-                self._started = None
-
-    def __repr__(self) -> str:
-        return f"Timer({self.name!r}, count={self.count}, seconds={self.seconds:.6f})"
-
 
 class RunRecorder:
-    """Collects one run's structured events, counters and timers.
+    """Read-only digest of one run's :class:`~repro.obs.trace.Span`."""
 
-    ``keep_events=False`` keeps the counters, timers and subscriber
-    fan-out but drops the event list — for long-lived scopes (the
-    experiment service) where an unbounded stream would only grow.
-    """
+    def __init__(self, span: "Span"):
+        self.span = span
 
-    def __init__(self, *, keep_events: bool = True):
-        self._t0 = time.perf_counter()
-        self._keep_events = keep_events
-        self.events: list[dict] = []
-        self._counters: dict[str, Counter] = {}
-        self._timers: dict[str, Timer] = {}
-        self._subscribers: list[Callable[[dict], None]] = []
-        # The sharded-executor merge loop and the service's worker
-        # threads record into one recorder concurrently; the lock keeps
-        # the event list and aggregate registries consistent.
-        self._lock = threading.Lock()
+    @property
+    def events(self) -> "list[dict]":
+        """The span's events as ``{"event", "t", **fields}`` dicts."""
+        start = self.span.start
+        return [
+            {"event": name, "t": round(t - start, 6), **(attrs or {})}
+            for name, t, attrs in list(self.span.events)
+        ]
 
-    # ------------------------------------------------------------------
-    # Event stream
-    # ------------------------------------------------------------------
-    def record(self, event: str, **fields: Any) -> dict:
-        """Append one event (timestamped relative to recorder birth).
-
-        Every event also bumps its ``events.<name>`` counter, so plain
-        occurrence counts (cache hits, shards, pool starts) need no
-        separate bookkeeping at the emission site.
-        """
-        payload = {
-            "event": event,
-            "t": round(time.perf_counter() - self._t0, 6),
-            **fields,
-        }
-        if self._keep_events:
-            with self._lock:
-                self.events.append(payload)
-        self.incr(f"events.{event}")
-        self._dispatch(payload)
-        return payload
-
-    def subscribe(self, subscriber: Callable[[dict], None]) -> None:
-        """Register a callable receiving every subsequent event dict.
-
-        A subscriber that raises is logged once and dropped — observers
-        must never be able to kill the run they observe.
-        """
-        with self._lock:
-            self._subscribers.append(subscriber)
-
-    def _dispatch(self, payload: dict) -> None:
-        for subscriber in list(self._subscribers):
-            try:
-                subscriber(payload)
-            except Exception:
-                with self._lock:
-                    if subscriber in self._subscribers:
-                        self._subscribers.remove(subscriber)
-                _log.warning(
-                    "telemetry subscriber %r raised and was dropped",
-                    subscriber,
-                    exc_info=True,
-                )
-
-    # ------------------------------------------------------------------
-    # Typed aggregates
-    # ------------------------------------------------------------------
-    def counter(self, name: str) -> Counter:
-        """Get or create the named :class:`Counter` (thread-safe)."""
-        counter = self._counters.get(name)
-        if counter is None:
-            with self._lock:
-                counter = self._counters.setdefault(name, Counter(name))
-        return counter
-
-    def counter_values(self, prefix: str = "") -> "dict[str, int]":
-        """Snapshot of counter values, optionally filtered by prefix
-        (e.g. ``"events.service."`` for the experiment service's own
-        event counts)."""
-        return {
-            name: counter.value
-            for name, counter in self._counters.items()
-            if name.startswith(prefix)
-        }
-
-    def incr(self, name: str, n: int = 1) -> int:
-        return self.counter(name).add(n)
-
-    def timer(self, name: str) -> Timer:
-        """Get or create the named :class:`Timer` (use as a context
-        manager; repeated activations accumulate)."""
-        timer = self._timers.get(name)
-        if timer is None:
-            with self._lock:
-                timer = self._timers.setdefault(name, Timer(name))
-        return timer
-
-    # ------------------------------------------------------------------
-    # Serialization
-    # ------------------------------------------------------------------
     def to_jsonl(self) -> str:
         """The raw event stream as JSON lines (one event per line)."""
         return "".join(json.dumps(event, sort_keys=True) + "\n" for event in self.events)
@@ -219,20 +56,28 @@ class RunRecorder:
 
         The layout (schema version :data:`TELEMETRY_SCHEMA_VERSION`) is
         documented in DESIGN.md §4.  Everything here is derived from
-        the event stream and the typed aggregates; nothing feeds back
-        into results or cache keys.
+        the span's events in one pass; nothing feeds back into results
+        or cache keys.
         """
-        counts = {name: c.value for name, c in self._counters.items()}
-        run_start = self._first("run.start")
-        run_finish = self._last("run.finish")
+        points = list(self.span.events)
+        by_name: "dict[str, list[dict]]" = {}
+        for name, _, attrs in points:
+            by_name.setdefault(name, []).append(attrs or {})
+        counts = {f"events.{name}": len(found) for name, found in by_name.items()}
 
-        engine_runs = self._select("engine.run.finish")
-        engine_starts = self._select("engine.run.start")
-        engine_shards = self._select("engine.shard")
-        perf_grids = self._select("perf.grid.finish")
-        perf_starts = self._select("perf.grid.start")
-        perf_shards = self._select("perf.shard")
-        pool_starts = self._select("executor.pool.start")
+        def select(event: str) -> "list[dict]":
+            return by_name.get(event, [])
+
+        run_start = by_name.get("run.start", [None])[0]
+        run_finish = by_name.get("run.finish", [None])[-1]
+
+        engine_runs = select("engine.run.finish")
+        engine_starts = select("engine.run.start")
+        engine_shards = select("engine.shard")
+        perf_grids = select("perf.grid.finish")
+        perf_starts = select("perf.grid.start")
+        perf_shards = select("perf.shard")
+        pool_starts = select("executor.pool.start")
 
         engine_keys = sorted(
             {e["key"] for e in engine_starts if "key" in e}
@@ -269,18 +114,19 @@ class RunRecorder:
 
         summary: dict[str, Any] = {
             "schema": TELEMETRY_SCHEMA_VERSION,
-            "events": len(self.events),
+            "events": len(points),
             "elapsed_seconds": (
                 run_finish.get("elapsed")
                 if run_finish is not None
-                else round(time.perf_counter() - self._t0, 6)
+                else round(self.span.trace._now() - self.span.start, 6)
             ),
             "workers": (run_start or {}).get("workers"),
             "counters": counts,
-            "phases": {
-                name: {"count": t.count, "seconds": round(t.seconds, 6)}
-                for name, t in self._timers.items()
-            },
+            "phases": (
+                {"execute": {"count": 1, "seconds": run_finish.get("elapsed")}}
+                if run_finish is not None
+                else {}
+            ),
             "cache": {
                 "hits": counts.get("events.cache.hit", 0),
                 "misses": counts.get("events.cache.miss", 0),
@@ -321,7 +167,7 @@ class RunRecorder:
                 "maps": counts.get("events.executor.map", 0),
             },
         }
-        estimator_events = self._select("engine.estimator")
+        estimator_events = select("engine.estimator")
         if estimator_events:
             realized = sum(
                 int(e.get("realized_trials", 0)) for e in estimator_events
@@ -355,22 +201,3 @@ class RunRecorder:
         else:
             summary["from_cache"] = None
         return summary
-
-    # ------------------------------------------------------------------
-    def _select(self, event: str) -> "list[dict]":
-        return [e for e in self.events if e["event"] == event]
-
-    def _first(self, event: str) -> "dict | None":
-        found = self._select(event)
-        return found[0] if found else None
-
-    def _last(self, event: str) -> "dict | None":
-        found = self._select(event)
-        return found[-1] if found else None
-
-    def __repr__(self) -> str:
-        return (
-            f"RunRecorder(events={len(self.events)}, "
-            f"counters={len(self._counters)}, timers={len(self._timers)}, "
-            f"subscribers={len(self._subscribers)})"
-        )

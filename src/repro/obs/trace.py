@@ -16,9 +16,11 @@ through every stage that touches it.  Spans are created two ways:
   claims the job, from the job's enqueue timestamp).
 
 Spans carry free-form JSON-pure attributes and point-in-time *events*
-(:meth:`Span.add_event`); :class:`~repro.api.session.Session` nests the
-run's whole :class:`~repro.obs.recorder.RunRecorder` stream into the
-``engine.execute`` span this way.
+(:meth:`Span.add_event`).  :func:`repro.obs.emit` appends to the
+ambient span, so the ``engine.execute`` span
+:class:`~repro.api.session.Session` opens for every run is that run's
+only event record (:class:`~repro.obs.recorder.RunRecorder` digests
+it).
 
 Export formats:
 

@@ -19,12 +19,14 @@ A submission takes the cheapest path available::
     in flight  ->  attach to the existing job (dedup coalesce)
     otherwise  ->  a new queued job (429 when the queue is full)
 
-Every stage emits ``service.*`` telemetry into the service's
-long-lived :class:`~repro.obs.RunRecorder` (installed as the ambient
-recorder for the service's whole life), while each job's engine run
-still gets its own per-run recorder inside ``Session.run`` — so
-``GET /stats`` sees the service and every ``Result`` still carries its
-own ``meta["telemetry"]``.
+Every stage emits ``service.*`` telemetry through
+:func:`repro.obs.emit`: it is logged, and an event raised while a job
+span is ambient (a retry inside ``worker.run``, a store write inside
+``store.write``) lands in that job's trace.  Each job's engine run
+records into its own ``engine.execute`` span inside ``Session.run``, so
+every ``Result`` carries its own ``meta["telemetry"]``.  Service-wide
+counts live on ``GET /stats`` (queue and job counters) and
+``GET /metrics``.
 
 The service is asyncio-single-threaded at the control plane: submit,
 job lookup, stats and shutdown all run on the event loop; only the
@@ -45,7 +47,7 @@ from repro.api.registry import get_experiment
 from repro.api.result import RESULT_SCHEMA_VERSION
 from repro.api.session import Session
 from repro.api.spec import ExperimentSpec
-from repro.obs import RunRecorder, emit, use_recorder
+from repro.obs import emit
 from repro.obs.metrics import MetricsRegistry
 
 from .instruments import ServiceInstruments
@@ -125,9 +127,6 @@ class ExperimentService:
         trace_dir: "str | Path | None" = None,
         profile_dir: "str | Path | None" = None,
     ):
-        # Counters only: the service lives indefinitely, so its recorder
-        # must not keep an ever-growing event list.
-        self.recorder = RunRecorder(keep_events=False)
         self.instruments = ServiceInstruments(registry)
         self._trace_dir = Path(trace_dir) if trace_dir is not None else None
         self._profile_dir = (
@@ -161,7 +160,6 @@ class ExperimentService:
         self._jobs: "dict[str, Job]" = {}
         self._synthetic = 0  # store-served submissions (no queue entry)
         self._housekeeper: "asyncio.Task | None" = None
-        self._recorder_scope = None
         self._started = False
         self._started_at: "float | None" = None
 
@@ -169,7 +167,7 @@ class ExperimentService:
     # Lifecycle
     # ------------------------------------------------------------------
     async def start(self) -> None:
-        """Install the service recorder, spawn workers and housekeeping."""
+        """Spawn workers and housekeeping."""
         if self._started:
             return
         self._started = True
@@ -178,10 +176,6 @@ class ExperimentService:
             self._trace_dir.mkdir(parents=True, exist_ok=True)
         if self._profile_dir is not None:
             self._profile_dir.mkdir(parents=True, exist_ok=True)
-        # The ambient recorder for everything the loop thread emits;
-        # tasks created below inherit it through their contextvars copy.
-        self._recorder_scope = use_recorder(self.recorder)
-        self._recorder_scope.__enter__()
         emit(
             "service.start",
             logger=_log,
@@ -229,15 +223,6 @@ class ExperimentService:
             self._housekeeper = None
         if self._owns_session:
             self.session.close()
-        if self._recorder_scope is not None:
-            try:
-                self._recorder_scope.__exit__(None, None, None)
-            except ValueError:
-                # stop() ran in a different task than start(): that
-                # task's context copy dies with it, so there is nothing
-                # to restore here.
-                pass
-            self._recorder_scope = None
         self._started = False
 
     async def _housekeeping(self, interval: float) -> None:
@@ -456,7 +441,6 @@ class ExperimentService:
         states: "dict[str, int]" = {}
         for job in self._jobs.values():
             states[job.state] = states.get(job.state, 0) + 1
-        counters = self.recorder.counter_values("events.service.")
         return {
             "uptime_seconds": (
                 round(time.time() - self._started_at, 3)
@@ -487,7 +471,6 @@ class ExperimentService:
                 "runs_started": self.session.runs_started,
                 "runs_completed": self.session.runs_completed,
             },
-            "service_events": counters,
         }
 
     def healthz(self) -> dict:

@@ -25,7 +25,9 @@ Per-job controls:
   ``cancelled`` (queued jobs cancel instantly inside the queue).
 
 Every transition emits ``service.job_start`` / ``service.job_retry`` /
-``service.job_finish`` telemetry through :func:`repro.obs.emit`.
+``service.job_finish`` telemetry through :func:`repro.obs.emit`; a
+retry is emitted inside the job's ``worker.run`` span, so it is also
+recorded there as a span event.
 
 Observability: claiming a job records its ``queue.wait`` span (from the
 admission timestamp) and the whole execution runs inside a
@@ -246,9 +248,6 @@ class WorkerPool:
                                 attempt=job.attempts,
                                 delay=round(delay, 3),
                                 error=repr(exc),
-                            )
-                            span.add_event(
-                                "retry", attempt=job.attempts, error=repr(exc)
                             )
                             if ins is not None:
                                 ins.job_retries_total.inc()

@@ -204,6 +204,34 @@ class TestTelemetryFlags:
         assert names[0] == "run.start" and names[-1] == "run.finish"
         assert "engine.run.start" in names
 
+    def test_telemetry_dash_makes_stdout_pure_json_lines(self, capsys):
+        code = main(["run", "fig1.storage", "--telemetry", "-"])
+        assert code == 0
+        lines = capsys.readouterr().out.splitlines()
+        events = [json.loads(line) for line in lines]  # no summary noise
+        assert [e["event"] for e in events] == ["run.start", "run.finish"]
+
+    @pytest.mark.parametrize(
+        "flags",
+        [
+            ["--json", "-", "--csv", "-"],
+            ["--json", "--telemetry", "-"],
+            ["--output", "-", "--telemetry", "-"],
+        ],
+    )
+    def test_two_stdout_payloads_exit_usage_error_before_running(
+        self, capsys, tmp_path, flags
+    ):
+        code = main([
+            "run", "fig3.coverage", "--trials", "64", "--seed", "7",
+            "--cache-dir", str(tmp_path), *flags,
+        ])
+        assert code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "stdout" in captured.err
+        assert not list(tmp_path.iterdir())  # the run never started
+
     def test_telemetry_unknown_directory_exits_usage_error(self, capsys, tmp_path):
         code = main([
             "run", "fig1.storage", "-q",

@@ -1,7 +1,7 @@
 """ResultCache maintenance: stats() and prune() (TTL + byte budget).
 
 Ages are faked with ``os.utime`` so the TTL tests need no sleeping; the
-``cache.evict`` telemetry contract is pinned through a RunRecorder.
+``cache.evict`` telemetry contract is pinned through a span capture.
 """
 
 from __future__ import annotations
@@ -12,7 +12,7 @@ import time
 import numpy as np
 
 from repro.engine import ResultCache
-from repro.obs import RunRecorder, use_recorder
+from repro.obs import RunRecorder, Trace
 
 
 def fill(cache: ResultCache, key: str, *, age_seconds: float = 0.0, kb: int = 1):
@@ -107,9 +107,9 @@ class TestEvictTelemetry:
         cache = ResultCache(tmp_path)
         fill(cache, "stale", age_seconds=120.0)
         fill(cache, "bulky", age_seconds=10.0, kb=8)
-        recorder = RunRecorder()
-        with use_recorder(recorder):
+        with Trace().span("prune") as span:
             cache.prune(ttl_seconds=60.0, max_bytes=0)
+        recorder = RunRecorder(span)
         events = [e for e in recorder.events if e["event"] == "cache.evict"]
         assert {e["key"]: e["reason"] for e in events} == {
             "stale": "ttl",

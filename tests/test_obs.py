@@ -1,16 +1,20 @@
-"""Telemetry core: recorder semantics, determinism, fault isolation.
+"""Telemetry core: span recording, the digest, determinism, fault isolation.
 
-Covers the observational contract end to end: the recorder's
-counter/timer/subscriber behavior in isolation, the engine/cache
-instrumentation (corrupt-entry quarantine), and the Session-level
-guarantees — every run carries ``meta["telemetry"]``, observation never
-changes ``data``, and a broken progress callback cannot kill a run.
+Covers the observational contract end to end: :func:`emit` recording
+into the ambient span and the :class:`RunRecorder` digest derived from
+it, the engine/cache instrumentation (corrupt-entry quarantine), and
+the Session-level guarantees — every run carries ``meta["telemetry"]``
+with a pinned layout, a traced run's span *is* its event stream,
+observation never changes ``data``, and a broken progress callback
+cannot kill a run.
 """
 
 from __future__ import annotations
 
 import json
 import logging
+import sys
+import threading
 
 import numpy as np
 import pytest
@@ -20,176 +24,176 @@ from repro.engine import ResultCache
 from repro.obs import (
     TELEMETRY_SCHEMA_VERSION,
     RunRecorder,
-    current_recorder,
+    Trace,
+    current_span,
     emit,
-    use_recorder,
+    use_span,
 )
+
+
+def record(*events: "tuple[str, dict]") -> RunRecorder:
+    """Emit ``(name, fields)`` pairs into a fresh span; digest it."""
+    with Trace().span("run") as span:
+        for name, fields in events:
+            emit(name, **fields)
+    return RunRecorder(span)
 
 
 class TestRecorder:
     def test_record_keeps_order_and_auto_counts(self):
-        recorder = RunRecorder()
-        recorder.record("cache.hit", key="k1")
-        recorder.record("cache.hit", key="k2")
-        recorder.record("cache.miss", key="k3")
+        recorder = record(
+            ("cache.hit", {"key": "k1"}),
+            ("cache.hit", {"key": "k2"}),
+            ("cache.miss", {"key": "k3"}),
+        )
         assert [e["event"] for e in recorder.events] == [
             "cache.hit", "cache.hit", "cache.miss",
         ]
-        assert recorder.counter("events.cache.hit").value == 2
-        assert recorder.counter("events.cache.miss").value == 1
+        summary = recorder.summary()
+        assert summary["counters"] == {
+            "events.cache.hit": 2,
+            "events.cache.miss": 1,
+        }
+        assert summary["cache"]["hits"] == 2 and summary["cache"]["misses"] == 1
 
-    def test_timer_accumulates_activations(self):
-        recorder = RunRecorder()
-        for _ in range(3):
-            with recorder.timer("phase"):
-                pass
-        timer = recorder.timer("phase")
-        assert timer.count == 3
-        assert timer.seconds >= 0.0
-        assert recorder.summary()["phases"]["phase"]["count"] == 3
+    def test_execute_phase_is_the_run_finish_elapsed(self):
+        recorder = record(("run.start", {}), ("run.finish", {"elapsed": 0.25}))
+        summary = recorder.summary()
+        assert summary["phases"] == {"execute": {"count": 1, "seconds": 0.25}}
+        assert summary["elapsed_seconds"] == 0.25
+
+    def test_event_time_is_seconds_since_span_start(self):
+        recorder = record(("a", {}), ("b", {}))
+        times = [e["t"] for e in recorder.events]
+        assert 0.0 <= times[0] <= times[1] < 60.0
 
     def test_to_jsonl_is_parseable_event_per_line(self):
-        recorder = RunRecorder()
-        recorder.record("a", x=1)
-        recorder.record("b", y="text")
+        recorder = record(("a", {"x": 1}), ("b", {"y": "text"}))
         lines = [json.loads(line) for line in recorder.to_jsonl().splitlines()]
         assert [e["event"] for e in lines] == ["a", "b"]
         assert all("t" in e for e in lines)
+        assert lines == recorder.events
 
     def test_summary_is_json_pure(self):
-        recorder = RunRecorder()
-        recorder.record("engine.shard", trials=4, blocks=1, elapsed=0.1)
+        recorder = record(("engine.shard", {"trials": 4, "blocks": 1, "elapsed": 0.1}))
         summary = recorder.summary()
         assert summary["schema"] == TELEMETRY_SCHEMA_VERSION
         assert json.loads(json.dumps(summary)) == summary
 
-    def test_raising_subscriber_dropped_with_one_warning(self, caplog):
-        recorder = RunRecorder()
-        seen = []
 
-        def broken(event):
-            raise RuntimeError("boom")
-
-        recorder.subscribe(broken)
-        recorder.subscribe(seen.append)
-        with caplog.at_level(logging.WARNING, logger="repro.obs"):
-            recorder.record("one")
-            recorder.record("two")
-        warnings = [
-            r for r in caplog.records if "subscriber" in r.getMessage()
-        ]
-        assert len(warnings) == 1  # dropped after the first raise, not re-warned
-        # The healthy subscriber kept receiving everything.
-        assert [e["event"] for e in seen] == ["one", "two"]
-
-
-class TestTimerNesting:
-    """Satellite: nested `with` on one Timer merges, warns once, loses
-    nothing (re-entry used to silently reset the running interval)."""
-
-    def test_nested_enter_merges_into_outermost_interval(self, caplog):
-        recorder = RunRecorder()
-        timer = recorder.timer("phase")
-        with caplog.at_level(logging.WARNING, logger="repro.obs"):
-            with timer:
-                with timer:  # e.g. a sweep re-timing its own phase
-                    pass
-                assert timer.count == 0  # inner exit closes nothing
-        assert timer.count == 1  # one merged interval, not two
-        assert timer.seconds >= 0.0
-        warnings = [
-            r for r in caplog.records if "re-entered" in r.getMessage()
-        ]
-        assert len(warnings) == 1
-
-    def test_warning_fires_only_once_per_timer(self, caplog):
-        timer = RunRecorder().timer("phase")
-        with caplog.at_level(logging.WARNING, logger="repro.obs"):
-            for _ in range(3):
-                with timer:
-                    with timer:
-                        pass
-        assert timer.count == 3
-        warnings = [
-            r for r in caplog.records if "re-entered" in r.getMessage()
-        ]
-        assert len(warnings) == 1
-
-    def test_unbalanced_exit_is_harmless(self):
-        timer = RunRecorder().timer("phase")
-        timer.__exit__(None, None, None)  # never entered
-        assert timer.count == 0
-        with timer:
-            pass
-        assert timer.count == 1
-
-
-class TestRecorderThreadSafety:
-    """Satellite: the sharded executor's merge loop and service workers
-    hammer one recorder from many threads at once."""
+class TestSpanThreadSafety:
+    """The sharded executor's merge loop and service workers emit into
+    one span from many threads at once."""
 
     THREADS = 8
     PER_THREAD = 200
 
-    def test_concurrent_record_and_incr_lose_nothing(self):
-        import threading
-
-        recorder = RunRecorder()
-        seen = []
-        recorder.subscribe(seen.append)
+    def test_concurrent_emit_into_one_span_loses_nothing(self):
         start = threading.Barrier(self.THREADS)
 
-        def hammer(tid: int) -> None:
+        def hammer(span, tid: int) -> None:
             start.wait()
-            for i in range(self.PER_THREAD):
-                recorder.record("engine.shard", tid=tid, i=i)
-                recorder.incr("shards.finished")
-                with recorder.timer(f"t{tid}"):
-                    pass
+            # A plain thread starts with an empty context; install the
+            # span the way asyncio.to_thread's context copy would.
+            with use_span(span):
+                for i in range(self.PER_THREAD):
+                    emit("engine.shard", tid=tid, i=i)
 
-        threads = [
-            threading.Thread(target=hammer, args=(i,))
-            for i in range(self.THREADS)
-        ]
-        for thread in threads:
-            thread.start()
-        for thread in threads:
-            thread.join()
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)  # interleave appends as often as possible
+        try:
+            with Trace().span("run") as span:
+                threads = [
+                    threading.Thread(target=hammer, args=(span, i))
+                    for i in range(self.THREADS)
+                ]
+                for thread in threads:
+                    thread.start()
+                for thread in threads:
+                    thread.join(timeout=30.0)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
 
+        recorder = RunRecorder(span)
         total = self.THREADS * self.PER_THREAD
         assert len(recorder.events) == total
-        assert recorder.counter("events.engine.shard").value == total
-        assert recorder.counter("shards.finished").value == total
-        assert len(seen) == total  # every event reached the subscriber
-        timers = recorder.summary()["phases"]
-        assert sum(t["count"] for t in timers.values()) == total
+        assert recorder.summary()["counters"] == {"events.engine.shard": total}
+        seen = {(e["tid"], e["i"]) for e in recorder.events}
+        assert len(seen) == total  # every event exactly once
         # The merged stream is still serializable event-per-line.
         assert len(recorder.to_jsonl().splitlines()) == total
 
 
 class TestEmit:
     def test_emit_without_recorder_is_harmless(self):
-        assert current_recorder() is None
+        assert current_span() is None
         emit("orphan.event", value=1)  # must not raise
 
-    def test_use_recorder_scopes_the_ambient_recorder(self):
-        recorder = RunRecorder()
-        with use_recorder(recorder):
-            assert current_recorder() is recorder
-            emit("scoped", n=2)
-        assert current_recorder() is None
-        assert recorder.events[0]["event"] == "scoped"
+    def test_emit_lands_in_the_innermost_ambient_span(self):
+        trace = Trace()
+        with trace.span("outer") as outer:
+            emit("first")
+            with trace.span("inner") as inner:
+                emit("second", n=2)
+        assert current_span() is None
+        assert [name for name, _, _ in outer.events] == ["first"]
+        assert RunRecorder(inner).events[0]["event"] == "second"
+        assert RunRecorder(inner).events[0]["n"] == 2
 
     def test_emit_coerces_numpy_scalars_to_json_types(self):
-        recorder = RunRecorder()
-        with use_recorder(recorder):
-            emit("np.stuff", count=np.int64(3), ratio=np.float64(0.5),
-                 arr=np.array([1, 2]))
+        recorder = record(
+            ("np.stuff", {"count": np.int64(3), "ratio": np.float64(0.5),
+                          "arr": np.array([1, 2])}),
+        )
         event = recorder.events[0]
         assert event["count"] == 3 and type(event["count"]) is int
         assert event["ratio"] == 0.5 and type(event["ratio"]) is float
         assert event["arr"] == [1, 2]
         json.dumps(event)  # fully serializable
+
+
+#: The recursive key set of ``meta["telemetry"]`` (schema 1), as dotted
+#: paths.  Every run carries ``_BASE_KEYS``; the extras are the event
+#: counters of each run kind and, for an estimator run, its keys.
+_BASE_KEYS = {
+    "cache", "cache.corrupt", "cache.hits", "cache.misses",
+    "cache.stores", "counters", "counters.events.run.finish",
+    "counters.events.run.start", "elapsed_seconds", "engine",
+    "engine.blocks", "engine.cache_keys", "engine.dispatch",
+    "engine.dispatch.dense_blocks", "engine.dispatch.densified_blocks",
+    "engine.dispatch.sparse_blocks", "engine.resources",
+    "engine.resources.cpu_seconds", "engine.resources.max_rss_bytes",
+    "engine.resources.processes", "engine.runs", "engine.runs_from_cache",
+    "engine.shard_seconds", "engine.shards", "engine.trials", "events",
+    "executor", "executor.maps", "executor.pools_started",
+    "executor.start_method", "from_cache", "perf", "perf.cache_keys",
+    "perf.cells", "perf.cells_from_cache", "perf.grids", "perf.resources",
+    "perf.resources.cpu_seconds", "perf.resources.max_rss_bytes",
+    "perf.resources.processes", "perf.shards", "perf.trials", "phases",
+    "phases.execute", "phases.execute.count", "phases.execute.seconds",
+    "schema", "workers",
+}
+_FIG3_SEQUENTIAL_KEYS = _BASE_KEYS | {
+    "counters.events.engine.estimator",
+    "counters.events.engine.run.finish",
+    "counters.events.engine.run.start", "counters.events.engine.shard",
+    "counters.events.executor.map", "ess", "estimators",
+    "realized_trials", "variance_reduction_factor",
+}
+_FIG5_KEYS = _BASE_KEYS | {
+    "counters.events.executor.map", "counters.events.perf.grid.finish",
+    "counters.events.perf.grid.start", "counters.events.perf.shard",
+}
+
+
+def _key_paths(obj, prefix: str = "") -> "set[str]":
+    paths = set()
+    if isinstance(obj, dict):
+        for key, value in obj.items():
+            paths.add(prefix + key)
+            paths |= _key_paths(value, prefix + key + ".")
+    return paths
 
 
 class TestCacheCorruptQuarantine:
@@ -292,6 +296,63 @@ class TestSessionTelemetry:
         assert "engine.run.start" in names
         assert "engine.shard" in names
 
+    def test_traced_run_span_is_the_event_stream(self):
+        """The ``engine.execute`` span and the JSON-lines stream are one
+        record: same events, same order, ``run.start`` first, each
+        exactly once (the span used to miss ``run.start``)."""
+        session = Session()
+        trace = Trace()
+        with trace.span("root"):
+            result = session.run(ExperimentSpec("fig3.coverage", trials=64, seed=3))
+        (span,) = [s for s in trace.spans if s.name == "engine.execute"]
+        lines = [
+            json.loads(line)
+            for line in session.last_telemetry.to_jsonl().splitlines()
+        ]
+        assert [name for name, _, _ in span.events] == [e["event"] for e in lines]
+        assert lines[0]["event"] == "run.start"
+        assert lines == session.last_telemetry.events
+        for event in lines:
+            event.pop("t")
+        assert [
+            {"event": name, **(attrs or {})} for name, _, attrs in span.events
+        ] == lines
+        telemetry = result.telemetry()
+        assert telemetry["events"] == len(lines)
+        assert telemetry["trace_id"] == trace.trace_id
+        assert telemetry["span_id"] == span.span_id
+
+    def test_untraced_run_records_into_a_span_of_its_own(self):
+        session = Session()
+        result = session.run(ExperimentSpec("fig1.storage"))
+        span = session.last_telemetry.span
+        assert span.name == "engine.execute" and span.parent_id is None
+        assert span.trace.name == "fig1.storage"
+        assert [name for name, _, _ in span.events] == ["run.start", "run.finish"]
+        # CLI telemetry gains no keys: trace ids only for ambient traces.
+        assert "trace_id" not in result.telemetry()
+        assert "span_id" not in result.telemetry()
+
+    def test_telemetry_key_set_is_pinned(self):
+        cases = [
+            (ExperimentSpec("fig1.storage"), _BASE_KEYS),
+            (
+                ExperimentSpec("fig3.coverage", backend="monte_carlo", seed=7,
+                               params={"tolerance": 0.05}),
+                _FIG3_SEQUENTIAL_KEYS,
+            ),
+            (
+                ExperimentSpec("fig5.performance", trials=2,
+                               params={"n_cycles": 300}),
+                _FIG5_KEYS,
+            ),
+        ]
+        with Session() as session:
+            for spec, expected in cases:
+                telemetry = session.run(spec).telemetry()
+                assert telemetry["schema"] == 1
+                assert _key_paths(telemetry) == expected, spec.experiment
+
 
 class TestProgressFaultIsolation:
     def test_broken_progress_callback_is_dropped_not_fatal(self, caplog):
@@ -310,7 +371,7 @@ class TestProgressFaultIsolation:
         assert len(calls) == 1
         assert calls[0]["event"] == "start"
         warnings = [
-            r for r in caplog.records if "subscriber" in r.getMessage()
+            r for r in caplog.records if "progress callback" in r.getMessage()
         ]
         assert len(warnings) == 1
 

@@ -302,6 +302,14 @@ class TestTimeoutsAndRetries:
                 assert await job.wait(timeout=5.0)
                 assert job.state == DONE
                 assert job.attempts == 3
+                # Each retry's emit lands in the ambient worker.run span.
+                (span,) = [s for s in job.trace.spans if s.name == "worker.run"]
+                retries = [
+                    attrs for name, _, attrs in span.events
+                    if name == "service.job_retry"
+                ]
+                assert [r["attempt"] for r in retries] == [1, 2]
+                assert all("flaky" in r["error"] for r in retries)
             finally:
                 await service.stop()
 
@@ -492,7 +500,10 @@ class TestStats:
                 assert stats["dedup"]["store_hits"] == 1
                 assert stats["store"]["stores"] == 1
                 assert stats["session"]["runs_started"] == 1
-                assert stats["service_events"]["events.service.submit"] == 2
+                # Both submissions counted: one queued, one store hit.
+                assert stats["queue"]["submitted"] + stats["jobs"]["from_store"] == 2
+                assert stats["queue"]["coalesced"] == 0
+                assert "service_events" not in stats
                 assert stats["uptime_seconds"] >= 0
             finally:
                 await service.stop()

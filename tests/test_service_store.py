@@ -11,7 +11,7 @@ import pytest
 from repro.api import ExperimentSpec, Session
 from repro.api.result import Result, Series
 from repro.engine import ResultCache
-from repro.obs import RunRecorder, use_recorder
+from repro.obs import RunRecorder, Trace
 from repro.service import ResultStore
 
 
@@ -94,11 +94,11 @@ class TestTtl:
         clock = FakeClock()
         store = ResultStore(ttl_seconds=5.0, clock=clock)
         result = make_result()
-        recorder = RunRecorder()
-        with use_recorder(recorder):
+        with Trace().span("sweep") as span:
             store.put(result)
             clock.advance(6.0)
             store.sweep()
+        recorder = RunRecorder(span)
         events = [e for e in recorder.events if e["event"] == "store.evict"]
         assert len(events) == 1
         assert events[0]["key"] == result.spec_hash
