@@ -74,8 +74,9 @@ Eight subcommands:
 Exit status: 0 on success, 2 on usage errors (including unknown
 experiment names, unknown scenarios, non-positive ``--workers`` counts
 and nonexistent ``report``/``bench-trend``/``cache``/``--telemetry``
-paths), 1 on execution failures.  ``--workers N`` fans Monte Carlo
-runs out over the session's persistent worker pool; bare ``--json``
+paths), 1 on execution failures (a worker process killed mid-run
+included).  ``--workers N`` fans Monte Carlo runs out over the
+session's persistent worker pool; bare ``--json``
 (no PATH) prints the full Result JSON to stdout with the summary table
 suppressed.
 """
@@ -86,6 +87,7 @@ import argparse
 import json
 import logging
 import sys
+from concurrent.futures.process import BrokenProcessPool
 from pathlib import Path
 from typing import Sequence
 
@@ -758,7 +760,7 @@ def _cmd_run(args) -> int:
     except (UnknownExperimentError, UnknownScenarioError, SpecError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except (ValueError, KeyError) as exc:
+    except (ValueError, KeyError, BrokenProcessPool) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     finally:

@@ -248,18 +248,14 @@ class Session:
         ``finish`` event carries an additional ``error`` field.  A
         callback that raises is logged once and not called again for
         that run, instead of killing it.
-    mp_context:
-        Explicit multiprocessing start method for the session's
-        executor ("fork", "spawn", ... or a context object); the
-        default resolves per
-        :func:`repro.engine.executor.resolve_mp_context`.
 
     The session owns one persistent
     :class:`~repro.engine.executor.SharedExecutor`: every Monte Carlo
     run of its life — fault-injection and performance cells alike —
     reuses the same warm worker pool instead of re-forking per call.
     Sessions are context managers; :meth:`close` (or ``with``-exit)
-    tears the pool down.
+    tears the pool down, and a later run restarts it through the
+    executor's own lazy path.
 
     Every :meth:`run` executes inside its own ``engine.execute`` span
     (a child of the ambient trace's span, or the root of a fresh
@@ -278,16 +274,19 @@ class Session:
         workers: int = 1,
         cache_dir: "str | Path | None" = None,
         progress: "Callable[[dict], None] | None" = None,
-        mp_context=None,
     ):
+        from repro.engine import SharedExecutor
+
         if workers < 1:
             raise ValueError("workers must be positive")
         self.workers = workers
         self.progress = progress
         self._cache = None
         self._cache_dir = Path(cache_dir) if cache_dir is not None else None
-        self._mp_context = mp_context
-        self._executor = None
+        #: The session's persistent :class:`SharedExecutor`, shared by
+        #: every engine and performance run.  Cheap to build: no worker
+        #: process starts before the first parallel map.
+        self.executor = SharedExecutor(workers=workers)
         self._last_recorder: "RunRecorder | None" = None
         # Lifetime run counters.  The experiment service drives one
         # session from several worker threads, so these are guarded by
@@ -328,24 +327,10 @@ class Session:
             self._cache = ResultCache(self._cache_dir)
         return self._cache
 
-    @property
-    def executor(self):
-        """The session's persistent :class:`SharedExecutor` (lazily
-        built; shared by every engine and performance run it drives)."""
-        if self._executor is None:
-            from repro.engine import SharedExecutor
-
-            self._executor = SharedExecutor(
-                workers=self.workers, mp_context=self._mp_context
-            )
-        return self._executor
-
     def close(self) -> None:
         """Release the worker pool (idempotent; a later run lazily
         rebuilds it)."""
-        executor, self._executor = self._executor, None
-        if executor is not None:
-            executor.close()
+        self.executor.close()
 
     def __enter__(self) -> "Session":
         return self

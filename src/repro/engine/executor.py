@@ -19,9 +19,8 @@ their payloads: the engine's block-keyed RNG makes results independent
 of which worker runs which chunk, so executor reuse — like worker
 count and chunk size — cannot change any result.
 
-The start method is always an explicit, pinned choice.  It resolves,
-in order: an explicit argument, the ``REPRO_MP_CONTEXT`` environment
-variable, ``"fork"`` on Linux, then the platform's own default
+The start method is always an explicit, pinned choice: an explicit
+argument, else ``"fork"`` on Linux, else the platform's own default
 (spawn on macOS/Windows — fork is unsafe there once Accelerate /
 Objective-C threads exist, so it is never silently imposed).
 Everything shipped to workers (specs, scenario models, protection
@@ -29,36 +28,41 @@ configs) is a small picklable value object and the worker entry points
 are module-level functions, so the engine is spawn-safe by
 construction; a dedicated test pins the spawn-vs-serial bit-identity.
 
+The pool itself is a stdlib
+:class:`concurrent.futures.ProcessPoolExecutor`, which owns the worker
+lifecycle: it reaps its workers at interpreter exit and when it is
+garbage-collected, and a worker that dies mid-task (OOM killer,
+``SIGKILL``) breaks the pool with
+:class:`~concurrent.futures.process.BrokenProcessPool` instead of
+losing the task silently.  :meth:`SharedExecutor.map` reports the
+break, drops the dead pool so the next parallel map builds a fresh one,
+and re-raises — a killed worker is an error in bounded time, never a
+hang.  Retrying is the caller's decision (the experiment service
+retries it as a transient failure).
+
 One standard Python caveat applies under ``"spawn"`` (and
 ``"forkserver"``): children re-import the driver's ``__main__``
 module, so a *script* that fans out must guard its entry point with
-``if __name__ == "__main__":`` — an unguarded script makes the
-children re-execute the top level and the stock ``Pool`` machinery
-hangs re-spawning them.  Imported library code, pytest and the
+``if __name__ == "__main__":``.  Imported library code, pytest and the
 ``python -m repro`` CLI are already safe.
 """
 
 from __future__ import annotations
 
-import atexit
-import contextlib
 import logging
 import multiprocessing
-import os
 import sys
 import threading
+from concurrent.futures import ProcessPoolExecutor
+from concurrent.futures.process import BrokenProcessPool
 from multiprocessing.context import BaseContext
 from typing import Any, Callable, Iterable, Sequence
 
 from repro.obs import emit
 
-__all__ = ["SharedExecutor", "resolve_mp_context", "MP_CONTEXT_ENV"]
+__all__ = ["SharedExecutor", "resolve_mp_context"]
 
 _log = logging.getLogger(__name__)
-
-#: Environment variable naming the default start method ("fork",
-#: "spawn" or "forkserver") when no explicit context is passed.
-MP_CONTEXT_ENV = "REPRO_MP_CONTEXT"
 
 
 def resolve_mp_context(
@@ -67,19 +71,16 @@ def resolve_mp_context(
     """Resolve an explicit multiprocessing context.
 
     ``mp_context`` may be a start-method name, an already-built
-    context, or ``None`` — which consults ``$REPRO_MP_CONTEXT``, then
-    prefers ``"fork"`` on Linux (cheapest; shares the imported
-    package), and otherwise pins the platform's default start method
-    (macOS switched its default to spawn because forking after
-    Accelerate/Objective-C threads start is unsafe — that choice is
-    deliberately respected, not overridden).  Unknown names raise
-    ``ValueError`` eagerly, not inside a worker.
+    context, or ``None`` — which prefers ``"fork"`` on Linux (cheapest;
+    shares the imported package), and otherwise pins the platform's
+    default start method (macOS switched its default to spawn because
+    forking after Accelerate/Objective-C threads start is unsafe — that
+    choice is deliberately respected, not overridden).  Unknown names
+    raise ``ValueError`` eagerly, not inside a worker.
     """
     if isinstance(mp_context, BaseContext):
         return mp_context
     name = mp_context
-    if name is None:
-        name = os.environ.get(MP_CONTEXT_ENV) or None
     if name is None:
         methods = multiprocessing.get_all_start_methods()
         if sys.platform.startswith("linux") and "fork" in methods:
@@ -102,8 +103,9 @@ class SharedExecutor:
         :func:`resolve_mp_context` for the default resolution.
 
     The underlying pool is created on the first parallel :meth:`map`
-    and reused until :meth:`close`; the executor is also a context
-    manager, and closing is idempotent.
+    and reused until :meth:`close` (or until a worker dies and breaks
+    it); the executor is also a context manager, and closing is
+    idempotent.
     """
 
     def __init__(
@@ -115,13 +117,11 @@ class SharedExecutor:
             raise ValueError("workers must be positive")
         self._workers = workers
         self._context = resolve_mp_context(mp_context)
-        self._pool = None
-        # Pool lifecycle is guarded by a lock: the experiment service
-        # drives one executor from several threads, so pool creation and
-        # close() must be race-free (and close() idempotent under
-        # concurrent callers).
+        self._pool: "ProcessPoolExecutor | None" = None
+        # The experiment service drives one executor from several
+        # threads, so building, dropping and closing the pool are
+        # serialized (and close() is idempotent under concurrent callers).
         self._lock = threading.Lock()
-        self._atexit_registered = False
 
     # ------------------------------------------------------------------
     @property
@@ -146,7 +146,9 @@ class SharedExecutor:
 
         Runs inline for a single worker or a single payload (matching
         the historical runner behavior); otherwise fans out over the
-        persistent pool, creating it on first use.
+        persistent pool, creating it on first use.  A worker that dies
+        mid-map raises :class:`BrokenProcessPool`; the dead pool is
+        dropped first, so the next parallel map starts a fresh one.
         """
         items = list(payloads)
         if self._workers == 1 or len(items) <= 1:
@@ -167,15 +169,9 @@ class SharedExecutor:
                     workers=self._workers,
                     start_method=self.start_method,
                 )
-                self._pool = self._context.Pool(processes=self._workers)
-                if not self._atexit_registered:
-                    # Worker processes must never outlive an owner that
-                    # exits without close(): the hook reaps them at
-                    # interpreter shutdown (and is unregistered again
-                    # once close() has run, so closed executors don't
-                    # pile up references in the atexit table).
-                    atexit.register(self.close)
-                    self._atexit_registered = True
+                self._pool = ProcessPoolExecutor(
+                    max_workers=self._workers, mp_context=self._context
+                )
             pool = self._pool
         emit(
             "executor.map",
@@ -184,20 +180,30 @@ class SharedExecutor:
             workers=self._workers,
             inline=False,
         )
-        return pool.map(func, items)
+        try:
+            return list(pool.map(func, items))
+        except BrokenProcessPool as exc:
+            emit(
+                "executor.pool.broken",
+                logger=_log,
+                level=logging.WARNING,
+                workers=self._workers,
+                error=repr(exc),
+            )
+            with self._lock:
+                if self._pool is pool:  # concurrent maps see one break
+                    self._pool = None
+            raise
 
     def close(self) -> None:
         """Tear down the pool (if any); the executor stays reusable.
 
         Idempotent and safe under concurrent callers: exactly one
         caller tears the pool down, the rest return immediately.
+        Queued work is cancelled; chunks already running finish first.
         """
         with self._lock:
             pool, self._pool = self._pool, None
-            if self._atexit_registered:
-                with contextlib.suppress(Exception):  # interpreter teardown
-                    atexit.unregister(self.close)
-                self._atexit_registered = False
         if pool is not None:
             emit(
                 "executor.pool.close",
@@ -205,8 +211,7 @@ class SharedExecutor:
                 level=logging.INFO,
                 workers=self._workers,
             )
-            pool.terminate()
-            pool.join()
+            pool.shutdown(wait=True, cancel_futures=True)
 
     # ------------------------------------------------------------------
     def __enter__(self) -> "SharedExecutor":
@@ -214,10 +219,6 @@ class SharedExecutor:
 
     def __exit__(self, *exc_info) -> None:
         self.close()
-
-    def __del__(self):  # pragma: no cover - interpreter-shutdown path
-        with contextlib.suppress(Exception):
-            self.close()
 
     def __repr__(self) -> str:
         state = "started" if self.started else "idle"

@@ -119,10 +119,8 @@ class ExperimentService:
         job_timeout: "float | None" = None,
         max_retries: int = 2,
         retry_backoff: float = 0.1,
-        transient: "tuple[type[BaseException], ...]" = (ConnectionError, OSError),
         cache_dir: "str | Path | None" = None,
         session: "Session | None" = None,
-        mp_context=None,
         registry: "MetricsRegistry | None" = None,
         trace_dir: "str | Path | None" = None,
         profile_dir: "str | Path | None" = None,
@@ -134,7 +132,7 @@ class ExperimentService:
         )
         self._owns_session = session is None
         self.session = session or Session(
-            workers=engine_workers, cache_dir=cache_dir, mp_context=mp_context
+            workers=engine_workers, cache_dir=cache_dir
         )
         store_root = (
             Path(cache_dir) / "results" if cache_dir is not None else None
@@ -152,7 +150,6 @@ class ExperimentService:
             job_timeout=job_timeout,
             max_retries=max_retries,
             retry_backoff=retry_backoff,
-            transient=transient,
             on_success=self._on_success,
             on_finish=self._on_finish,
             instruments=self.instruments,

@@ -15,8 +15,10 @@ Per-job controls:
   job settles as ``timeout``; the underlying thread cannot be killed
   mid-``Session.run`` and is left to finish into the void (its result
   is discarded), which is the standard asyncio/thread trade-off.
-- **retry with backoff** — exceptions matching ``transient`` retry up
-  to ``max_retries`` times with exponential backoff
+- **retry with backoff** — exceptions in :data:`TRANSIENT` (connection
+  and OS errors, and a worker process killed mid-run, which breaks the
+  engine's pool; the next attempt starts a fresh one) retry up to
+  ``max_retries`` times with exponential backoff
   (``retry_backoff * 2**attempt`` seconds).  Everything else —
   :class:`~repro.api.spec.SpecError`, programming errors — fails the
   job immediately; re-running a deterministic failure cannot fix it.
@@ -46,6 +48,7 @@ from __future__ import annotations
 import asyncio
 import logging
 import time
+from concurrent.futures.process import BrokenProcessPool
 from typing import TYPE_CHECKING, Callable
 
 from repro.obs import emit
@@ -66,6 +69,11 @@ __all__ = ["WorkerPool"]
 
 _log = logging.getLogger(__name__)
 
+#: Failures worth retrying: the next attempt may succeed where this one
+#: did not (a killed engine worker breaks the pool; the retry runs on a
+#: fresh one).
+TRANSIENT = (ConnectionError, OSError, BrokenProcessPool)
+
 
 class WorkerPool:
     """``workers`` asyncio tasks executing jobs from a :class:`JobQueue`.
@@ -85,8 +93,6 @@ class WorkerPool:
         Extra attempts allowed after a transient failure.
     retry_backoff:
         Base backoff in seconds (doubles per retry).
-    transient:
-        Exception types worth retrying.
     on_success:
         Optional hook ``on_success(job, result)`` invoked on the event
         loop before the job resolves (the service stores the result
@@ -111,7 +117,6 @@ class WorkerPool:
         job_timeout: "float | None" = None,
         max_retries: int = 2,
         retry_backoff: float = 0.1,
-        transient: "tuple[type[BaseException], ...]" = (ConnectionError, OSError),
         on_success: "Callable[[Job, object], None] | None" = None,
         on_finish: "Callable[[Job], None] | None" = None,
         instruments: "ServiceInstruments | None" = None,
@@ -126,7 +131,6 @@ class WorkerPool:
         self.job_timeout = job_timeout
         self.max_retries = max_retries
         self.retry_backoff = retry_backoff
-        self.transient = transient
         self._on_success = on_success
         self._on_finish = on_finish
         self._instruments = instruments
@@ -237,7 +241,7 @@ class WorkerPool:
                     except asyncio.CancelledError:
                         job.reject(CANCELLED, "worker cancelled")
                         raise
-                    except self.transient as exc:
+                    except TRANSIENT as exc:
                         if job.attempts <= self.max_retries and not job.cancel_requested:
                             delay = self.retry_backoff * 2 ** (job.attempts - 1)
                             emit(

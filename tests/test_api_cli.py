@@ -120,6 +120,20 @@ class TestRun:
             Result.from_json(workers_path.read_text()).without_telemetry()
         )
 
+    def test_broken_worker_pool_exits_with_clean_error(self, capsys, monkeypatch):
+        from concurrent.futures.process import BrokenProcessPool
+
+        def killed_worker(self, spec, **kwargs):
+            raise BrokenProcessPool("a worker process was killed")
+
+        monkeypatch.setattr(Session, "run", killed_worker)
+        code = main([
+            "run", "fig3.coverage", "--trials", "256", "--workers", "2", "-q",
+        ])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err == "error: a worker process was killed\n"
+
     @pytest.mark.parametrize("count", ["0", "-3"])
     def test_non_positive_workers_exit_usage_error(self, capsys, count):
         code = main([

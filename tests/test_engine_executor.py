@@ -1,16 +1,27 @@
-"""SharedExecutor: persistence, explicit start methods, spawn safety.
+"""SharedExecutor: persistence, explicit start methods, spawn safety,
+and bounded failure when a worker dies.
 
 The executor is pure scheduling: any context, any worker count and any
 degree of pool reuse must reproduce the single-worker results bit for
 bit.  The spawn tests are the satellite guarantee that nothing on the
 worker path relies on fork's inherited state (workers re-import repro
-and rebuild decoders from pickled specs).
+and rebuild decoders from pickled specs).  The fault-injection tests
+kill a worker mid-map: that must surface as ``BrokenProcessPool`` in
+bounded time (never a hang), and the executor must recover.
 """
 
 from __future__ import annotations
 
+import contextvars
+import logging
 import multiprocessing
 import os
+import signal
+import subprocess
+import sys
+import textwrap
+import threading
+from concurrent.futures.process import BrokenProcessPool
 
 import numpy as np
 import pytest
@@ -22,7 +33,6 @@ from repro.engine import (
     resolve_mp_context,
     run_experiment,
 )
-from repro.engine.executor import MP_CONTEXT_ENV
 from repro.scenarios import ClusteredMbuScenario
 from repro.perf import run_performance_grid
 from repro.cmp.config import ProtectionConfig, lean_cmp_config
@@ -37,11 +47,55 @@ def _square(x):
     return x * x
 
 
-class TestResolveContext:
-    def test_default_is_fork_on_linux_else_platform_default(self, monkeypatch):
-        import sys
+def _die_on_one(x):
+    """Payload that SIGKILLs its own worker process on ``x == 1``."""
+    if x == 1:
+        os.kill(os.getpid(), signal.SIGKILL)
+    return x
 
-        monkeypatch.delenv(MP_CONTEXT_ENV, raising=False)
+
+def _map_with_deadline(executor, func, payloads, deadline=10.0):
+    """Run ``executor.map`` in a daemon thread joined with a timeout.
+
+    Returns ``("ok", value)`` or ``("raised", exc)``; a map still
+    running at the deadline fails the test instead of hanging the
+    suite.
+    """
+    outcome = []
+
+    def target():
+        try:
+            outcome.append(("ok", executor.map(func, payloads)))
+        except BaseException as exc:
+            outcome.append(("raised", exc))
+
+    # Carry the ambient trace span into the thread, so emitted events
+    # land where the test reads them.
+    context = contextvars.copy_context()
+    thread = threading.Thread(target=context.run, args=(target,), daemon=True)
+    thread.start()
+    thread.join(timeout=deadline)
+    if thread.is_alive():
+        pytest.fail(f"executor.map did not return within {deadline}s")
+    return outcome[0]
+
+
+def _pid_alive(pid: int) -> bool:
+    """Whether ``pid`` is a live (non-zombie) process."""
+    try:
+        os.kill(pid, 0)
+    except ProcessLookupError:
+        return False
+    # A zombie still answers signal 0; procfs (where present) tells.
+    try:
+        with open(f"/proc/{pid}/stat") as fh:
+            return fh.read().rsplit(")", 1)[1].split()[0] != "Z"
+    except OSError:
+        return True
+
+
+class TestResolveContext:
+    def test_default_is_fork_on_linux_else_platform_default(self):
         context = resolve_mp_context()
         if sys.platform.startswith("linux"):
             assert context.get_start_method() == "fork"
@@ -49,10 +103,6 @@ class TestResolveContext:
             # Never override the platform's own (safety-motivated) choice.
             expected = multiprocessing.get_context().get_start_method()
             assert context.get_start_method() == expected
-
-    def test_env_override(self, monkeypatch):
-        monkeypatch.setenv(MP_CONTEXT_ENV, "spawn")
-        assert resolve_mp_context().get_start_method() == "spawn"
 
     def test_explicit_name_and_context_object(self):
         assert resolve_mp_context("spawn").get_start_method() == "spawn"
@@ -153,17 +203,20 @@ class TestSessionOwnership:
             assert result.data_dict()["estimates"]
         assert not executor.started  # context exit tore the pool down
 
-    def test_session_mp_context_passthrough(self):
-        with Session(workers=2, mp_context="spawn") as session:
-            assert session.executor.start_method == "spawn"
-
     def test_close_is_idempotent_and_rebuilds_lazily(self):
+        spec = ExperimentSpec("fig3.coverage", trials=256, seed=13)
         session = Session(workers=2)
-        first = session.executor
-        session.close()
-        session.close()
-        assert session.executor is not first
-        session.close()
+        try:
+            before = session.run(spec).without_telemetry()
+            session.close()
+            session.close()
+            assert not session.executor.started
+            # A run after close() restarts the pool and returns the
+            # same bytes.
+            after = session.run(spec).without_telemetry()
+            assert after.to_json() == before.to_json()
+        finally:
+            session.close()
 
     def test_session_runs_match_across_worker_counts(self):
         spec = ExperimentSpec("fig3.coverage", trials=256, seed=12)
@@ -176,7 +229,7 @@ class TestSessionOwnership:
 
 
 class TestLifecycleSafety:
-    """Satellite: atexit reaping + close() idempotent under concurrency."""
+    """close() idempotent under concurrency; pool creation race-free."""
 
     def test_concurrent_close_is_idempotent(self):
         import threading
@@ -221,38 +274,6 @@ class TestLifecycleSafety:
         finally:
             executor.close()
 
-    def test_atexit_hook_registered_on_start_unregistered_on_close(self, monkeypatch):
-        import atexit
-
-        registered = []
-        unregistered = []
-        monkeypatch.setattr(
-            atexit, "register", lambda fn, *a, **k: registered.append(fn)
-        )
-        monkeypatch.setattr(
-            atexit, "unregister", lambda fn: unregistered.append(fn)
-        )
-        executor = SharedExecutor(workers=2)
-        assert registered == []  # nothing registered before a pool exists
-        executor.map(_square, range(8))
-        assert registered == [executor.close]
-        executor.map(_square, range(8))
-        assert registered == [executor.close]  # once, not per map
-        executor.close()
-        assert unregistered == [executor.close]
-
-    def test_inline_map_never_registers_atexit(self, monkeypatch):
-        import atexit
-
-        registered = []
-        monkeypatch.setattr(
-            atexit, "register", lambda fn, *a, **k: registered.append(fn)
-        )
-        executor = SharedExecutor(workers=1)
-        executor.map(_square, range(8))
-        assert registered == []  # no pool, nothing to reap
-        executor.close()
-
     def test_pool_rebuilds_after_close(self):
         executor = SharedExecutor(workers=2)
         assert executor.map(_square, range(8)) == [x * x for x in range(8)]
@@ -262,3 +283,81 @@ class TestLifecycleSafety:
         assert executor.map(_square, range(8)) == [x * x for x in range(8)]
         assert executor.started
         executor.close()
+
+
+class TestWorkerDeath:
+    """A killed worker is an error in bounded time, and the executor
+    (and a session on it) recovers with unchanged results."""
+
+    def test_sigkilled_worker_raises_broken_pool_in_bounded_time(self):
+        executor = SharedExecutor(workers=2)
+        try:
+            kind, value = _map_with_deadline(executor, _die_on_one, range(4))
+            assert kind == "raised", value
+            assert isinstance(value, BrokenProcessPool)
+            assert not executor.started  # the dead pool was dropped
+        finally:
+            executor.close()
+
+    def test_broken_pool_is_reported_as_a_warning_event(self, caplog):
+        from repro.obs import Trace
+
+        executor = SharedExecutor(workers=2)
+        try:
+            with caplog.at_level(logging.WARNING, logger="repro.engine.executor"):
+                with Trace().span("x") as span:
+                    kind, _ = _map_with_deadline(executor, _die_on_one, range(4))
+            assert kind == "raised"
+            (broken,) = [
+                attrs for name, _, attrs in span.events
+                if name == "executor.pool.broken"
+            ]
+            assert broken["workers"] == 2
+            assert [r.levelno for r in caplog.records] == [logging.WARNING]
+        finally:
+            executor.close()
+
+    def test_executor_and_session_recover_after_a_break(self):
+        spec = ExperimentSpec("fig3.coverage", trials=256, seed=14)
+        with Session(workers=1) as one:
+            serial = one.run(spec).without_telemetry()
+        with Session(workers=2) as session:
+            executor = session.executor
+            kind, value = _map_with_deadline(executor, _die_on_one, range(4))
+            assert kind == "raised" and isinstance(value, BrokenProcessPool)
+            # The same executor maps correctly again on a fresh pool ...
+            assert _map_with_deadline(executor, _square, range(8)) == (
+                "ok", [x * x for x in range(8)]
+            )
+            # ... and a full parallel run on it matches one worker.
+            assert session.run(spec).without_telemetry() == serial
+
+    def test_unclosed_executor_is_reaped_at_interpreter_exit(self):
+        script = textwrap.dedent(
+            """
+            import multiprocessing
+            from repro.engine import SharedExecutor
+
+            def square(x):
+                return x * x
+
+            executor = SharedExecutor(workers=2)
+            assert executor.map(square, range(8)) == [x * x for x in range(8)]
+            print(" ".join(str(p.pid) for p in multiprocessing.active_children()))
+            # exits without executor.close()
+            """
+        )
+        env = dict(os.environ)
+        src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
+        env["PYTHONPATH"] = os.pathsep.join(
+            filter(None, [os.path.abspath(src), env.get("PYTHONPATH")])
+        )
+        # A run that does not exit within 10 s raises TimeoutExpired.
+        proc = subprocess.run(
+            [sys.executable, "-c", script],
+            capture_output=True, text=True, timeout=10.0, env=env,
+        )
+        assert proc.returncode == 0, proc.stderr
+        pids = [int(p) for p in proc.stdout.split()]
+        assert pids  # the map really ran on worker processes
+        assert not [pid for pid in pids if _pid_alive(pid)]

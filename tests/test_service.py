@@ -12,6 +12,7 @@ import asyncio
 import json
 import threading
 import time
+from concurrent.futures.process import BrokenProcessPool
 
 import pytest
 
@@ -310,6 +311,37 @@ class TestTimeoutsAndRetries:
                 ]
                 assert [r["attempt"] for r in retries] == [1, 2]
                 assert all("flaky" in r["error"] for r in retries)
+            finally:
+                await service.stop()
+
+        run(main())
+
+    def test_broken_engine_pool_retries_on_a_fresh_attempt(self):
+        async def main():
+            failures = iter([BrokenProcessPool("worker killed")])
+
+            def killed_once(job_spec):
+                try:
+                    raise next(failures)
+                except StopIteration:
+                    return make_result(job_spec)
+
+            service = stub_service(
+                session=StubSession(script=killed_once), max_retries=2
+            )
+            await service.start()
+            try:
+                job, _ = service.submit(spec(1))
+                assert await job.wait(timeout=5.0)
+                assert job.state == DONE
+                assert job.attempts == 2
+                (span,) = [s for s in job.trace.spans if s.name == "worker.run"]
+                retries = [
+                    attrs for name, _, attrs in span.events
+                    if name == "service.job_retry"
+                ]
+                assert [r["attempt"] for r in retries] == [1]
+                assert "BrokenProcessPool" in retries[0]["error"]
             finally:
                 await service.stop()
 
