@@ -345,7 +345,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--job-timeout",
         type=float,
         metavar="SECONDS",
-        help="default per-attempt job timeout (default: unbounded)",
+        help="default per-attempt job timeout, > 0 (default: unbounded)",
     )
     server.add_argument(
         "--cache-dir",
@@ -597,20 +597,24 @@ def _cmd_serve(args) -> int:
         print(f"error: --port must be 0-65535, got {args.port}", file=sys.stderr)
         return 2
 
+    try:
+        service = ExperimentService(
+            workers=args.workers,
+            engine_workers=args.engine_workers,
+            queue_capacity=args.queue_capacity,
+            ttl_seconds=args.ttl or None,  # 0 disables expiry
+            job_timeout=args.job_timeout,
+            cache_dir=args.cache_dir,
+            trace_dir=args.trace_dir,
+            profile_dir=args.profile_dir,
+        )
+    except ValueError as exc:  # e.g. a --job-timeout that is not > 0
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
+
     logger = handler = None
     if args.verbose:
         logger, handler = _verbose_telemetry_handler()
-
-    service = ExperimentService(
-        workers=args.workers,
-        engine_workers=args.engine_workers,
-        queue_capacity=args.queue_capacity,
-        ttl_seconds=args.ttl or None,  # 0 disables expiry
-        job_timeout=args.job_timeout,
-        cache_dir=args.cache_dir,
-        trace_dir=args.trace_dir,
-        profile_dir=args.profile_dir,
-    )
 
     def announce(server) -> None:
         print(

@@ -4,8 +4,8 @@
 long-running system: thousands of concurrent spec submissions flow
 through a priority queue that **coalesces duplicate work in flight**
 (single-flight dedup keyed on
-:meth:`~repro.api.spec.ExperimentSpec.content_hash`), an asyncio worker
-pool drains the queue onto one shared
+:meth:`~repro.api.spec.ExperimentSpec.content_hash`), asyncio worker
+tasks drain the queue onto one shared
 :class:`~repro.api.session.Session` (one warm
 :class:`~repro.engine.executor.SharedExecutor`, one engine cache), and
 completed results are served from a TTL'd
@@ -15,15 +15,14 @@ Layers (stdlib-only — asyncio streams, ``http.client``, ``json``):
 
 - :mod:`~repro.service.queue` — :class:`JobQueue`/:class:`Job`:
   priorities, bounded capacity, single-flight dedup.
-- :mod:`~repro.service.workers` — :class:`WorkerPool`: ``to_thread``
-  execution with per-job timeout, bounded retry-with-backoff,
-  cancellation.
 - :mod:`~repro.service.store` — :class:`ResultStore`: TTL/eviction,
-  hit/miss/coalesce counters, lossless Result JSON round-trip,
-  optional disk mirror, engine-cache co-pruning.
+  hit/miss counters, lossless Result JSON round-trip, optional disk
+  mirror.
 - :mod:`~repro.service.app` — :class:`ExperimentService`: the control
-  plane gluing the three together (``submit`` → store hit | coalesce |
-  queue) plus ``stats``/``healthz``.
+  plane (``submit`` → store hit | coalesce | queue), the worker tasks
+  that run and settle each job (``to_thread`` execution with per-job
+  timeout, bounded retry-with-backoff, cancellation), housekeeping
+  (store TTL sweep plus engine-cache pruning) and ``stats``/``healthz``.
 - :mod:`~repro.service.instruments` — :class:`ServiceInstruments`: the
   service's metric families (outcome counters, latency/queue-wait
   histograms, worker-utilization gauges) on a
@@ -47,7 +46,7 @@ Quickstart::
     from repro.service import ServiceClient
     client = ServiceClient(port=8765)
     job = client.run("fig3.coverage", trials=4096, seed=2007)
-    print(job["result"]["data"]["coverage"])
+    print(job["result"]["data"]["estimates"])
 """
 
 from .app import ExperimentService
@@ -68,7 +67,6 @@ from .queue import (
 from .runner import serve_forever
 from .server import ServiceServer
 from .store import ResultStore
-from .workers import WorkerPool
 
 __all__ = [
     "CANCELLED",
@@ -88,6 +86,5 @@ __all__ = [
     "ServiceError",
     "ServiceInstruments",
     "ServiceServer",
-    "WorkerPool",
     "serve_forever",
 ]

@@ -1,15 +1,13 @@
 """The experiment service: submissions in, deduplicated results out.
 
-:class:`ExperimentService` composes the service's pieces around one
-shared :class:`~repro.api.session.Session` (hence one persistent
+:class:`ExperimentService` owns one shared
+:class:`~repro.api.session.Session` (hence one persistent
 :class:`~repro.engine.executor.SharedExecutor` and one engine
-:class:`~repro.engine.cache.ResultCache`):
+:class:`~repro.engine.cache.ResultCache`) and composes it with:
 
 - a :class:`~repro.service.queue.JobQueue` admitting specs with
   priorities, bounded capacity, and single-flight dedup by
   ``content_hash()``;
-- a :class:`~repro.service.workers.WorkerPool` running jobs on the
-  session via ``asyncio.to_thread`` with timeout/retry/cancellation;
 - a :class:`~repro.service.store.ResultStore` serving completed
   results by hash with TTL'd eviction.
 
@@ -19,13 +17,38 @@ A submission takes the cheapest path available::
     in flight  ->  attach to the existing job (dedup coalesce)
     otherwise  ->  a new queued job (429 when the queue is full)
 
-Every stage emits ``service.*`` telemetry through
+Queued jobs are run by ``workers`` asyncio tasks.  Each one loops
+``await queue.get()``, runs the job's spec on the session through
+``asyncio.to_thread`` and settles the job, so ``workers`` bounds the
+concurrent engine runs across distinct specs (the engine's process
+pool parallelizes within one run).  Per job attempt:
+
+- **timeout** -- ``job.timeout`` (else the service's ``job_timeout``)
+  bounds one attempt via ``asyncio.wait_for``.  A timed-out job settles
+  as ``timeout``; its thread cannot be killed mid-``Session.run`` and
+  finishes into the void (the result is discarded).
+- **retry with backoff** -- exceptions in :data:`TRANSIENT` retry up to
+  ``max_retries`` times after ``retry_backoff * 2**(attempt - 1)``
+  seconds.  Anything else (a :class:`~repro.api.spec.SpecError`, a
+  programming error) fails the job at once: re-running a deterministic
+  failure cannot fix it.
+- **cancellation** -- a cancel request against a running job lets the
+  attempt finish, discards the outcome and settles the job as
+  ``cancelled`` (queued jobs cancel at once inside the queue).
+
+A successful attempt is written to the store first and the job then
+settles with the store's JSON text, so a waiter never sees a done job
+whose result is not stored.
+
+Every transition emits ``service.*`` telemetry through
 :func:`repro.obs.emit`: it is logged, and an event raised while a job
 span is ambient (a retry inside ``worker.run``, a store write inside
-``store.write``) lands in that job's trace.  Each job's engine run
-records into its own ``engine.execute`` span inside ``Session.run``, so
-every ``Result`` carries its own ``meta["telemetry"]``.  Service-wide
-counts live on ``GET /stats`` (queue and job counters) and
+``store.write``) lands in that job's trace.  Claiming a job records its
+``queue.wait`` span; the execution runs inside ``worker.run``, which
+crosses ``asyncio.to_thread`` into ``Session.run`` (its
+``engine.execute`` span is a child).  Service-wide counts live on
+``GET /stats`` (each number once) and on the
+:class:`~repro.service.instruments.ServiceInstruments` families behind
 ``GET /metrics``.
 
 The service is asyncio-single-threaded at the control plane: submit,
@@ -39,7 +62,9 @@ import asyncio
 import contextlib
 import json
 import logging
+import math
 import time
+from concurrent.futures.process import BrokenProcessPool
 from pathlib import Path
 from typing import Optional
 
@@ -51,9 +76,16 @@ from repro.obs import emit
 from repro.obs.metrics import MetricsRegistry
 
 from .instruments import ServiceInstruments
-from .queue import Job, JobQueue
+from .queue import (
+    CANCELLED,
+    DONE,
+    FAILED,
+    TIMEOUT,
+    Job,
+    JobQueue,
+    QueueClosedError,
+)
 from .store import ResultStore
-from .workers import WorkerPool
 
 __all__ = ["ExperimentService"]
 
@@ -63,6 +95,36 @@ _log = logging.getLogger(__name__)
 #: id registry (their results live on in the store).
 _HISTORY_LIMIT = 10_000
 
+#: Failures worth retrying: the next attempt may succeed where this one
+#: did not (a killed engine worker breaks the pool; the retry runs on a
+#: fresh one).
+TRANSIENT = (ConnectionError, OSError, BrokenProcessPool)
+
+#: Job terminal states -> ``repro_jobs_total`` outcome labels.
+_OUTCOMES = {
+    DONE: "ok",
+    FAILED: "error",
+    TIMEOUT: "timeout",
+    CANCELLED: "cancelled",
+}
+
+
+def _check_timeout(value, name: str):
+    """``value`` unchanged if it is ``None`` or a finite number of
+    seconds > 0 (a ``bool`` is not a number here); else ``ValueError``."""
+    if value is None:
+        return None
+    if (
+        isinstance(value, bool)
+        or not isinstance(value, (int, float))
+        or not math.isfinite(value)
+        or value <= 0
+    ):
+        raise ValueError(
+            f"{name} must be a finite number of seconds > 0, got {value!r}"
+        )
+    return value
+
 
 class ExperimentService:
     """Long-running, deduplicating front end over one shared session.
@@ -70,19 +132,21 @@ class ExperimentService:
     Parameters
     ----------
     workers:
-        Concurrent job executions (asyncio worker tasks).
+        Concurrent job executions (asyncio worker tasks), >= 1.
     engine_workers:
         Process count of the shared session's engine executor.
     queue_capacity:
         Bound on queued (not yet running) jobs; hit -> 429.
     ttl_seconds:
-        Result-store TTL (also forwarded to the engine cache's prune
-        during housekeeping sweeps).
+        Result-store TTL; each housekeeping :meth:`sweep` also prunes
+        the engine cache by it.
     job_timeout:
-        Default per-attempt execution timeout (``None`` = unbounded).
+        Default per-attempt execution timeout in seconds, a finite
+        number > 0 (``None`` = unbounded); a job's own ``timeout``
+        overrides it.
     max_retries / retry_backoff:
-        Transient-failure retry policy (see
-        :class:`~repro.service.workers.WorkerPool`).
+        Extra attempts after a :data:`TRANSIENT` failure (>= 0) and the
+        base backoff in seconds (doubled per retry).
     cache_dir:
         Engine result-cache directory for the shared session; also the
         parent of the store's disk mirror (``<cache_dir>/results/``).
@@ -125,7 +189,16 @@ class ExperimentService:
         trace_dir: "str | Path | None" = None,
         profile_dir: "str | Path | None" = None,
     ):
+        if workers < 1:
+            raise ValueError("workers must be positive")
+        if max_retries < 0:
+            raise ValueError("max_retries must be >= 0")
+        self.workers = workers
+        self.job_timeout = _check_timeout(job_timeout, "job_timeout")
+        self.max_retries = max_retries
+        self.retry_backoff = retry_backoff
         self.instruments = ServiceInstruments(registry)
+        self.instruments.workers_total.set(workers)
         self._trace_dir = Path(trace_dir) if trace_dir is not None else None
         self._profile_dir = (
             Path(profile_dir) if profile_dir is not None else None
@@ -137,25 +210,13 @@ class ExperimentService:
         store_root = (
             Path(cache_dir) / "results" if cache_dir is not None else None
         )
-        self.store = ResultStore(
-            ttl_seconds=ttl_seconds,
-            root=store_root,
-            engine_cache=self.session.cache,
-        )
+        self.store = ResultStore(ttl_seconds=ttl_seconds, root=store_root)
         self.queue = JobQueue(capacity=queue_capacity)
-        self.pool = WorkerPool(
-            self.queue,
-            self._execute,
-            workers=workers,
-            job_timeout=job_timeout,
-            max_retries=max_retries,
-            retry_backoff=retry_backoff,
-            on_success=self._on_success,
-            on_finish=self._on_finish,
-            instruments=self.instruments,
-        )
         self._jobs: "dict[str, Job]" = {}
         self._synthetic = 0  # store-served submissions (no queue entry)
+        self._tasks: "list[asyncio.Task]" = []
+        self.active = 0  # jobs currently executing
+        self.executed = 0  # claimed jobs run to a terminal state
         self._housekeeper: "asyncio.Task | None" = None
         self._started = False
         self._started_at: "float | None" = None
@@ -177,18 +238,22 @@ class ExperimentService:
             "service.start",
             logger=_log,
             level=logging.INFO,
-            workers=self.pool.workers,
+            workers=self.workers,
             engine_workers=self.session.workers,
             queue_capacity=self.queue.capacity,
             ttl_seconds=self.store.ttl_seconds,
         )
-        self.pool.start()
+        loop = asyncio.get_running_loop()
+        self._tasks = [
+            loop.create_task(self._worker(), name=f"repro-service-worker-{i}")
+            for i in range(self.workers)
+        ]
         interval = (
             min(max(self.store.ttl_seconds / 4.0, 1.0), 60.0)
             if self.store.ttl_seconds is not None
             else 60.0
         )
-        self._housekeeper = asyncio.get_running_loop().create_task(
+        self._housekeeper = loop.create_task(
             self._housekeeping(interval), name="repro-service-housekeeping"
         )
 
@@ -207,12 +272,13 @@ class ExperimentService:
             level=logging.INFO,
             drain=drain,
             queued=self.queue.depth,
-            active=self.pool.active,
+            active=self.active,
         )
         self.queue.close()
         if not drain:
             self.queue.cancel_pending()
-        await self.pool.join()
+        await asyncio.gather(*self._tasks, return_exceptions=True)
+        self._tasks = []
         if self._housekeeper is not None:
             self._housekeeper.cancel()
             with contextlib.suppress(asyncio.CancelledError):
@@ -225,16 +291,29 @@ class ExperimentService:
     async def _housekeeping(self, interval: float) -> None:
         while True:
             await asyncio.sleep(interval)
-            evicted = self.store.sweep()
-            self.instruments.store_entries.set(len(self.store))
-            self._trim_history()
-            if evicted:
-                emit(
-                    "service.sweep",
-                    logger=_log,
-                    evicted=evicted,
-                    store_entries=len(self.store),
-                )
+            self.sweep()
+
+    def sweep(self) -> int:
+        """One housekeeping pass; returns the number of entries evicted.
+
+        Expired store entries go first, then engine-cache entries older
+        than the same TTL, so one loop bounds both layers; the job-id
+        registry is capped too.
+        """
+        evicted = self.store.sweep()
+        cache = self.session.cache
+        if cache is not None and self.store.ttl_seconds is not None:
+            evicted += cache.prune(ttl_seconds=self.store.ttl_seconds)
+        self.instruments.store_entries.set(len(self.store))
+        self._trim_history()
+        if evicted:
+            emit(
+                "service.sweep",
+                logger=_log,
+                evicted=evicted,
+                store_entries=len(self.store),
+            )
+        return evicted
 
     def _trim_history(self) -> None:
         """Cap the job-id registry; only terminal jobs are dropped."""
@@ -262,10 +341,12 @@ class ExperimentService:
         completed, synthetic done job), ``"coalesced"`` (attached to an
         in-flight job) or ``"queued"`` (new work).  Unknown experiment
         names raise :class:`~repro.api.registry.UnknownExperimentError`
-        here, at admission, not inside a worker; a full queue raises
-        :class:`~repro.service.queue.QueueFullError`.
+        here, at admission, not inside a worker; a ``timeout`` that is
+        not a finite number of seconds > 0 raises ``ValueError``; a full
+        queue raises :class:`~repro.service.queue.QueueFullError`.
         """
         get_experiment(spec.experiment)  # admission-time validation
+        timeout = _check_timeout(timeout, "timeout")
         spec_hash = spec.content_hash()
         admitted = time.time()
         ins = self.instruments
@@ -297,7 +378,6 @@ class ExperimentService:
             spec, priority=priority, timeout=timeout
         )
         if deduped:
-            self.store.note_coalesced()
             ins.submissions_total.labels(via="coalesced").inc()
             ins.jobs_total.labels(outcome="deduped").inc()
             emit(
@@ -331,7 +411,7 @@ class ExperimentService:
         job = Job(f"s{self._synthetic:06d}", spec)
         job.from_store = True
         job.mark_running()
-        job.resolve_json(text)
+        job.resolve(text)
         self._jobs[job.id] = job
         return job
 
@@ -355,32 +435,147 @@ class ExperimentService:
         return verdict
 
     # ------------------------------------------------------------------
-    # Execution (worker thread + loop-side hooks)
+    # Execution: worker tasks on the loop, engine runs in threads
     # ------------------------------------------------------------------
+    async def _worker(self) -> None:
+        while True:
+            try:
+                job = await self.queue.get()
+            except QueueClosedError:
+                return
+            try:
+                await self._run_job(job)
+            finally:
+                self.queue.release(job)
+
+    async def _run_job(self, job: Job) -> None:
+        """Run one claimed job (``queue.get`` marked it running) to a
+        terminal state, account for it and persist its artifacts."""
+        ins = self.instruments
+        self.active += 1
+        wait = max(job.started - job.created, 0.0)
+        job.trace.add_span(
+            "queue.wait",
+            start=job.created,
+            end=job.started,
+            priority=job.priority,
+        )
+        ins.queue_wait_seconds.observe(wait)
+        ins.job_phase_seconds.labels(phase="queue.wait").observe(wait)
+        ins.queue_depth.set(self.queue.depth)
+        ins.workers_busy.inc()
+        emit(
+            "service.job_start",
+            logger=_log,
+            level=logging.INFO,
+            job=job.id,
+            hash=job.hash,
+            experiment=job.spec.experiment,
+            priority=job.priority,
+            submissions=job.submissions,
+        )
+        timeout = job.timeout if job.timeout is not None else self.job_timeout
+        claimed = time.monotonic()
+        try:
+            # worker.run is the ambient span for everything the job does
+            # from here: Session.run's engine.execute child (via the
+            # to_thread context copy) and the store.write span.
+            with job.trace.span(
+                "worker.run",
+                job=job.id,
+                experiment=job.spec.experiment,
+                submissions=job.submissions,
+            ) as span:
+                await self._attempt(job, timeout)
+                span.set(state=job.state, attempts=job.attempts)
+        finally:
+            self.active -= 1
+            self.executed += 1
+            elapsed = (
+                round(job.finished - job.started, 6)
+                if job.finished is not None
+                else None
+            )
+            ins.workers_busy.dec()
+            ins.worker_busy_seconds_total.inc(time.monotonic() - claimed)
+            ins.jobs_total.labels(
+                outcome=_OUTCOMES.get(job.state, job.state)
+            ).inc()
+            if elapsed is not None:
+                ins.job_phase_seconds.labels(phase="worker.run").observe(elapsed)
+                ins.job_latency_seconds.labels(
+                    experiment=job.spec.experiment
+                ).observe(job.finished - job.created)
+            emit(
+                "service.job_finish",
+                logger=_log,
+                level=logging.INFO,
+                job=job.id,
+                hash=job.hash,
+                state=job.state,
+                attempts=job.attempts,
+                elapsed=elapsed,
+                error=job.error,
+            )
+            self._persist_trace(job)
+            self._persist_profile(job)
+
+    async def _attempt(self, job: Job, timeout: "float | None") -> None:
+        """Run attempts until the job settles (retrying transients)."""
+        while True:
+            job.attempts += 1
+            try:
+                result = await asyncio.wait_for(
+                    asyncio.to_thread(self._execute, job), timeout
+                )
+            except asyncio.TimeoutError:
+                job.reject(
+                    TIMEOUT, f"attempt {job.attempts} exceeded {timeout}s"
+                )
+            except asyncio.CancelledError:
+                job.reject(CANCELLED, "worker cancelled")
+                raise
+            except TRANSIENT as exc:
+                if job.attempts <= self.max_retries and not job.cancel_requested:
+                    delay = self.retry_backoff * 2 ** (job.attempts - 1)
+                    emit(
+                        "service.job_retry",
+                        logger=_log,
+                        level=logging.WARNING,
+                        job=job.id,
+                        attempt=job.attempts,
+                        delay=round(delay, 3),
+                        error=repr(exc),
+                    )
+                    self.instruments.job_retries_total.inc()
+                    await asyncio.sleep(delay)
+                    continue
+                job.reject(FAILED, repr(exc))
+            except BaseException as exc:
+                job.reject(FAILED, repr(exc))
+            else:
+                if job.cancel_requested:
+                    job.reject(CANCELLED, "cancelled while running")
+                else:
+                    # Store first, then settle with the store's text:
+                    # no waiter sees a done job whose result is not
+                    # stored, and the job pins no parsed Result.
+                    try:
+                        with job.trace.span("store.write", hash=job.hash):
+                            spec_hash = self.store.put(result)
+                    except Exception as exc:  # the job must still settle
+                        job.reject(FAILED, f"store write failed: {exc!r}")
+                        return
+                    self.instruments.store_entries.set(len(self.store))
+                    job.resolve(self.store.peek(spec_hash))
+            return
+
     def _execute(self, job: Job):
         """Blocking engine run (called from a worker thread)."""
         self.instruments.engine_runs_total.inc()
         if self._profile_dir is not None:
             return self.session.run(job.spec, profile=True)
         return self.session.run(job.spec)
-
-    def _on_success(self, job: Job, result) -> "Optional[str]":
-        """Store the result before the job resolves (event loop); the
-        job then resolves with the stored JSON text, shared with the
-        store instead of pinning the :class:`Result` object.
-
-        Runs inside the worker's ``worker.run`` span context, so the
-        ``store.write`` span nests under it automatically.
-        """
-        with job.trace.span("store.write", hash=job.hash):
-            spec_hash = self.store.put(result)
-        self.instruments.store_entries.set(len(self.store))
-        return self.store.peek(spec_hash)
-
-    def _on_finish(self, job: Job) -> None:
-        """Terminal-state hook (event loop): persist trace + profile."""
-        self._persist_trace(job)
-        self._persist_profile(job)
 
     def _persist_trace(self, job: Job) -> None:
         """Best-effort write of ``<trace_dir>/<job_id>.json``."""
@@ -403,12 +598,10 @@ class ExperimentService:
         profiling (no ``--profile-dir``).
         """
         job = self._jobs.get(job_id)
-        if job is None or job.result is None:
+        result = job.result if job is not None else None
+        if result is None:
             return None
-        telemetry = getattr(job.result, "telemetry", None)
-        if telemetry is None:
-            return None
-        return (telemetry() or {}).get("profile")
+        return (result.telemetry() or {}).get("profile")
 
     def _persist_profile(self, job: Job) -> None:
         """Best-effort write of ``<profile_dir>/<job_id>.json``."""
@@ -438,6 +631,9 @@ class ExperimentService:
         states: "dict[str, int]" = {}
         for job in self._jobs.values():
             states[job.state] = states.get(job.state, 0) + 1
+        store = self.store.stats()
+        if self.session.cache is not None:
+            store["engine_cache"] = self.session.cache.stats()
         return {
             "uptime_seconds": (
                 round(time.time() - self._started_at, 3)
@@ -453,16 +649,12 @@ class ExperimentService:
             },
             "jobs": {
                 "tracked": len(self._jobs),
-                "active": self.pool.active,
-                "executed": self.pool.executed,
+                "active": self.active,
+                "executed": self.executed,
                 "from_store": self._synthetic,
                 "by_state": states,
             },
-            "dedup": {
-                "hits": self.queue.coalesced,
-                "store_hits": self.store.hits,
-            },
-            "store": self.store.stats(),
+            "store": store,
             "session": {
                 "engine_workers": self.session.workers,
                 "runs_started": self.session.runs_started,
@@ -482,13 +674,13 @@ class ExperimentService:
                 if self._started_at is not None
                 else None
             ),
-            "workers": self.pool.workers,
+            "workers": self.workers,
             "queue_depth": self.queue.depth,
             "runs_completed": self.session.runs_completed,
         }
 
     def __repr__(self) -> str:
         return (
-            f"ExperimentService(workers={self.pool.workers}, "
+            f"ExperimentService(workers={self.workers}, "
             f"queue={self.queue!r}, store={self.store!r})"
         )

@@ -35,6 +35,7 @@ from __future__ import annotations
 import asyncio
 import heapq
 import itertools
+import json
 import time
 from typing import TYPE_CHECKING, Optional
 
@@ -99,7 +100,6 @@ class Job:
         "attempts",
         "submissions",
         "error",
-        "_result",
         "result_json",
         "from_store",
         "cancel_requested",
@@ -127,7 +127,6 @@ class Job:
         self.attempts = 0
         self.submissions = 1
         self.error: "str | None" = None
-        self._result: "Result | None" = None
         #: The settled result as the store's JSON text (the very ``str``
         #: the store holds, so a settled job pins no parsed copy).
         self.result_json: "str | None" = None
@@ -151,13 +150,13 @@ class Job:
 
     @property
     def result(self) -> "Result | None":
-        """The settled :class:`Result` (parsed on demand from
-        :attr:`result_json` when the job holds the stored text)."""
-        if self.result_json is not None:
-            from repro.api.result import Result
+        """The settled :class:`Result`, parsed on demand from
+        :attr:`result_json` (``None`` until the job is done)."""
+        if self.result_json is None:
+            return None
+        from repro.api.result import Result
 
-            return Result.from_json(self.result_json)
-        return self._result
+        return Result.from_json(self.result_json)
 
     async def wait(self, timeout: "float | None" = None) -> bool:
         """Block until the job reaches a terminal state.
@@ -180,16 +179,10 @@ class Job:
         self.state = RUNNING
         self.started = time.time()
 
-    def resolve(self, result: "Result") -> None:
-        """Terminal success: attach the result and wake every waiter."""
+    def resolve(self, text: str) -> None:
+        """Terminal success with the result's stored JSON text; wakes
+        every waiter."""
         if self.done:  # settle exactly once
-            return
-        self._result = result
-        self._finish(DONE)
-
-    def resolve_json(self, text: str) -> None:
-        """Terminal success with the result's stored JSON text."""
-        if self.done:
             return
         self.result_json = text
         self._finish(DONE)
@@ -229,14 +222,8 @@ class Job:
             "error": self.error,
             "trace_id": self.trace.trace_id,
         }
-        if include_result:
-            text = self.result_json
-            if text is None and self._result is not None:
-                text = self._result.to_json()
-            if text is not None:
-                import json
-
-                payload["result"] = json.loads(text)
+        if include_result and self.result_json is not None:
+            payload["result"] = json.loads(self.result_json)
         return payload
 
     def __repr__(self) -> str:
@@ -294,9 +281,13 @@ class JobQueue:
         """
         if self._closed:
             raise QueueClosedError("queue is closed to new submissions")
-        self.submitted += 1
         spec_hash = spec.content_hash()
         existing = self._inflight.get(spec_hash)
+        if existing is None and self._queued >= self.capacity:
+            raise QueueFullError(
+                f"queue full ({self._queued}/{self.capacity} jobs queued)"
+            )
+        self.submitted += 1  # admitted only: a rejection is not counted
         if existing is not None:
             self.coalesced += 1
             existing.submissions += 1
@@ -310,10 +301,6 @@ class JobQueue:
                     self._heap, (-priority, next(self._tick), existing)
                 )
             return existing, True
-        if self._queued >= self.capacity:
-            raise QueueFullError(
-                f"queue full ({self._queued}/{self.capacity} jobs queued)"
-            )
         job = Job(
             f"j{next(self._ids):06d}", spec, priority=priority, timeout=timeout
         )
@@ -354,7 +341,7 @@ class JobQueue:
     def release(self, job: Job) -> None:
         """Detach a terminal job from the single-flight index.
 
-        Called by the worker pool once the job settles; *after* this, a
+        Called by the service's worker once the job settles; *after* this, a
         new submission of the same spec starts fresh work (or hits the
         result store).
         """

@@ -14,7 +14,8 @@ Routes
     ``{"experiment": ...}`` bodies are accepted too).  Responses:
     ``201`` new job queued, ``200`` coalesced onto an in-flight job or
     served from the store (``via`` says which), ``400`` malformed
-    spec/unknown experiment, ``429`` queue full.
+    spec/unknown experiment or a ``timeout`` that is not a finite
+    number of seconds > 0, ``429`` queue full.
 ``GET /jobs/{id}``
     Job status (result inlined once done).  ``?wait=SECONDS`` long-polls
     until the job settles or the wait elapses (capped at 60s).
@@ -271,8 +272,6 @@ class ServiceServer:
         timeout = payload.get("timeout")
         if not isinstance(priority, int) or isinstance(priority, bool):
             raise _HttpError(400, "priority must be an integer")
-        if timeout is not None and not isinstance(timeout, (int, float)):
-            raise _HttpError(400, "timeout must be a number or null")
         try:
             job, via = self.service.submit(
                 spec, priority=priority, timeout=timeout
@@ -281,6 +280,8 @@ class ServiceServer:
             raise _HttpError(400, str(exc)) from exc
         except SpecError as exc:
             raise _HttpError(400, f"bad spec: {exc}") from exc
+        except ValueError as exc:  # a timeout that is not valid
+            raise _HttpError(400, str(exc)) from exc
         except QueueFullError as exc:
             raise _HttpError(429, str(exc)) from exc
         except QueueClosedError as exc:

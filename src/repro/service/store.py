@@ -12,20 +12,16 @@ engine at all.  :class:`ResultStore` provides that layer:
   them back through :meth:`Result.from_json` losslessly);
 - every entry expires ``ttl_seconds`` after it was stored; expired
   entries are evicted lazily on access and eagerly by :meth:`sweep`
-  (the service's housekeeping task), emitting ``store.evict``;
-- an optional ``max_entries`` bound evicts oldest-stored-first once
-  exceeded (insertion-order LRU: a re-``put`` refreshes the entry's
-  position and clock);
+  (the service's housekeeping task), emitting ``store.evict``; a
+  re-``put`` refreshes the entry's clock;
 - optional disk persistence (``root``): entries are mirrored to
   ``<root>/<hash>.json`` with atomic writes, and a cold ``get`` falls
   back to disk (mtime-checked against the TTL) so a restarted service
   keeps serving recent results;
-- hit/miss/store/evict/coalesce counters feed ``GET /stats``.
+- hit/miss/store/evict counters feed ``GET /stats``.
 
-The store also *composes with* the engine cache: handed the session's
-``ResultCache``, :meth:`sweep` forwards the TTL to
-:meth:`ResultCache.prune` and :meth:`stats` embeds the engine cache's
-entry/byte counts, so one housekeeping loop bounds both layers.
+The store holds only its own entries: the service's housekeeping
+prunes the engine cache by the same TTL itself.
 """
 
 from __future__ import annotations
@@ -36,14 +32,11 @@ import os
 import tempfile
 import time
 from pathlib import Path
-from typing import TYPE_CHECKING, Callable, Optional
+from typing import Callable, Optional
 
 from repro.obs import emit
 
 from repro.api.result import Result, ResultError
-
-if TYPE_CHECKING:  # pragma: no cover - typing only
-    from repro.engine.cache import ResultCache
 
 __all__ = ["ResultStore"]
 
@@ -65,14 +58,8 @@ class ResultStore:
     ----------
     ttl_seconds:
         Lifetime of every entry; ``None`` disables expiry.
-    max_entries:
-        Optional cap on live in-memory entries (oldest evicted first).
     root:
         Optional directory for the disk mirror (created on demand).
-    engine_cache:
-        Optional :class:`~repro.engine.cache.ResultCache` to co-manage:
-        :meth:`sweep` prunes it by the same TTL and :meth:`stats`
-        reports its shape alongside the store's.
     clock:
         Wall-clock source (injectable for tests).
     """
@@ -81,26 +68,19 @@ class ResultStore:
         self,
         *,
         ttl_seconds: "float | None" = 3600.0,
-        max_entries: "int | None" = None,
         root: "str | Path | None" = None,
-        engine_cache: "ResultCache | None" = None,
         clock: Callable[[], float] = time.time,
     ):
         if ttl_seconds is not None and ttl_seconds <= 0:
             raise ValueError("ttl_seconds must be positive (or None)")
-        if max_entries is not None and max_entries < 1:
-            raise ValueError("max_entries must be positive (or None)")
         self.ttl_seconds = ttl_seconds
-        self.max_entries = max_entries
         self._root = Path(root) if root is not None else None
-        self._engine_cache = engine_cache
         self._clock = clock
-        self._entries: "dict[str, _Entry]" = {}  # insertion-ordered
+        self._entries: "dict[str, _Entry]" = {}
         self.hits = 0
         self.misses = 0
         self.stores = 0
         self.evicted = 0
-        self.coalesced = 0
 
     # ------------------------------------------------------------------
     @property
@@ -121,7 +101,6 @@ class ResultStore:
         """Store a finished result under its spec's content hash."""
         spec_hash = result.spec_hash
         text = result.to_json()
-        self._entries.pop(spec_hash, None)  # re-put refreshes LRU order
         self._entries[spec_hash] = _Entry(text, self._clock())
         self.stores += 1
         emit(
@@ -133,10 +112,6 @@ class ResultStore:
         path = self._path_for(spec_hash)
         if path is not None:
             self._write_disk(path, text)
-        if self.max_entries is not None:
-            while len(self._entries) > self.max_entries:
-                oldest = next(iter(self._entries))
-                self._evict(oldest, reason="max_entries")
         return spec_hash
 
     def get_json(self, spec_hash: str) -> "Optional[str]":
@@ -174,11 +149,6 @@ class ResultStore:
         text = self.get_json(spec_hash)
         return Result.from_json(text) if text is not None else None
 
-    def note_coalesced(self, n: int = 1) -> None:
-        """Count submissions that attached to an in-flight job instead
-        of re-running (surfaced as the store's ``coalesced`` stat)."""
-        self.coalesced += n
-
     # ------------------------------------------------------------------
     def _evict(self, spec_hash: str, *, reason: str) -> None:
         entry = self._entries.pop(spec_hash, None)
@@ -201,8 +171,7 @@ class ResultStore:
 
     def sweep(self) -> int:
         """Evict every expired entry (memory and disk mirror); returns
-        the eviction count.  Also forwards the TTL to the co-managed
-        engine cache's :meth:`~repro.engine.cache.ResultCache.prune`."""
+        the eviction count."""
         removed = 0
         if self.ttl_seconds is not None:
             for spec_hash in [
@@ -211,8 +180,6 @@ class ResultStore:
                 self._evict(spec_hash, reason="ttl")
                 removed += 1
             removed += self._sweep_disk()
-            if self._engine_cache is not None:
-                removed += self._engine_cache.prune(ttl_seconds=self.ttl_seconds)
         return removed
 
     def clear(self) -> int:
@@ -288,22 +255,17 @@ class ResultStore:
     def stats(self) -> dict:
         """JSON-pure shape + counters digest (the ``/stats`` block)."""
         lookups = self.hits + self.misses
-        payload = {
+        return {
             "entries": len(self._entries),
             "bytes": sum(len(e.text) for e in self._entries.values()),
             "ttl_seconds": self.ttl_seconds,
-            "max_entries": self.max_entries,
             "hits": self.hits,
             "misses": self.misses,
             "stores": self.stores,
             "evicted": self.evicted,
-            "coalesced": self.coalesced,
             "hit_rate": (self.hits / lookups) if lookups else None,
             "persisted": self._root is not None,
         }
-        if self._engine_cache is not None:
-            payload["engine_cache"] = self._engine_cache.stats()
-        return payload
 
     def __len__(self) -> int:
         return len(self._entries)

@@ -500,6 +500,9 @@ class TestServeCommand:
             ["serve", "--queue-capacity", "0"],
             ["serve", "--ttl", "-1"],
             ["serve", "--port", "70000"],
+            ["serve", "--job-timeout", "0"],
+            ["serve", "--job-timeout", "-3"],
+            ["serve", "--job-timeout", "nan"],
         ],
     )
     def test_bad_arguments_are_exit_2(self, capsys, argv):

@@ -196,7 +196,7 @@ class TestSingleFlightDedup:
                     assert session.runs_started == 1
 
                     stats = service.stats()
-                    assert stats["dedup"]["hits"] == 19
+                    assert stats["queue"]["coalesced"] == 19
                     assert stats["queue"]["submitted"] == 20
                 finally:
                     await service.stop()
@@ -245,6 +245,25 @@ class TestBackpressure:
 
 
 class TestTimeoutsAndRetries:
+    @pytest.mark.parametrize(
+        "bad", [0, -1, 0.0, float("nan"), float("inf"), True, "5"]
+    )
+    def test_timeouts_that_are_not_valid_are_rejected(self, bad):
+        with pytest.raises(ValueError, match="job_timeout"):
+            stub_service(job_timeout=bad)
+
+        async def main():
+            service = stub_service()
+            await service.start()
+            try:
+                with pytest.raises(ValueError, match="timeout"):
+                    service.submit(spec(1), timeout=bad)
+                assert service.stats()["queue"]["submitted"] == 0
+            finally:
+                await service.stop()
+
+        run(main())
+
     def test_job_timeout_settles_as_timeout(self):
         async def main():
             def slow(job_spec):
@@ -361,6 +380,35 @@ class TestTimeoutsAndRetries:
                 assert await job.wait(timeout=5.0)
                 assert job.state == FAILED
                 assert job.attempts == 3
+            finally:
+                await service.stop()
+
+        run(main())
+
+    def test_failed_store_write_settles_the_job_and_keeps_the_worker(self):
+        class Unserializable:
+            spec_hash = "0" * 64
+
+            def to_json(self):
+                raise TypeError("not serializable")
+
+        async def main():
+            results = iter([Unserializable()])
+            service = stub_service(
+                session=StubSession(
+                    script=lambda s: next(results, None) or make_result(s)
+                )
+            )
+            await service.start()
+            try:
+                job, _ = service.submit(spec(1))
+                assert await job.wait(timeout=5.0)
+                assert job.state == FAILED
+                assert "store write failed" in job.error
+                # The one worker survived and runs the next job.
+                after, _ = service.submit(spec(2))
+                assert await after.wait(timeout=5.0)
+                assert after.state == DONE
             finally:
                 await service.stop()
 
@@ -529,15 +577,62 @@ class TestStats:
                 assert stats["queue"]["capacity"] == 1024
                 assert stats["jobs"]["executed"] == 1
                 assert stats["jobs"]["from_store"] == 1
-                assert stats["dedup"]["store_hits"] == 1
+                assert stats["store"]["hits"] == 1
                 assert stats["store"]["stores"] == 1
                 assert stats["session"]["runs_started"] == 1
                 # Both submissions counted: one queued, one store hit.
                 assert stats["queue"]["submitted"] + stats["jobs"]["from_store"] == 2
                 assert stats["queue"]["coalesced"] == 0
                 assert "service_events" not in stats
+                # Each count is reported once: no dedup digest, and the
+                # store keeps no copy of the queue's coalesced count.
+                assert "dedup" not in stats
+                assert "coalesced" not in stats["store"]
                 assert stats["uptime_seconds"] >= 0
             finally:
+                await service.stop()
+
+        run(main())
+
+    def test_stats_counts_equal_the_submission_metrics(self):
+        """/stats and /metrics count the same submissions: queued,
+        coalesced, store hits, and no 429 rejection on either side."""
+        from repro.obs.metrics import MetricsRegistry, parse_exposition
+
+        async def main():
+            gate = threading.Event()
+            service = stub_service(
+                session=StubSession(gate=gate),
+                queue_capacity=1,
+                registry=MetricsRegistry(),
+            )
+            await service.start()
+            try:
+                done, _ = service.submit(spec(0))
+                gate.set()
+                assert await done.wait(timeout=5.0)
+                gate.clear()
+                assert service.submit(spec(0))[1] == "store"
+                running, _ = service.submit(spec(1))
+                await asyncio.sleep(0.05)  # the worker claims it
+                assert running.state == RUNNING
+                assert service.submit(spec(1))[1] == "coalesced"
+                assert service.submit(spec(2))[1] == "queued"
+                assert service.submit(spec(2))[1] == "coalesced"
+                with pytest.raises(QueueFullError):
+                    service.submit(spec(3))
+                stats = service.stats()
+                vias = parse_exposition(service.metrics_text())[
+                    "repro_service_submissions_total"
+                ]
+                assert stats["queue"]["submitted"] == 5
+                assert stats["queue"]["submitted"] == (
+                    vias[(("via", "queued"),)] + vias[(("via", "coalesced"),)]
+                )
+                assert stats["queue"]["coalesced"] == vias[(("via", "coalesced"),)] == 2
+                assert stats["jobs"]["from_store"] == vias[(("via", "store"),)] == 1
+            finally:
+                gate.set()
                 await service.stop()
 
         run(main())
@@ -557,10 +652,10 @@ class TestStats:
 class TestRetention:
     def test_settled_submissions_retain_at_most_8kb_each(self, tmp_path):
         """What a long-lived service keeps per settled submission (job
-        registry, result store, traces, recorder) stays bounded: a
-        settled job shares the store's JSON text instead of holding a
-        parsed Result, store hits are admitted without parsing, and the
-        service recorder keeps counters, not an event list."""
+        registry, result store, traces) stays bounded: a settled job
+        shares the store's JSON text instead of holding a parsed Result,
+        store hits are admitted without parsing, and service-wide counts
+        are counters and metric samples, not per-event lists."""
         import gc
         import logging
         import tracemalloc

@@ -144,7 +144,8 @@ class TestHealthAndStats:
 
     def test_stats_shape(self, client):
         stats = client.stats()
-        assert {"queue", "jobs", "dedup", "store", "session"} <= stats.keys()
+        assert {"queue", "jobs", "store", "session"} <= stats.keys()
+        assert "dedup" not in stats
         assert "depth" in stats["queue"]
         assert "hit_rate" in stats["store"]
 
@@ -219,6 +220,19 @@ class TestBadRequests:
                 {"spec": {"experiment": "fig1.storage"}, "priority": "high"},
             )
         assert excinfo.value.status == 400
+
+    @pytest.mark.parametrize("timeout", [-1, 0, float("nan"), True, "5"])
+    def test_timeout_that_is_not_valid_is_400(self, client, timeout):
+        before = client.stats()["queue"]["submitted"]
+        with pytest.raises(ServiceError) as excinfo:
+            client._request(
+                "POST",
+                "/jobs",
+                {"spec": {"experiment": "fig1.storage"}, "timeout": timeout},
+            )
+        assert excinfo.value.status == 400
+        assert "timeout" in str(excinfo.value)
+        assert client.stats()["queue"]["submitted"] == before
 
     def test_non_json_body_is_400(self, live):
         with socket.create_connection(("127.0.0.1", live.port), timeout=5.0) as s:
@@ -450,7 +464,6 @@ class TestSoak:
                 == duplicates
             )
             assert stats["queue"]["depth"] == 0
-            assert stats["dedup"]["hits"] == stats["queue"]["coalesced"]
             assert stats["store"]["hit_rate"] is not None
 
             # The scraped metrics tell the same story, exactly: 50

@@ -12,6 +12,7 @@ import asyncio
 import pytest
 
 from repro.api import ExperimentSpec
+from repro.api.result import Result, Series
 from repro.service import (
     CANCELLED,
     DONE,
@@ -31,6 +32,16 @@ def spec(i: int = 0, **overrides) -> ExperimentSpec:
 
 def run(coro):
     return asyncio.run(coro)
+
+
+#: A settled job holds its result as the store's JSON text.
+RESULT_JSON = Result(
+    experiment="fig8.yield",
+    backend="analytical",
+    spec=spec(1),
+    data={"yield": [0.5]},
+    series=(Series("yield", y=(0.5,), x=(1,)),),
+).to_json()
 
 
 class TestSubmit:
@@ -90,7 +101,7 @@ class TestSubmit:
             queue = JobQueue()
             a, _ = queue.submit(spec(1))
             job = await queue.get()
-            job.resolve(None)
+            job.resolve(RESULT_JSON)
             queue.release(job)
             b, deduped = queue.submit(spec(1))
             assert not deduped and b is not a
@@ -117,6 +128,18 @@ class TestCapacity:
             queue.submit(spec(2))
             b, deduped = queue.submit(spec(1))  # no new work: admitted
             assert deduped and b is a
+
+        run(main())
+
+    def test_rejected_submission_is_not_counted_as_submitted(self):
+        async def main():
+            queue = JobQueue(capacity=1)
+            queue.submit(spec(1))
+            with pytest.raises(QueueFullError):
+                queue.submit(spec(2))
+            assert queue.submitted == 1 and queue.depth == 1
+            queue.submit(spec(1))  # coalesced: admitted, so counted
+            assert queue.submitted == 2 and queue.coalesced == 1
 
         run(main())
 
@@ -273,13 +296,13 @@ class TestJob:
 
             async def waiter():
                 assert await job.wait(timeout=2.0)
-                return job.result
+                return job.result_json
 
             tasks = [asyncio.ensure_future(waiter()) for _ in range(8)]
             await asyncio.sleep(0)  # park the waiters
-            (await queue.get()).resolve("payload")
+            (await queue.get()).resolve(RESULT_JSON)
             results = await asyncio.gather(*tasks)
-            assert results == ["payload"] * 8
+            assert results == [RESULT_JSON] * 8
             assert job.state == DONE
 
         run(main())
@@ -298,9 +321,11 @@ class TestJob:
             queue = JobQueue()
             job, _ = queue.submit(spec(1))
             await queue.get()
-            job.resolve("first")
+            job.resolve(RESULT_JSON)
+            job.resolve("{}")  # ignored: already done
             job.reject(CANCELLED, "late cancel")  # ignored: already done
-            assert job.state == DONE and job.result == "first"
+            assert job.state == DONE and job.result_json == RESULT_JSON
+            assert job.result.to_json() == RESULT_JSON
 
         run(main())
 

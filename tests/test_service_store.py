@@ -10,9 +10,9 @@ import pytest
 
 from repro.api import ExperimentSpec, Session
 from repro.api.result import Result, Series
-from repro.engine import ResultCache
 from repro.obs import RunRecorder, Trace
-from repro.service import ResultStore
+from repro.obs.metrics import MetricsRegistry
+from repro.service import ExperimentService, ResultStore
 
 
 class FakeClock:
@@ -118,42 +118,18 @@ class TestTtl:
             ResultStore(ttl_seconds=0)
 
 
-class TestCapacity:
-    def test_max_entries_evicts_oldest_first(self):
-        store = ResultStore(ttl_seconds=None, max_entries=2)
-        first, second, third = (make_result(i) for i in range(3))
-        store.put(first)
-        store.put(second)
-        store.put(third)
-        assert len(store) == 2
-        assert store.get(first.spec_hash) is None
-        assert store.get(third.spec_hash) is not None
-
-    def test_re_put_refreshes_lru_position(self):
-        store = ResultStore(ttl_seconds=None, max_entries=2)
-        first, second, third = (make_result(i) for i in range(3))
-        store.put(first)
-        store.put(second)
-        store.put(first)  # refresh: second is now oldest
-        store.put(third)
-        assert store.get(first.spec_hash) is not None
-        assert store.get(second.spec_hash) is None
-
-
 class TestCounters:
-    def test_hit_miss_store_coalesce_accounting(self):
+    def test_hit_miss_store_accounting(self):
         store = ResultStore()
         result = make_result()
         store.put(result)
         store.get(result.spec_hash)
         store.get(result.spec_hash)
         store.get("missing")
-        store.note_coalesced(3)
         stats = store.stats()
         assert stats["hits"] == 2
         assert stats["misses"] == 1
         assert stats["stores"] == 1
-        assert stats["coalesced"] == 3
         assert stats["hit_rate"] == pytest.approx(2 / 3)
 
     def test_hit_rate_none_before_any_lookup(self):
@@ -217,26 +193,42 @@ class TestDiskMirror:
 
 
 class TestEngineCacheCoPrune:
+    """The service's housekeeping bounds the engine cache by the store's
+    TTL; the store itself holds only its own entries."""
+
+    @staticmethod
+    def service(tmp_path, **kwargs) -> ExperimentService:
+        return ExperimentService(
+            cache_dir=tmp_path, registry=MetricsRegistry(), **kwargs
+        )
+
     def test_sweep_forwards_ttl_to_engine_cache(self, tmp_path):
-        cache = ResultCache(tmp_path / "engine")
-        cache.store("deadbeef", {"counts": [1, 2, 3]}, {"n": 1})
-        entry = cache.path_for("deadbeef")
-        stale = time.time() - 3600.0
-        os.utime(entry, (stale, stale))
-        store = ResultStore(ttl_seconds=60.0, engine_cache=cache)
-        assert store.sweep() == 1
-        assert len(cache) == 0
+        service = self.service(tmp_path, ttl_seconds=60.0)
+        try:
+            cache = service.session.cache
+            cache.store("deadbeef", {"counts": [1, 2, 3]}, {"n": 1})
+            cache.store("cafef00d", {"counts": [4]}, {"n": 1})
+            stale = time.time() - 3600.0
+            os.utime(cache.path_for("deadbeef"), (stale, stale))
+            assert service.sweep() == 1
+            assert len(cache) == 1
+            assert cache.path_for("cafef00d").exists()
+        finally:
+            service.session.close()
 
     def test_stats_embed_engine_cache_shape(self, tmp_path):
-        cache = ResultCache(tmp_path / "engine")
-        cache.store("deadbeef", {"counts": [1]}, {"n": 1})
-        store = ResultStore(engine_cache=cache)
-        stats = store.stats()
-        assert stats["engine_cache"]["entries"] == 1
-        assert stats["engine_cache"]["total_bytes"] > 0
+        service = self.service(tmp_path)
+        try:
+            service.session.cache.store("deadbeef", {"counts": [1]}, {"n": 1})
+            stats = json.loads(json.dumps(service.stats()))
+            assert stats["store"]["engine_cache"]["entries"] == 1
+            assert stats["store"]["engine_cache"]["total_bytes"] > 0
+        finally:
+            service.session.close()
 
     def test_session_cache_integration(self, tmp_path):
         with Session(cache_dir=tmp_path / "cc") as session:
             session.run("fig3.coverage", trials=64, seed=3)
-            store = ResultStore(engine_cache=session.cache)
-            assert store.stats()["engine_cache"]["entries"] >= 1
+            service = ExperimentService(session=session, registry=MetricsRegistry())
+            stats = service.stats()
+            assert stats["store"]["engine_cache"]["entries"] >= 1
