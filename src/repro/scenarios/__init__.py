@@ -1,13 +1,14 @@
 """repro.scenarios — pluggable vectorized fault-scenario subsystem.
 
 Scenarios describe *what goes wrong* in a protected SRAM bank as
-batched ``(trials, rows, row_bits)`` error-mask generators, decoupled
-from *how it is evaluated* (:mod:`repro.engine`) and from *where the
-numbers surface* (:mod:`repro.api`):
+batched fault generators over ``(trials, rows, row_bits)`` cells,
+decoupled from *how it is evaluated* (:mod:`repro.engine`) and from
+*where the numbers surface* (:mod:`repro.api`):
 
 * :mod:`repro.scenarios.base` — the :class:`ScenarioModel` protocol
   (the engine's one sampling call, ``sample_sparse_block``),
-  :class:`ScenarioBase` (which derives it from a dense ``sample``), the
+  :class:`ScenarioBase` (which derives it, and the dense ``sample``
+  view, from a scenario's one sampler ``sample_sparse``), the
   ``@scenario("name")`` decorator registry and the
   :func:`make_scenario` factory.
 * :mod:`repro.scenarios.generators` — the one source of geometry truth:
@@ -24,9 +25,9 @@ numbers surface* (:mod:`repro.api`):
 * :mod:`repro.scenarios.sparse` — :class:`SparseRowBatch`, the dirty
   rows only, as packed ``uint64`` words plus optional likelihood-ratio
   ``weights``: the one row format the engine recovers on.  Every
-  scenario emits it through ``sample_sparse`` — natively, or by packing
-  its dense draw — so the engine never decodes the clean bulk of the
-  mask tensor.
+  scenario emits it through ``sample_sparse``, so the engine never
+  decodes the clean bulk of the mask tensor; dense masks, where a test
+  or the scalar oracle needs them, are the batch densified.
 
 Every registered scenario is reachable from the experiment catalog
 (``scenario="..."`` params on Monte Carlo experiments) and from the CLI

@@ -2,10 +2,11 @@
 
 A *scenario* is a pluggable, fully vectorized fault-population model:
 given a per-block random generator and a bank geometry it emits a
-block's faults in one shot — as ``(trials, rows, row_bits)`` dense
-masks from :meth:`~ScenarioBase.sample`, and as a packed
-:class:`~repro.scenarios.sparse.SparseRowBatch` from
-:meth:`~ScenarioBase.sample_sparse`, the one form the engine consumes.
+block's faults in one shot, as a packed
+:class:`~repro.scenarios.sparse.SparseRowBatch` from its one sampler,
+:meth:`~ScenarioBase.sample_sparse` — the form the engine consumes.
+The dense ``(trials, rows, row_bits)`` masks of
+:meth:`~ScenarioBase.sample` are derived from that batch.
 Scenarios are small frozen dataclasses registered under a stable name::
 
     @scenario("burst_row")
@@ -36,7 +37,7 @@ from typing import Any, Callable, Mapping, Protocol, runtime_checkable
 
 import numpy as np
 
-from .sparse import SparseRowBatch, interleave_of
+from .sparse import SparseRowBatch
 
 __all__ = [
     "Geometry",
@@ -72,8 +73,8 @@ class ScenarioModel(Protocol):
 
     The engine calls exactly one sampling method: every block is drawn
     whole through :meth:`sample_sparse_block` and evaluated on the
-    packed batch it returns.  :class:`ScenarioBase` supplies it from a
-    plain dense :meth:`~ScenarioBase.sample`.
+    packed batch it returns.  :class:`ScenarioBase` supplies it from the
+    scenario's one sampler, :meth:`~ScenarioBase.sample_sparse`.
     """
 
     def sample_sparse_block(
@@ -92,14 +93,13 @@ class ScenarioModel(Protocol):
 class ScenarioBase:
     """Base class giving every scenario the engine's sampling contract.
 
-    A scenario implements :meth:`sample` (dense masks, the reference the
-    tests compare against) and :meth:`to_key`; everything else has a
-    default:
+    A scenario implements one sampler, :meth:`sample_sparse` (its faults
+    as a packed :class:`~repro.scenarios.sparse.SparseRowBatch`), and
+    :meth:`to_key`; everything else is derived from them:
 
-    * :meth:`sample_sparse` packs the dense draw.  Scenarios with a
-      native emitter override it for speed; the override must consume
-      ``rng`` exactly as :meth:`sample` does, so its densified output
-      equals the dense masks bit for bit.
+    * :meth:`sample` is the same draw as dense ``uint8`` masks
+      (``sample_sparse(...).densify()``) — the view the scalar oracle,
+      the ``uint8`` reference decoders and the tests compare against.
     * :meth:`sample_block` / :meth:`sample_sparse_block` take a
       :class:`repro.engine.rng.BlockStreams` handle and draw from the
       block's *root* stream — the generator the pre-scenario engine
@@ -118,24 +118,24 @@ class ScenarioBase:
     #: registered scenario from it, so a new one cannot skip them.
     example_params: "dict[str, Any]" = {}
 
-    def sample(
+    def sample_sparse(
         self, rng: np.random.Generator, count: int, spec: Geometry
-    ) -> np.ndarray:
-        """``(count, rows, row_bits)`` uint8 error masks for one block."""
+    ) -> SparseRowBatch:
+        """One block of ``count`` trials as a packed batch of dirty rows."""
         raise NotImplementedError
 
     def to_key(self) -> dict:
         raise NotImplementedError
 
+    def sample(
+        self, rng: np.random.Generator, count: int, spec: Geometry
+    ) -> np.ndarray:
+        """``(count, rows, row_bits)`` uint8 error masks: the same draw
+        as :meth:`sample_sparse`, densified."""
+        return self.sample_sparse(rng, count, spec).densify()
+
     def sample_block(self, streams, count: int, spec: Geometry) -> np.ndarray:
         return self.sample(streams.root(), count, spec)
-
-    def sample_sparse(
-        self, rng: np.random.Generator, count: int, spec: Geometry
-    ) -> SparseRowBatch:
-        """The same draw as :meth:`sample`, as a packed batch of dirty rows."""
-        masks = self.sample(rng, count, spec)
-        return SparseRowBatch.from_masks(masks, interleave_of(spec))
 
     def sample_sparse_block(self, streams, count: int, spec: Geometry) -> SparseRowBatch:
         return self.sample_sparse(streams.root(), count, spec)

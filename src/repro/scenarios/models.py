@@ -1,9 +1,9 @@
 """Built-in fault scenarios: correlated soft, hard and combined models.
 
 Each scenario is a frozen, picklable dataclass registered by name (see
-:mod:`repro.scenarios.base`) whose :meth:`sample` emits a
-``(trials, rows, row_bits)`` error-mask batch from the generators in
-:mod:`repro.scenarios.generators`:
+:mod:`repro.scenarios.base`) whose one sampler, :meth:`sample_sparse`,
+emits a packed :class:`~repro.scenarios.sparse.SparseRowBatch` from the
+generators in :mod:`repro.scenarios.generators`:
 
 ``iid_uniform``
     Spatially independent cell upsets — either exactly ``n_cells``
@@ -38,6 +38,8 @@ strike on a permanently faulty cell leaves the cell faulty.
 
 from __future__ import annotations
 
+import math
+import numbers
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Any
 
@@ -46,18 +48,15 @@ import numpy as np
 from .base import Geometry, ScenarioBase, scenario, scenario_from_config
 from .generators import (
     bernoulli_masks,
-    burst_masks,
     burst_sparse,
-    exact_cells_masks,
     exact_cells_sparse,
     mostly_single_bit_footprints,
-    poisson_defect_masks,
     poisson_defect_sparse,
     sample_footprints,
-    solid_cluster_masks,
     solid_cluster_sparse,
     spread_footprints,
 )
+from .sparse import SparseRowBatch, interleave_of
 
 if TYPE_CHECKING:  # the scalar distribution type; never imported at runtime
     from repro.errors.injector import FootprintDistribution
@@ -76,11 +75,31 @@ __all__ = [
 Footprints = tuple[tuple[tuple[int, int], float], ...]
 
 
+def _check_integer(name: str, value: Any) -> None:
+    """Refuse a ``bool`` or a non-integral value for an integer knob.
+
+    The draws truncate (or reject) a fractional count, so accepting
+    ``2.5`` would run a configuration its cache key does not name.
+    """
+    integral = isinstance(value, numbers.Integral) or (
+        isinstance(value, numbers.Real) and math.isfinite(value) and value == int(value)
+    )
+    if isinstance(value, bool) or not integral:
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+
+
+def _check_density(value: float) -> None:
+    if not (math.isfinite(value) and value >= 0):
+        raise ValueError(f"defect_density must be finite and non-negative, got {value!r}")
+
+
 def _normalize_footprints(raw: Any) -> Footprints:
     """Coerce JSON-ish footprint shapes into the canonical tuple form."""
-    return tuple(
-        ((int(shape[0]), int(shape[1])), float(weight)) for shape, weight in raw
-    )
+    footprints = tuple(((shape[0], shape[1]), float(weight)) for shape, weight in raw)
+    for (h, w), _weight in footprints:
+        _check_integer("footprint height", h)
+        _check_integer("footprint width", w)
+    return tuple(((int(h), int(w)), weight) for (h, w), weight in footprints)
 
 
 # ----------------------------------------------------------------------
@@ -108,23 +127,24 @@ class IidUniformScenario(ScenarioBase):
             raise ValueError("set n_cells or flip_probability, not both")
         if self.n_cells is None and self.flip_probability is None:
             object.__setattr__(self, "n_cells", 1)
-        if self.n_cells is not None and self.n_cells < 0:
-            raise ValueError("n_cells must be non-negative")
+        if self.n_cells is not None:
+            _check_integer("n_cells", self.n_cells)
+            if self.n_cells < 0:
+                raise ValueError("n_cells must be non-negative")
+            # The cell draw needs an int; a float count crashed there before,
+            # so no result was ever keyed on one.
+            object.__setattr__(self, "n_cells", int(self.n_cells))
         if self.flip_probability is not None and not 0 <= self.flip_probability <= 1:
             raise ValueError("flip_probability must be in [0, 1]")
 
-    def sample(self, rng: np.random.Generator, count: int, spec: Geometry) -> np.ndarray:
-        if self.n_cells is not None:
-            return exact_cells_masks(rng, count, spec.rows, spec.row_bits, self.n_cells)
-        return bernoulli_masks(
-            rng, count, spec.rows, spec.row_bits, self.flip_probability
-        )
-
     def sample_sparse(self, rng: np.random.Generator, count: int, spec: Geometry):
         # Bernoulli flips dirty a density-dependent row fraction and
-        # have no native emitter: the base class packs the dense draw.
+        # have no packed emitter: pack the dense draw.
         if self.n_cells is None:
-            return super().sample_sparse(rng, count, spec)
+            masks = bernoulli_masks(
+                rng, count, spec.rows, spec.row_bits, self.flip_probability
+            )
+            return SparseRowBatch.from_masks(masks, interleave_of(spec))
         return exact_cells_sparse(rng, count, spec, self.n_cells)
 
     def to_key(self) -> dict:
@@ -185,12 +205,6 @@ class ClusteredMbuScenario(ScenarioBase):
             footprints=tuple(sorted(mostly_single_bit_footprints(multi_bit_fraction)))
         )
 
-    def sample(self, rng: np.random.Generator, count: int, spec: Geometry) -> np.ndarray:
-        heights, widths = sample_footprints(rng, self.footprints, count)
-        if self.spread:
-            heights, widths = spread_footprints(rng, heights, widths, self.spread)
-        return solid_cluster_masks(rng, heights, widths, spec.rows, spec.row_bits)
-
     def sample_sparse(self, rng: np.random.Generator, count: int, spec: Geometry):
         heights, widths = sample_footprints(rng, self.footprints, count)
         if self.spread:
@@ -219,13 +233,10 @@ class FixedClusterScenario(ScenarioBase):
     example_params = {"height": 8, "width": 8}
 
     def __post_init__(self) -> None:
+        _check_integer("height", self.height)
+        _check_integer("width", self.width)
         if self.height < 1 or self.width < 1:
             raise ValueError("cluster dimensions must be positive")
-
-    def sample(self, rng: np.random.Generator, count: int, spec: Geometry) -> np.ndarray:
-        heights = np.full(count, self.height, dtype=np.int64)
-        widths = np.full(count, self.width, dtype=np.int64)
-        return solid_cluster_masks(rng, heights, widths, spec.rows, spec.row_bits)
 
     def sample_sparse(self, rng: np.random.Generator, count: int, spec: Geometry):
         heights = np.full(count, self.height, dtype=np.int64)
@@ -248,11 +259,9 @@ class BurstRowScenario(ScenarioBase):
     span: int = 1
 
     def __post_init__(self) -> None:
+        _check_integer("span", self.span)
         if self.span < 1:
             raise ValueError("span must be positive")
-
-    def sample(self, rng: np.random.Generator, count: int, spec: Geometry) -> np.ndarray:
-        return burst_masks(rng, count, spec.rows, spec.row_bits, self.span, "row")
 
     def sample_sparse(self, rng: np.random.Generator, count: int, spec: Geometry):
         return burst_sparse(rng, count, spec, self.span, "row")
@@ -269,11 +278,9 @@ class BurstColumnScenario(ScenarioBase):
     span: int = 1
 
     def __post_init__(self) -> None:
+        _check_integer("span", self.span)
         if self.span < 1:
             raise ValueError("span must be positive")
-
-    def sample(self, rng: np.random.Generator, count: int, spec: Geometry) -> np.ndarray:
-        return burst_masks(rng, count, spec.rows, spec.row_bits, self.span, "column")
 
     def sample_sparse(self, rng: np.random.Generator, count: int, spec: Geometry):
         return burst_sparse(rng, count, spec, self.span, "column")
@@ -301,13 +308,7 @@ class HardFaultMapScenario(ScenarioBase):
     defect_density: float = 1e-4
 
     def __post_init__(self) -> None:
-        if self.defect_density < 0:
-            raise ValueError("defect_density must be non-negative")
-
-    def sample(self, rng: np.random.Generator, count: int, spec: Geometry) -> np.ndarray:
-        return poisson_defect_masks(
-            rng, count, spec.rows, spec.row_bits, self.defect_density
-        )
+        _check_density(self.defect_density)
 
     def sample_sparse(self, rng: np.random.Generator, count: int, spec: Geometry):
         return poisson_defect_sparse(rng, count, spec, self.defect_density)
@@ -351,21 +352,14 @@ class CompositeScenario(ScenarioBase):
                 )
             object.__setattr__(self, name, model)
 
-    def sample(self, rng: np.random.Generator, count: int, spec: Geometry) -> np.ndarray:
-        # Sequential fallback for direct use; the engine path goes
-        # through sample_block's independent lanes instead.
-        hard = self.hard.sample(rng, count, spec)
-        soft = self.soft.sample(rng, count, spec)
-        return hard | soft
-
-    def sample_block(self, streams, count: int, spec: Geometry) -> np.ndarray:
-        hard = self.hard.sample(streams.lane(0), count, spec)
-        soft = self.soft.sample(streams.lane(1), count, spec)
-        return hard | soft
-
     def sample_sparse(self, rng: np.random.Generator, count: int, spec: Geometry):
+        # Sequential fallback for direct use; the engine path goes
+        # through sample_sparse_block's independent lanes instead.
         hard = self.hard.sample_sparse(rng, count, spec)
         return hard.merge(self.soft.sample_sparse(rng, count, spec))
+
+    def sample_block(self, streams, count: int, spec: Geometry) -> np.ndarray:
+        return self.sample_sparse_block(streams, count, spec).densify()
 
     def sample_sparse_block(self, streams, count: int, spec: Geometry):
         hard = self.hard.sample_sparse(streams.lane(0), count, spec)

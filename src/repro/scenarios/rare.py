@@ -34,15 +34,14 @@ indicator is almost surely zero.  The scenarios here reshape the
     stratum weight), a partition of bands reproduces the nominal law
     exactly: ``P(fail) = sum_bands P(band) * P(fail | band)``.
 
-Weighted scenarios advertise ``weighted = True``.  Their
-``sample_sparse`` returns a packed batch whose ``weights`` column holds
-the likelihood ratios, and ``sample_weighted`` is the dense
-``(masks, weights)`` reference; their plain ``sample`` raises, so a
-path that would silently drop the weights (and deliver a biased
+Weighted scenarios advertise ``weighted = True``.  Their one sampler,
+``sample_sparse``, returns a packed batch whose ``weights`` column holds
+the likelihood ratios, and ``sample_weighted`` derives the dense
+``(masks, weights)`` reference from it; their plain ``sample`` raises,
+so a path that would silently drop the weights (and deliver a biased
 estimate) fails loudly instead.  All draws follow the block-keyed RNG
-discipline, and each dense emitter has a draw-identical sparse twin, so
-weighted streams inherit the engine's worker/chunk bit-identity
-unchanged.
+discipline, so weighted streams inherit the engine's worker/chunk
+bit-identity unchanged.
 """
 
 from __future__ import annotations
@@ -54,15 +53,12 @@ import numpy as np
 
 from .base import Geometry, ScenarioBase, scenario
 from .generators import (
-    counted_cells_masks,
     counted_cells_sparse,
     mostly_single_bit_footprints,
     sample_footprints,
-    solid_cluster_masks,
     solid_cluster_sparse,
 )
-from .models import Footprints, _normalize_footprints
-from .sparse import SparseRowBatch, interleave_of
+from .models import Footprints, _check_density, _check_integer, _normalize_footprints
 
 __all__ = [
     "WeightedScenarioBase",
@@ -123,15 +119,16 @@ def poisson_band_probability(lam: float, k_min: int, k_max: "int | None") -> flo
 class WeightedScenarioBase(ScenarioBase):
     """Base class for importance-sampling scenarios that weight their trials.
 
-    A weighted scenario implements :meth:`sample_weighted` — the dense
-    ``(masks, weights)`` reference — and may override
-    :meth:`sample_sparse` with a native emitter that sets the batch's
-    ``weights``.  The engine draws through ``sample_sparse_block`` as for
-    any scenario and accumulates the batch weights into a
+    A weighted scenario implements :meth:`sample_sparse` like any other,
+    returning a batch whose ``weights`` hold one likelihood ratio per
+    trial; :meth:`sample_weighted` derives the dense ``(masks, weights)``
+    reference from it.  The engine draws through ``sample_sparse_block``
+    as for any scenario and accumulates the batch weights into a
     :class:`~repro.engine.aggregate.WeightedTally`.  The plain
-    :meth:`sample` raises: evaluating a tilted stream without its
-    weights is not an approximation, it is a different (biased)
-    estimator, and nothing downstream could detect it.
+    :meth:`sample` (and so ``sample_block``) raises: evaluating a tilted
+    stream without its weights is not an approximation, it is a
+    different (biased) estimator, and nothing downstream could detect
+    it.
     """
 
     weighted = True
@@ -146,17 +143,11 @@ class WeightedScenarioBase(ScenarioBase):
     def sample_weighted(
         self, rng: np.random.Generator, count: int, spec: Geometry
     ) -> "tuple[np.ndarray, np.ndarray]":
-        """``(masks, weights)`` — masks as in ``sample``, one nominal/
-        proposal likelihood ratio per trial."""
-        raise NotImplementedError
-
-    def sample_sparse(
-        self, rng: np.random.Generator, count: int, spec: Geometry
-    ) -> SparseRowBatch:
-        """The same draw as :meth:`sample_weighted`, packed, weights set."""
-        masks, weights = self.sample_weighted(rng, count, spec)
-        batch = SparseRowBatch.from_masks(masks, interleave_of(spec))
-        return batch.with_weights(weights)
+        """``(masks, weights)`` — the draw of :meth:`sample_sparse` as
+        dense masks, with one nominal/proposal likelihood ratio per
+        trial."""
+        batch = self.sample_sparse(rng, count, spec)
+        return batch.densify(), batch.weights
 
 
 @scenario("tilted_hard_fault_map")
@@ -180,10 +171,10 @@ class TiltedHardFaultMapScenario(WeightedScenarioBase):
     example_params = {"tilt": 1.0, "shift": 1}
 
     def __post_init__(self) -> None:
-        if self.defect_density < 0:
-            raise ValueError("defect_density must be non-negative")
+        _check_density(self.defect_density)
         if not math.isfinite(self.tilt):
             raise ValueError("tilt must be finite")
+        _check_integer("shift", self.shift)
         if self.shift < 0:
             raise ValueError("shift must be non-negative")
         object.__setattr__(self, "shift", int(self.shift))
@@ -205,13 +196,6 @@ class TiltedHardFaultMapScenario(WeightedScenarioBase):
         )
         weights = np.exp(log_w)
         return np.minimum(raw, n_sites), weights
-
-    def sample_weighted(
-        self, rng: np.random.Generator, count: int, spec: Geometry
-    ) -> "tuple[np.ndarray, np.ndarray]":
-        counts, weights = self._draw_counts(rng, count, spec.rows * spec.row_bits)
-        masks = counted_cells_masks(rng, counts, spec.rows, spec.row_bits)
-        return masks, weights
 
     def sample_sparse(self, rng: np.random.Generator, count: int, spec: Geometry):
         counts, weights = self._draw_counts(rng, count, spec.rows * spec.row_bits)
@@ -285,13 +269,6 @@ class TiltedClusteredMbuScenario(WeightedScenarioBase):
         weights = np.exp(log_z - self.tilt * (heights * widths).astype(np.float64))
         return heights, widths, weights
 
-    def sample_weighted(
-        self, rng: np.random.Generator, count: int, spec: Geometry
-    ) -> "tuple[np.ndarray, np.ndarray]":
-        heights, widths, weights = self._draw_shapes(rng, count)
-        masks = solid_cluster_masks(rng, heights, widths, spec.rows, spec.row_bits)
-        return masks, weights
-
     def sample_sparse(self, rng: np.random.Generator, count: int, spec: Geometry):
         heights, widths, weights = self._draw_shapes(rng, count)
         return solid_cluster_sparse(rng, heights, widths, spec).with_weights(weights)
@@ -325,8 +302,10 @@ class FaultCountBandScenario(ScenarioBase):
     example_params = {"k_min": 2, "k_max": 8}
 
     def __post_init__(self) -> None:
-        if self.defect_density < 0:
-            raise ValueError("defect_density must be non-negative")
+        _check_density(self.defect_density)
+        _check_integer("k_min", self.k_min)
+        if self.k_max is not None:
+            _check_integer("k_max", self.k_max)
         if self.k_min < 0:
             raise ValueError("k_min must be non-negative")
         if self.k_max is not None and self.k_max < self.k_min:
@@ -361,10 +340,6 @@ class FaultCountBandScenario(ScenarioBase):
         cdf[-1] = 1.0
         u = rng.random(count)
         return k_lo + np.searchsorted(cdf, u, side="right").astype(np.int64)
-
-    def sample(self, rng: np.random.Generator, count: int, spec: Geometry) -> np.ndarray:
-        counts = self._draw_counts(rng, count, spec.rows * spec.row_bits)
-        return counted_cells_masks(rng, counts, spec.rows, spec.row_bits)
 
     def sample_sparse(self, rng: np.random.Generator, count: int, spec: Geometry):
         counts = self._draw_counts(rng, count, spec.rows * spec.row_bits)

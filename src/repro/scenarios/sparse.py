@@ -23,8 +23,10 @@ stored as ``(D, W)`` little-endian ``uint64`` words,
 bit ``b % 64`` of word ``[s, b // 64]`` — codeword-bit-major per
 interleave slot, so each slot's codeword is a contiguous bit string the
 decoders can table-look-up byte by byte.  The constructors set bits
-straight into words; only :meth:`SparseRowBatch.from_masks` (samplers
-that can only draw dense masks) goes through a ``uint8`` tensor.
+straight into words; only :meth:`SparseRowBatch.from_masks` (iid
+Bernoulli flips, and samplers that can only draw dense masks) goes
+through a ``uint8`` tensor.  :meth:`SparseRowBatch.densify` is the way
+back: a scenario's dense masks are its packed batch, densified.
 
 The invariants every constructor here maintains (and the engine relies
 on):
@@ -216,11 +218,12 @@ class SparseRowBatch:
         """One axis-aligned solid rectangle per trial.
 
         Trial ``t`` dirties rows ``r0[t] .. r0[t]+heights[t]-1``, each
-        with columns ``c0[t] .. c0[t]+widths[t]-1`` set — the sparse
-        twin of :func:`repro.scenarios.generators.solid_cluster_masks`.
-        Every row of a rectangle carries the same packed column range,
-        read off the prefix table in two lookups.  Zero-height or
-        zero-width rectangles contribute no pairs.
+        with columns ``c0[t] .. c0[t]+widths[t]-1`` set — the emitter
+        behind the cluster and burst generators of
+        :mod:`repro.scenarios.generators`.  Every row of a rectangle
+        carries the same packed column range, read off the prefix table
+        in two lookups.  Zero-height or zero-width rectangles contribute
+        no pairs.
         """
         r0 = np.asarray(r0, dtype=np.int64)
         heights = np.asarray(heights, dtype=np.int64)

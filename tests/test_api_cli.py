@@ -505,7 +505,13 @@ class TestServeCommand:
             ["serve", "--job-timeout", "nan"],
         ],
     )
-    def test_bad_arguments_are_exit_2(self, capsys, argv):
+    def test_bad_arguments_are_exit_2(self, capsys, monkeypatch, argv):
+        # An argument the CLI fails to refuse must fail here, not start a
+        # real server that never returns.
+        def serve_forever(*args, **kwargs):
+            raise AssertionError(f"{argv} was not refused: the server started")
+
+        monkeypatch.setattr("repro.service.serve_forever", serve_forever)
         assert main(argv) == 2
         assert "error:" in capsys.readouterr().err
 

@@ -5,7 +5,7 @@ Every block the engine evaluates runs on packed words
 :mod:`repro.engine.batch` (``ParityVectorDecoder``,
 ``SecdedVectorDecoder``, ``run_recovery_batch``) are kept as the
 reference: driven with the dense masks a scenario's ``sample_block``
-draws for the same block, they must reproduce the engine's verdicts
+derives for the same block, they must reproduce the engine's verdicts
 (and likelihood-ratio weights) exactly — for every registered scenario,
 over the small 2D geometries, for generic and non-dividing parity group
 maps, and for any worker count.  The default fig3/fig8/``sweep.mc_coverage``
@@ -44,8 +44,8 @@ _SMALL_BANK_PARAMS = {
 }
 
 #: Extra configurations that take other sampling branches (Bernoulli
-#: flips have no native emitter and are packed by ScenarioBase, also as
-#: a composite population; spread and column bursts of width > 1).
+#: flips are drawn dense and packed with ``SparseRowBatch.from_masks``,
+#: also as a composite population; spread and column bursts of width > 1).
 _VARIANTS = [
     ("iid_uniform", {"flip_probability": 0.01}),
     ("clustered_mbu", {"spread": 0.3}),
@@ -116,19 +116,20 @@ def test_one_and_four_workers_equal_reference(name, params):
 
 @dataclass(frozen=True)
 class _DiagonalStripe(ScenarioBase):
-    """A user scenario that defines only the dense ``sample``: one
+    """A user scenario that defines only its one sampler,
+    ``sample_sparse``, by wrapping dense masks it builds itself: one
     diagonal stripe of ``length`` cells from a random start per trial."""
 
     length: int = 5
 
-    def sample(self, rng, count, spec):
+    def sample_sparse(self, rng, count, spec):
         masks = np.zeros((count, spec.rows, spec.row_bits), dtype=np.uint8)
         rows = rng.integers(0, spec.rows, size=count)
         cols = rng.integers(0, spec.row_bits, size=count)
         steps = np.arange(self.length)
         masks[np.arange(count)[:, None], (rows[:, None] + steps) % spec.rows,
               (cols[:, None] + steps) % spec.row_bits] = 1
-        return masks
+        return SparseRowBatch.from_masks(masks, spec.interleave_degree)
 
     def to_key(self):
         return {"model": "diagonal_stripe", "length": self.length}

@@ -38,7 +38,6 @@ from repro.scenarios import (
     HardFaultMapScenario,
     IidUniformScenario,
     SparseRowBatch,
-    list_scenarios,
 )
 
 from helpers import reference_verdicts
@@ -208,9 +207,11 @@ class TestSparseRowBatch:
 
 
 # ----------------------------------------------------------------------
-# sparse emitters: identical draws, identical cells
+# packed constructors against a plain numpy scatter
 # ----------------------------------------------------------------------
 
+#: Scenario batches the sparse pipeline is checked on (all draw through
+#: ``from_row_spans`` or ``from_cells``).
 SPARSE_SCENARIOS = [
     ClusteredMbuScenario(),
     ClusteredMbuScenario(spread=0.3),
@@ -222,38 +223,67 @@ SPARSE_SCENARIOS = [
 ]
 
 
-class TestSparseEmitters:
-    @pytest.mark.parametrize(
-        "model", SPARSE_SCENARIOS, ids=lambda m: type(m).__name__
-    )
-    def test_sparse_emission_densifies_to_dense_sample(self, model):
-        spec = FIG3_SPEC
-        dense = model.sample(block_generator(42, 3), 128, spec)
-        batch = model.sample_sparse(block_generator(42, 3), 128, spec)
-        assert batch is not None
-        assert np.array_equal(batch.densify(), dense)
+@st.composite
+def _bank(draw):
+    """``(n_trials, rows, row_bits, degree)``; rows of up to 3 words per
+    interleave slot, so bit ranges cross word boundaries."""
+    degree = draw(st.sampled_from([1, 2, 4]))
+    return (draw(st.integers(1, 6)), draw(st.integers(1, 10)),
+            degree * draw(st.integers(1, 150)), degree)
 
-    def test_every_registered_scenario_is_sparse_or_declines(self):
-        # Every registered scenario, and the Bernoulli configurations
-        # with no native emitter, returns a packed batch that densifies
-        # to its dense reference draw (weighted ones carry its weights).
-        spec = FIG3_SPEC
-        models = [cls(**cls.example_params) for cls in list_scenarios().values()] + [
-            IidUniformScenario(flip_probability=0.01),
-            CompositeScenario(hard=IidUniformScenario(flip_probability=0.002)),
-        ]
-        for model in models:
-            name = model.to_key()
-            batch = model.sample_sparse(block_generator(1, 0), 32, spec)
-            assert isinstance(batch, SparseRowBatch), name
-            if getattr(model, "weighted", False):
-                dense, weights = model.sample_weighted(block_generator(1, 0), 32, spec)
-                assert batch.weights.dtype == np.float64, name
-                assert np.array_equal(batch.weights, weights), name
-            else:
-                dense = model.sample(block_generator(1, 0), 32, spec)
-                assert batch.weights is None, name
-            assert np.array_equal(batch.densify(), dense), name
+
+def _assert_packed_batch(batch, expected, degree):
+    """``batch`` densifies to ``expected`` and keeps the batch invariants:
+    unique sorted pairs, each one a dirty row."""
+    assert batch.interleave_degree == degree
+    assert batch.rows.dtype == np.uint64
+    assert np.array_equal(batch.densify(), expected)
+    keys = batch.trial_idx * batch.array_rows + batch.row_idx
+    assert (np.diff(keys) > 0).all()
+    assert batch.rows.any(axis=(1, 2)).all()
+
+
+class TestPackedConstructors:
+    @settings(max_examples=150, deadline=None)
+    @given(bank=_bank(), data=st.data())
+    def test_from_row_spans_equals_numpy_scatter(self, bank, data):
+        n_trials, rows, row_bits, degree = bank
+        r0, heights, c0, widths = [], [], [], []
+        for _ in range(n_trials):
+            # Zero heights and widths (empty rectangles) are in range.
+            r = data.draw(st.integers(0, rows))
+            c = data.draw(st.integers(0, row_bits))
+            r0.append(r)
+            heights.append(data.draw(st.integers(0, rows - r)))
+            c0.append(c)
+            widths.append(data.draw(st.integers(0, row_bits - c)))
+        expected = np.zeros((n_trials, rows, row_bits), dtype=np.uint8)
+        for t in range(n_trials):
+            expected[t, r0[t]:r0[t] + heights[t], c0[t]:c0[t] + widths[t]] = 1
+        batch = SparseRowBatch.from_row_spans(
+            n_trials, rows, row_bits, np.array(r0), np.array(heights),
+            np.array(c0), np.array(widths), degree,
+        )
+        _assert_packed_batch(batch, expected, degree)
+
+    @settings(max_examples=150, deadline=None)
+    @given(bank=_bank(), data=st.data())
+    def test_from_cells_equals_numpy_scatter(self, bank, data):
+        n_trials, rows, row_bits, degree = bank
+        # Trials drawn from a subrange leave the rest fault-free; the
+        # list is repeated in part so some cells come twice.
+        busy = data.draw(st.integers(1, n_trials))
+        cells = data.draw(st.lists(
+            st.tuples(st.integers(0, busy - 1), st.integers(0, rows * row_bits - 1)),
+            max_size=40,
+        ))
+        cells += cells[: data.draw(st.integers(0, len(cells)))]
+        trials = np.array([t for t, _ in cells], dtype=np.int64)
+        sites = np.array([c for _, c in cells], dtype=np.int64)
+        expected = np.zeros((n_trials, rows * row_bits), dtype=np.uint8)
+        expected[trials, sites] = 1
+        batch = SparseRowBatch.from_cells(n_trials, rows, row_bits, trials, sites, degree)
+        _assert_packed_batch(batch, expected.reshape(n_trials, rows, row_bits), degree)
 
 
 # ----------------------------------------------------------------------
@@ -315,9 +345,10 @@ class TestExecutionModes:
         assert np.array_equal(result.verdicts, reference)
 
     def test_dense_only_model_auto_dispatch(self):
-        # Bernoulli flips have no native emitter: ScenarioBase.sample_sparse
-        # packs their dense masks, so every block still counts as sparse
-        # in the shard stats, at any density, with reference verdicts.
+        # Bernoulli flips have no packed emitter: IidUniformScenario's
+        # sample_sparse packs their dense masks with from_masks, so every
+        # block still counts as sparse in the shard stats, at any
+        # density, with reference verdicts.
         spec = FIG3_SPEC
         for p in (0.0005, 0.4):
             model = IidUniformScenario(flip_probability=p)

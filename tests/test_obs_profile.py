@@ -73,7 +73,13 @@ class TestSamplingProfiler:
         worker.start()
         try:
             with SamplingProfiler(hz=500) as profiler:
+                # The spinner competes for the GIL, and a busy host can
+                # starve the sampler: keep sampling past the first 0.2 s
+                # until the window holds enough samples.
+                deadline = time.monotonic() + 5.0
                 time.sleep(0.2)
+                while profiler.samples <= 10 and time.monotonic() < deadline:
+                    time.sleep(0.05)
         finally:
             stop.set()
             worker.join()

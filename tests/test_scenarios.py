@@ -327,6 +327,105 @@ class TestComposite:
 
 
 # ----------------------------------------------------------------------
+# weighted scenarios: no draw without its weights
+# ----------------------------------------------------------------------
+
+WEIGHTED = sorted(
+    name for name, cls in list_scenarios().items() if getattr(cls, "weighted", False)
+)
+
+
+def test_weighted_scenarios_are_found():
+    assert {"tilted_hard_fault_map", "tilted_clustered_mbu"} <= set(WEIGHTED)
+
+
+@pytest.mark.parametrize("name", WEIGHTED)
+def test_weighted_scenario_refuses_unweighted_draws(name):
+    # A tilted draw without its likelihood ratios is a biased estimate.
+    model = make_scenario(name, **SCENARIO_CONFIGS[name])
+    with pytest.raises(TypeError, match="likelihood-ratio weights"):
+        model.sample(block_generator(1, 0), 4, SPEC)
+    with pytest.raises(TypeError, match="likelihood-ratio weights"):
+        model.sample_block(BlockStreams(1, 0), 4, SPEC)
+
+
+# ----------------------------------------------------------------------
+# knob validation: a value the draw would change is refused up front
+# ----------------------------------------------------------------------
+
+BAD_KNOBS = [
+    ("burst_row", {"span": 2.5}),
+    ("burst_row", {"span": True}),
+    ("burst_column", {"span": 1.5}),
+    ("fixed_cluster", {"height": 2.9, "width": 2}),
+    ("fixed_cluster", {"height": 2, "width": True}),
+    ("iid_uniform", {"n_cells": 2.5}),
+    ("iid_uniform", {"n_cells": True}),
+    ("tilted_hard_fault_map", {"shift": 2.7}),
+    ("tilted_hard_fault_map", {"shift": True}),
+    ("fault_count_band", {"k_min": 1.5}),
+    ("fault_count_band", {"k_max": 3.5}),
+    ("fault_count_band", {"k_max": True}),
+    ("clustered_mbu", {"footprints": [[[1.5, 2], 1.0]]}),
+    ("clustered_mbu", {"footprints": [[[True, 2], 1.0]]}),
+    ("tilted_clustered_mbu", {"footprints": [[[2, 2.5], 1.0]]}),
+] + [
+    (name, {"defect_density": density})
+    for name in ("hard_fault_map", "tilted_hard_fault_map", "fault_count_band")
+    for density in (float("nan"), float("inf"))
+]
+
+
+@pytest.mark.parametrize(
+    "name,params", BAD_KNOBS,
+    ids=[n + "-" + ",".join(f"{k}={v}" for k, v in p.items()) for n, p in BAD_KNOBS],
+)
+def test_bad_knob_is_refused_at_construction(name, params):
+    with pytest.raises(ValueError):
+        make_scenario(name, **params)
+
+
+def test_bad_knob_is_refused_by_a_session(tmp_path):
+    from repro.api import ExperimentSpec, Session
+
+    spec = ExperimentSpec(
+        "fig3.coverage", backend="monte_carlo", trials=64,
+        params={"scenario": "burst_row", "scenario_params": {"span": 2.5}},
+    )
+    with Session(workers=1, cache_dir=tmp_path) as session:
+        with pytest.raises(ValueError, match="span must be an integer"):
+            session.run(spec)
+
+
+@pytest.mark.parametrize(
+    "name,params,key",
+    [
+        ("burst_row", {"span": 2}, {"model": "burst_row", "span": 2}),
+        ("burst_row", {"span": 2.0}, {"model": "burst_row", "span": 2.0}),
+        ("tilted_hard_fault_map", {"shift": 2.0, "tilt": 0.5},
+         {"model": "tilted_hard_fault_map", "defect_density": 1e-4,
+          "tilt": 0.5, "shift": 2}),
+        ("fault_count_band", {"k_min": 1.0, "k_max": 3},
+         {"model": "fault_count_band", "defect_density": 1e-4,
+          "k_min": 1, "k_max": 3}),
+        ("clustered_mbu", {"footprints": [[[2.0, 2], 1.0]]},
+         {"model": "cluster_distribution", "footprints": [[[2, 2], 1.0]]}),
+    ],
+)
+def test_accepted_integral_knobs_keep_their_keys(name, params, key):
+    assert make_scenario(name, **params).to_key() == key
+
+
+def test_integral_float_cell_count_draws_as_the_integer():
+    as_float = IidUniformScenario(n_cells=2.0)
+    assert as_float.to_key() == IidUniformScenario(n_cells=2).to_key()
+    assert np.array_equal(
+        as_float.sample(block_generator(4, 0), 8, SPEC),
+        IidUniformScenario(n_cells=2).sample(block_generator(4, 0), 8, SPEC),
+    )
+
+
+# ----------------------------------------------------------------------
 # back-compat: the historical engine models' cache keys
 # ----------------------------------------------------------------------
 
