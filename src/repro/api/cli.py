@@ -39,15 +39,17 @@ Eight subcommands:
     present).
 
 ``trace JOB.json``
-    Render a persisted job trace (a ``serve --trace-dir`` file or a
-    saved ``GET /jobs/{id}/trace`` response) as a self-contained HTML
+    Render a persisted job trace (a ``serve --cache-dir DIR`` file,
+    ``DIR/traces/<job_id>.json``, or a saved ``GET /jobs/{id}/trace``
+    response) as a self-contained HTML
     span timeline; ``-o`` overrides the default ``JOB.html`` output
     path.  The same file loads in ``chrome://tracing``/Perfetto.
 
 ``flamegraph PROFILE``
     Render a sampled profile (collapsed-stack text, a profile JSON from
-    ``--profile-out``/``serve --profile-dir``/``GET /jobs/{id}/profile``,
-    or a result JSON carrying ``meta.telemetry.profile``) as a
+    ``--profile-out``/``GET /jobs/{id}/profile``, or a result JSON
+    carrying ``meta.telemetry.profile``, such as a ``serve --profile``
+    result mirror) as a
     self-contained HTML flamegraph; ``-o`` overrides the default
     ``PROFILE.html`` output path.
 
@@ -56,20 +58,23 @@ Eight subcommands:
     HTTP+JSON submissions with single-flight dedup, an asyncio worker
     pool over one shared session, and a TTL'd result store.
     ``--host/--port/--workers/--ttl`` configure it; ``--no-metrics``
-    disables the ``GET /metrics`` Prometheus endpoint (on by default)
-    and ``--trace-dir DIR`` persists every settled job's trace as
-    ``DIR/<job_id>.json``; ``--profile-dir DIR`` profiles every executed
-    job and persists/serves the profiles (``GET /jobs/{id}/profile``).
-    SIGINT/SIGTERM drain in-flight jobs and
-    shut down gracefully (a second signal cancels queued work).
+    disables the ``GET /metrics`` Prometheus endpoint (on by default).
+    ``--cache-dir DIR`` is the one on-disk root: engine results, the
+    result mirror (``DIR/results/``) and every settled job's trace
+    (``DIR/traces/<job_id>.json``), all swept by the same TTL.
+    ``--profile`` profiles every executed job (the profile lands in
+    its result's ``meta.telemetry.profile`` and is served at
+    ``GET /jobs/{id}/profile``).  SIGINT/SIGTERM drain in-flight jobs
+    and shut down gracefully (a second signal cancels queued work).
     Example::
 
         python -m repro serve --port 8765 --workers 4 --ttl 3600 \
-            --trace-dir traces
+            --cache-dir .repro-cache
 
 ``cache``
     Inspect (``--json``) or prune (``--prune --ttl S / --max-bytes N``,
-    mtime-LRU) the on-disk engine result cache.
+    mtime-LRU) a cache directory: every namespace under it (engine
+    results, result mirrors, job traces) goes through the same prune.
 
 Exit status: 0 on success, 2 on usage errors (including unknown
 experiment names, unknown scenarios, non-positive ``--workers`` counts
@@ -237,8 +242,8 @@ def build_parser() -> argparse.ArgumentParser:
         "profile",
         metavar="PROFILE",
         help="profile carrier: collapsed-stack text, a profile JSON "
-        "(--profile-out / serve --profile-dir / GET /jobs/{id}/profile), "
-        "or a result JSON with meta.telemetry.profile",
+        "(--profile-out / GET /jobs/{id}/profile), or a result JSON with "
+        "meta.telemetry.profile",
     )
     flamer.add_argument(
         "-o",
@@ -265,8 +270,8 @@ def build_parser() -> argparse.ArgumentParser:
     tracer.add_argument(
         "trace",
         metavar="JOB.json",
-        help="trace file (a serve --trace-dir artifact or a saved "
-        "GET /jobs/{id}/trace response)",
+        help="trace file (a serve --cache-dir DIR/traces/ artifact or a "
+        "saved GET /jobs/{id}/trace response)",
     )
     tracer.add_argument(
         "-o",
@@ -350,8 +355,8 @@ def build_parser() -> argparse.ArgumentParser:
     server.add_argument(
         "--cache-dir",
         metavar="DIR",
-        help="engine result cache + persisted result store directory "
-        "(memory-only when omitted)",
+        help="engine result cache, persisted result store and job traces "
+        "directory (memory-only when omitted)",
     )
     server.add_argument(
         "--metrics",
@@ -361,17 +366,11 @@ def build_parser() -> argparse.ArgumentParser:
         "(default: on; --no-metrics disables)",
     )
     server.add_argument(
-        "--trace-dir",
-        metavar="DIR",
-        help="persist every settled job's trace as DIR/<job_id>.json "
-        "(disabled when omitted)",
-    )
-    server.add_argument(
-        "--profile-dir",
-        metavar="DIR",
-        help="profile every executed job and persist the profile as "
-        "DIR/<job_id>.json (also served at GET /jobs/{id}/profile; "
-        "disabled when omitted)",
+        "--profile",
+        action="store_true",
+        help="profile every executed job: the profile lands in the "
+        "result's meta.telemetry.profile and is served at "
+        "GET /jobs/{id}/profile",
     )
     server.add_argument(
         "-v",
@@ -381,7 +380,9 @@ def build_parser() -> argparse.ArgumentParser:
     )
 
     cacher = sub.add_parser(
-        "cache", help="inspect or prune the on-disk engine result cache"
+        "cache",
+        help="inspect or prune a cache directory (engine results, result "
+        "mirrors, job traces)",
     )
     cacher.add_argument(
         "--dir",
@@ -404,7 +405,8 @@ def build_parser() -> argparse.ArgumentParser:
         "--max-bytes",
         type=int,
         metavar="N",
-        help="with --prune: evict oldest entries until the cache fits N bytes",
+        help="with --prune: evict oldest entries until each namespace "
+        "fits N bytes",
     )
     cacher.add_argument(
         "--json", action="store_true", help="emit stats as JSON"
@@ -605,8 +607,7 @@ def _cmd_serve(args) -> int:
             ttl_seconds=args.ttl or None,  # 0 disables expiry
             job_timeout=args.job_timeout,
             cache_dir=args.cache_dir,
-            trace_dir=args.trace_dir,
-            profile_dir=args.profile_dir,
+            profile=args.profile,
         )
     except ValueError as exc:  # e.g. a --job-timeout that is not > 0
         print(f"error: {exc}", file=sys.stderr)
@@ -647,7 +648,7 @@ def _cmd_serve(args) -> int:
 
 
 def _cmd_cache(args) -> int:
-    from repro.engine import ResultCache
+    from repro.engine.blobstore import NAMESPACES, BlobStore, namespace_root
 
     root = Path(args.dir)
     if not root.is_dir():
@@ -659,11 +660,20 @@ def _cmd_cache(args) -> int:
     if args.prune and args.ttl is None and args.max_bytes is None:
         print("error: --prune needs --ttl and/or --max-bytes", file=sys.stderr)
         return 2
-    cache = ResultCache(root)
+    spaces = [BlobStore(namespace_root(root, ns), ns) for ns in NAMESPACES]
     pruned = 0
     if args.prune:
-        pruned = cache.prune(ttl_seconds=args.ttl, max_bytes=args.max_bytes)
-    stats = cache.stats()
+        pruned = sum(
+            blobs.prune(ttl_seconds=args.ttl, max_bytes=args.max_bytes)
+            for blobs in spaces
+        )
+    each = [blobs.stats() for blobs in spaces]
+    oldest = [s["oldest_mtime"] for s in each if s["oldest_mtime"] is not None]
+    stats = {
+        "entries": sum(s["entries"] for s in each),
+        "total_bytes": sum(s["total_bytes"] for s in each),
+        "oldest_mtime": min(oldest, default=None),
+    }
     if args.json:
         payload = {"dir": str(root), **stats}
         if args.prune:

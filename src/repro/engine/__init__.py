@@ -26,6 +26,8 @@ where the scalar path (:mod:`repro.array`) walks one bank bit by bit:
   confidence intervals.
 * :mod:`repro.engine.cache` — an on-disk result cache keyed by the full
   experiment identity (spec, model, trials, seed, block size).
+* :mod:`repro.engine.blobstore` — the one on-disk store beneath it, the
+  service's result mirror and its job traces.
 * :mod:`repro.engine.oracle` — the scalar reference path the vectorized
   kernels are property-tested against.
 """

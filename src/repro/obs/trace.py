@@ -31,7 +31,8 @@ Export formats:
   events) loadable in ``chrome://tracing`` / Perfetto;
 - :meth:`Trace.export` — one payload carrying both (the top-level
   ``traceEvents`` key is what trace viewers look for; they ignore the
-  extra keys), which is what ``serve --trace-dir`` persists per job and
+  extra keys), which is what ``serve --cache-dir DIR`` persists per job
+  as ``DIR/traces/<job_id>.json`` and
   ``python -m repro trace`` renders.
 
 All mutation is lock-guarded: the event loop, worker threads and engine

@@ -94,11 +94,22 @@ def _check_density(value: float) -> None:
 
 
 def _normalize_footprints(raw: Any) -> Footprints:
-    """Coerce JSON-ish footprint shapes into the canonical tuple form."""
+    """Coerce JSON-ish footprint shapes into the canonical tuple form
+    (``None`` is the mostly-single-bit default).  An empty table, a
+    shape below 1x1, a negative or non-finite weight and a table with
+    no positive weight are refused: the draw could not use them."""
+    if raw is None:
+        raw = sorted(mostly_single_bit_footprints(0.1))
     footprints = tuple(((shape[0], shape[1]), float(weight)) for shape, weight in raw)
-    for (h, w), _weight in footprints:
+    if not footprints:
+        raise ValueError("footprints must not be empty")
+    for (h, w), weight in footprints:
         _check_integer("footprint height", h)
         _check_integer("footprint width", w)
+        if h < 1 or w < 1 or not (math.isfinite(weight) and weight >= 0):
+            raise ValueError(f"invalid footprint entry {((h, w), weight)}")
+    if sum(w for _f, w in footprints) <= 0:
+        raise ValueError("at least one footprint needs positive weight")
     return tuple(((int(h), int(w)), weight) for (h, w), weight in footprints)
 
 
@@ -176,17 +187,7 @@ class ClusteredMbuScenario(ScenarioBase):
     spread: float = 0.0
 
     def __post_init__(self) -> None:
-        footprints = self.footprints
-        if footprints is None:
-            footprints = tuple(sorted(mostly_single_bit_footprints(0.1)))
-        footprints = _normalize_footprints(footprints)
-        if not footprints:
-            raise ValueError("footprints must not be empty")
-        for (h, w), weight in footprints:
-            if h < 1 or w < 1 or weight < 0:
-                raise ValueError(f"invalid footprint entry {((h, w), weight)}")
-        if sum(w for _f, w in footprints) <= 0:
-            raise ValueError("at least one footprint needs positive weight")
+        footprints = _normalize_footprints(self.footprints)
         if not 0 <= self.spread < 1:
             raise ValueError("spread must be in [0, 1)")
         object.__setattr__(self, "footprints", footprints)

@@ -54,7 +54,6 @@ import numpy as np
 from .base import Geometry, ScenarioBase, scenario
 from .generators import (
     counted_cells_sparse,
-    mostly_single_bit_footprints,
     sample_footprints,
     solid_cluster_sparse,
 )
@@ -230,17 +229,7 @@ class TiltedClusteredMbuScenario(WeightedScenarioBase):
     example_params = {"tilt": 0.1}
 
     def __post_init__(self) -> None:
-        footprints = self.footprints
-        if footprints is None:
-            footprints = tuple(sorted(mostly_single_bit_footprints(0.1)))
-        footprints = _normalize_footprints(footprints)
-        if not footprints:
-            raise ValueError("footprints must not be empty")
-        for (h, w), weight in footprints:
-            if h < 1 or w < 1 or weight < 0:
-                raise ValueError(f"invalid footprint entry {((h, w), weight)}")
-        if sum(w for _f, w in footprints) <= 0:
-            raise ValueError("at least one footprint needs positive weight")
+        footprints = _normalize_footprints(self.footprints)
         if not math.isfinite(self.tilt):
             raise ValueError("tilt must be finite")
         object.__setattr__(self, "footprints", footprints)
@@ -310,6 +299,11 @@ class FaultCountBandScenario(ScenarioBase):
             raise ValueError("k_min must be non-negative")
         if self.k_max is not None and self.k_max < self.k_min:
             raise ValueError(f"need k_min <= k_max, got [{self.k_min}, {self.k_max}]")
+        if self.defect_density == 0 and self.k_min > 0:
+            raise ValueError(
+                f"band [{self.k_min}, {self.k_max}] has no Poisson mass at "
+                "defect_density=0"
+            )
         object.__setattr__(self, "k_min", int(self.k_min))
         if self.k_max is not None:
             object.__setattr__(self, "k_max", int(self.k_max))

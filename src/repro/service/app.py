@@ -72,6 +72,7 @@ from repro.api.registry import get_experiment
 from repro.api.result import RESULT_SCHEMA_VERSION
 from repro.api.session import Session
 from repro.api.spec import ExperimentSpec
+from repro.engine.blobstore import BlobStore, namespace_root
 from repro.obs import emit
 from repro.obs.metrics import MetricsRegistry
 
@@ -139,7 +140,7 @@ class ExperimentService:
         Bound on queued (not yet running) jobs; hit -> 429.
     ttl_seconds:
         Result-store TTL; each housekeeping :meth:`sweep` also prunes
-        the engine cache by it.
+        the engine cache and the job traces by it.
     job_timeout:
         Default per-attempt execution timeout in seconds, a finite
         number > 0 (``None`` = unbounded); a job's own ``timeout``
@@ -148,9 +149,10 @@ class ExperimentService:
         Extra attempts after a :data:`TRANSIENT` failure (>= 0) and the
         base backoff in seconds (doubled per retry).
     cache_dir:
-        Engine result-cache directory for the shared session; also the
-        parent of the store's disk mirror (``<cache_dir>/results/``).
-        ``None`` keeps both layers memory-only.
+        The one on-disk root: the shared session's engine cache, the
+        store's mirror (``results/``) and every settled job's trace
+        (``traces/<job_id>.json``, see :meth:`repro.obs.trace.Trace.export`).
+        ``None`` keeps everything in memory.
     session:
         Inject a pre-built session (tests); otherwise one is created
         and owned (closed on :meth:`stop`).
@@ -159,18 +161,12 @@ class ExperimentService:
         service's instruments (tests asserting exact counts); the
         process-global default registry otherwise.  ``GET /metrics``
         renders whichever is in use.
-    trace_dir:
-        Optional directory; when set, every settled job's trace is
-        persisted as ``<trace_dir>/<job_id>.json`` (span JSON + Chrome
-        ``traceEvents`` in one payload, see
-        :meth:`repro.obs.trace.Trace.export`).
-    profile_dir:
-        Optional directory; when set, every executed job runs with
-        ``profile=True`` and its profile payload (sampled stacks,
-        memory watermarks, process deltas) is persisted as
-        ``<profile_dir>/<job_id>.json`` and served at
-        ``GET /jobs/{id}/profile``.  Profiling is observational only —
-        results and dedup hashes are unchanged.
+    profile:
+        Run every executed job with ``profile=True``: its profile
+        payload (sampled stacks, memory watermarks, process deltas)
+        lands in the stored result under ``meta.telemetry.profile`` and
+        is served at ``GET /jobs/{id}/profile``.  Profiling is
+        observational only — results and dedup hashes are unchanged.
     """
 
     def __init__(
@@ -186,8 +182,7 @@ class ExperimentService:
         cache_dir: "str | Path | None" = None,
         session: "Session | None" = None,
         registry: "MetricsRegistry | None" = None,
-        trace_dir: "str | Path | None" = None,
-        profile_dir: "str | Path | None" = None,
+        profile: bool = False,
     ):
         if workers < 1:
             raise ValueError("workers must be positive")
@@ -199,18 +194,16 @@ class ExperimentService:
         self.retry_backoff = retry_backoff
         self.instruments = ServiceInstruments(registry)
         self.instruments.workers_total.set(workers)
-        self._trace_dir = Path(trace_dir) if trace_dir is not None else None
-        self._profile_dir = (
-            Path(profile_dir) if profile_dir is not None else None
-        )
+        self.profile = profile
         self._owns_session = session is None
         self.session = session or Session(
             workers=engine_workers, cache_dir=cache_dir
         )
-        store_root = (
-            Path(cache_dir) / "results" if cache_dir is not None else None
-        )
-        self.store = ResultStore(ttl_seconds=ttl_seconds, root=store_root)
+        results = self._traces = None
+        if cache_dir is not None:
+            results = namespace_root(cache_dir, "results")
+            self._traces = BlobStore(namespace_root(cache_dir, "traces"), "traces")
+        self.store = ResultStore(ttl_seconds=ttl_seconds, root=results)
         self.queue = JobQueue(capacity=queue_capacity)
         self._jobs: "dict[str, Job]" = {}
         self._synthetic = 0  # store-served submissions (no queue entry)
@@ -230,10 +223,6 @@ class ExperimentService:
             return
         self._started = True
         self._started_at = time.time()
-        if self._trace_dir is not None:
-            self._trace_dir.mkdir(parents=True, exist_ok=True)
-        if self._profile_dir is not None:
-            self._profile_dir.mkdir(parents=True, exist_ok=True)
         emit(
             "service.start",
             logger=_log,
@@ -296,14 +285,15 @@ class ExperimentService:
     def sweep(self) -> int:
         """One housekeeping pass; returns the number of entries evicted.
 
-        Expired store entries go first, then engine-cache entries older
-        than the same TTL, so one loop bounds both layers; the job-id
-        registry is capped too.
+        Expired store entries (memory and result mirrors) go first, then
+        engine-cache entries and job traces older than the same TTL, so
+        one loop bounds every tier; the job-id registry is capped too.
         """
         evicted = self.store.sweep()
-        cache = self.session.cache
-        if cache is not None and self.store.ttl_seconds is not None:
-            evicted += cache.prune(ttl_seconds=self.store.ttl_seconds)
+        ttl = self.store.ttl_seconds
+        for blobs in (self.session.cache, self._traces):
+            if blobs is not None and ttl is not None:
+                evicted += blobs.prune(ttl_seconds=ttl)
         self.instruments.store_entries.set(len(self.store))
         self._trim_history()
         if evicted:
@@ -518,7 +508,6 @@ class ExperimentService:
                 error=job.error,
             )
             self._persist_trace(job)
-            self._persist_profile(job)
 
     async def _attempt(self, job: Job, timeout: "float | None") -> None:
         """Run attempts until the job settles (retrying transients)."""
@@ -573,53 +562,28 @@ class ExperimentService:
     def _execute(self, job: Job):
         """Blocking engine run (called from a worker thread)."""
         self.instruments.engine_runs_total.inc()
-        if self._profile_dir is not None:
+        if self.profile:
             return self.session.run(job.spec, profile=True)
         return self.session.run(job.spec)
 
     def _persist_trace(self, job: Job) -> None:
-        """Best-effort write of ``<trace_dir>/<job_id>.json``."""
-        if self._trace_dir is None:
-            return
-        path = self._trace_dir / f"{job.id}.json"
-        try:
-            self._trace_dir.mkdir(parents=True, exist_ok=True)
-            path.write_text(
-                json.dumps(job.trace.export(), sort_keys=True),
-                encoding="utf-8",
+        """Best-effort write of ``<cache_dir>/traces/<job_id>.json``."""
+        if self._traces is not None:
+            self._traces.write(
+                job.id, json.dumps(job.trace.export(), sort_keys=True).encode()
             )
-        except OSError as exc:
-            _log.warning("could not persist trace for job %s: %r", job.id, exc)
 
     def job_profile(self, job_id: str) -> "Optional[dict]":
         """The job's profile payload (``GET /jobs/{id}/profile``).
 
         ``None`` when the job is unknown, not settled, or ran without
-        profiling (no ``--profile-dir``).
+        profiling (no ``--profile``).
         """
         job = self._jobs.get(job_id)
         result = job.result if job is not None else None
         if result is None:
             return None
         return (result.telemetry() or {}).get("profile")
-
-    def _persist_profile(self, job: Job) -> None:
-        """Best-effort write of ``<profile_dir>/<job_id>.json``."""
-        if self._profile_dir is None:
-            return
-        profile = self.job_profile(job.id)
-        if profile is None:
-            return
-        path = self._profile_dir / f"{job.id}.json"
-        try:
-            self._profile_dir.mkdir(parents=True, exist_ok=True)
-            path.write_text(
-                json.dumps(profile, sort_keys=True), encoding="utf-8"
-            )
-        except OSError as exc:
-            _log.warning(
-                "could not persist profile for job %s: %r", job.id, exc
-            )
 
     def metrics_text(self) -> str:
         """The instruments' Prometheus exposition (``GET /metrics``)."""

@@ -199,7 +199,7 @@ class ServiceClient:
     def profile(self, job_id: str) -> dict:
         """``GET /jobs/{id}/profile``: the job's profile payload (404
         raises :class:`ServiceError` when the service runs without
-        ``--profile-dir`` or the job has not settled)."""
+        ``--profile`` or the job has not settled)."""
         return self._request("GET", f"/jobs/{job_id}/profile")
 
     def debug_profile(

@@ -34,7 +34,8 @@ The families
 - ``repro_store_entries`` — live result-store entries.
 - ``repro_engine_runs_total`` — jobs that actually reached
   ``Session.run`` (the non-deduplicated work; the engine cache's own
-  hit/miss split lives in ``repro_engine_cache_lookups_total``).
+  hit/miss split lives in
+  ``repro_store_ops_total{namespace="engine",op="read"}``).
 - ``repro_process_cpu_seconds`` / ``repro_process_max_rss_bytes`` —
   process-level accounting (CPU via ``time.process_time``, RSS
   high-water mark via ``getrusage``), refreshed on every scrape.

@@ -37,7 +37,7 @@ Routes
     array in one payload.
 ``GET /jobs/{id}/profile``
     The job's profile payload (sampled stacks, memory watermarks,
-    process deltas) when the service runs with ``--profile-dir``;
+    process deltas) when the service runs with ``--profile``;
     ``404`` for unknown jobs or unprofiled runs.
 ``GET /debug/profile?seconds=N``
     On-demand whole-process sampling: run the sampling profiler for
@@ -325,7 +325,7 @@ class ServiceServer:
             raise _HttpError(
                 404,
                 f"job {job_id!r} has no profile (service not started with "
-                "--profile-dir, or the job has not settled)",
+                "--profile, or the job has not settled)",
             )
         return 200, profile
 

@@ -1,94 +1,58 @@
 """TTL'd result store: spec-hash → serialized :class:`Result`.
 
-The engine's :class:`~repro.engine.cache.ResultCache` memoizes *engine
-runs* (npz verdict payloads keyed by engine-run parameters).  The
-service needs one level up: finished **API results** keyed by the
-submitted spec's :meth:`~repro.api.spec.ExperimentSpec.content_hash`,
-so a resubmission after completion is served without touching the
-engine at all.  :class:`ResultStore` provides that layer:
-
-- entries hold the result's canonical JSON text (the exact
-  ``Result.to_json()`` bytes the HTTP layer serves; ``get`` round-trips
-  them back through :meth:`Result.from_json` losslessly);
-- every entry expires ``ttl_seconds`` after it was stored; expired
-  entries are evicted lazily on access and eagerly by :meth:`sweep`
-  (the service's housekeeping task), emitting ``store.evict``; a
-  re-``put`` refreshes the entry's clock;
-- optional disk persistence (``root``): entries are mirrored to
-  ``<root>/<hash>.json`` with atomic writes, and a cold ``get`` falls
-  back to disk (mtime-checked against the TTL) so a restarted service
-  keeps serving recent results;
-- hit/miss/store/evict counters feed ``GET /stats``.
-
-The store holds only its own entries: the service's housekeeping
-prunes the engine cache by the same TTL itself.
+One level above the engine's :class:`~repro.engine.cache.ResultCache`:
+finished **API results** keyed by the spec's ``content_hash()``, held
+as the exact ``Result.to_json()`` text the HTTP layer serves.  The
+in-memory front is the only tier without a ``root``; with one, entries
+are mirrored to ``<root>/<hash>.json`` (the ``results`` namespace of
+the :mod:`~repro.engine.blobstore`), so a restarted service keeps
+serving recent results.
 """
 
 from __future__ import annotations
 
-import json
 import logging
-import os
-import tempfile
 import time
-from pathlib import Path
-from typing import Callable, Optional
+from typing import Optional
 
+from repro.engine.blobstore import BlobStore
 from repro.obs import emit
 
-from repro.api.result import Result, ResultError
+from repro.api.result import Result
 
 __all__ = ["ResultStore"]
 
 _log = logging.getLogger(__name__)
 
 
-class _Entry:
-    __slots__ = ("text", "stored_at")
-
-    def __init__(self, text: str, stored_at: float):
-        self.text = text
-        self.stored_at = stored_at
+def _decode(data: bytes) -> str:
+    text = data.decode("utf-8")
+    Result.from_json(text)  # refuse to serve a corrupt mirror
+    return text
 
 
 class ResultStore:
     """In-memory (optionally disk-mirrored) TTL'd map of finished results.
 
-    Parameters
-    ----------
-    ttl_seconds:
-        Lifetime of every entry; ``None`` disables expiry.
-    root:
-        Optional directory for the disk mirror (created on demand).
-    clock:
-        Wall-clock source (injectable for tests).
+    Every entry expires ``ttl_seconds`` (``None``: never) after it was
+    stored, lazily on access and eagerly by :meth:`sweep`; ``clock``
+    times both tiers.  Hit/miss/store/evict counters feed ``GET /stats``.
     """
 
-    def __init__(
-        self,
-        *,
-        ttl_seconds: "float | None" = 3600.0,
-        root: "str | Path | None" = None,
-        clock: Callable[[], float] = time.time,
-    ):
+    def __init__(self, *, ttl_seconds=3600.0, root=None, clock=None):
         if ttl_seconds is not None and ttl_seconds <= 0:
             raise ValueError("ttl_seconds must be positive (or None)")
         self.ttl_seconds = ttl_seconds
-        self._root = Path(root) if root is not None else None
-        self._clock = clock
-        self._entries: "dict[str, _Entry]" = {}
+        self._clock = clock or time.time
+        self._disk = (
+            BlobStore(root, "results", clock=self._clock) if root is not None else None
+        )
+        #: spec hash -> (JSON text, stored-at time)
+        self._entries: "dict[str, tuple[str, float]]" = {}
         self.hits = 0
         self.misses = 0
         self.stores = 0
         self.evicted = 0
-
-    # ------------------------------------------------------------------
-    @property
-    def root(self) -> "Path | None":
-        return self._root
-
-    def _path_for(self, spec_hash: str) -> "Path | None":
-        return self._root / f"{spec_hash}.json" if self._root else None
 
     def _expired(self, stored_at: float) -> bool:
         return (
@@ -101,17 +65,11 @@ class ResultStore:
         """Store a finished result under its spec's content hash."""
         spec_hash = result.spec_hash
         text = result.to_json()
-        self._entries[spec_hash] = _Entry(text, self._clock())
+        self._entries[spec_hash] = (text, self._clock())
         self.stores += 1
-        emit(
-            "store.store",
-            logger=_log,
-            key=spec_hash,
-            bytes=len(text),
-        )
-        path = self._path_for(spec_hash)
-        if path is not None:
-            self._write_disk(path, text)
+        emit("store.store", logger=_log, key=spec_hash, bytes=len(text))
+        if self._disk is not None:
+            self._disk.write(spec_hash, text.encode("utf-8"))
         return spec_hash
 
     def get_json(self, spec_hash: str) -> "Optional[str]":
@@ -121,28 +79,25 @@ class ResultStore:
         without a parse/serialize round trip.
         """
         entry = self._entries.get(spec_hash)
-        if entry is not None:
-            if self._expired(entry.stored_at):
-                self._evict(spec_hash, reason="ttl")
-            else:
-                self.hits += 1
-                emit("store.hit", logger=_log, key=spec_hash)
-                return entry.text
-        text = self._load_disk(spec_hash)
-        if text is not None:
-            # Warm the memory tier with the disk entry's remaining TTL
-            # budget intact (approximated by the file's mtime).
-            self.hits += 1
-            emit("store.hit", logger=_log, key=spec_hash, tier="disk")
-            return text
-        self.misses += 1
-        emit("store.miss", logger=_log, key=spec_hash)
-        return None
+        if entry is not None and self._expired(entry[1]):
+            self._evict(spec_hash)
+            entry = None
+        if entry is None and self._disk is not None:
+            entry = self._disk.read(spec_hash, _decode, ttl_seconds=self.ttl_seconds)
+            if entry is not None:  # warm the front; it keeps the file's age
+                self._entries[spec_hash] = entry
+        if entry is None:
+            self.misses += 1
+            emit("store.miss", logger=_log, key=spec_hash)
+            return None
+        self.hits += 1
+        emit("store.hit", logger=_log, key=spec_hash)
+        return entry[0]
 
     def peek(self, spec_hash: str) -> "Optional[str]":
         """The in-memory entry's JSON text, without counting a lookup."""
         entry = self._entries.get(spec_hash)
-        return entry.text if entry is not None else None
+        return entry[0] if entry is not None else None
 
     def get(self, spec_hash: str) -> "Optional[Result]":
         """The stored :class:`Result` (lossless round trip), or ``None``."""
@@ -150,106 +105,28 @@ class ResultStore:
         return Result.from_json(text) if text is not None else None
 
     # ------------------------------------------------------------------
-    def _evict(self, spec_hash: str, *, reason: str) -> None:
-        entry = self._entries.pop(spec_hash, None)
-        if entry is None:
-            return
+    def _evict(self, spec_hash: str) -> None:
+        _text, stored_at = self._entries.pop(spec_hash)
         self.evicted += 1
         emit(
             "store.evict",
             logger=_log,
             key=spec_hash,
-            reason=reason,
-            age_seconds=round(self._clock() - entry.stored_at, 3),
+            reason="ttl",
+            age_seconds=round(self._clock() - stored_at, 3),
         )
-        path = self._path_for(spec_hash)
-        if path is not None:
-            try:
-                path.unlink()
-            except OSError:
-                pass
 
     def sweep(self) -> int:
-        """Evict every expired entry (memory and disk mirror); returns
-        the eviction count."""
-        removed = 0
-        if self.ttl_seconds is not None:
-            for spec_hash in [
-                h for h, e in self._entries.items() if self._expired(e.stored_at)
-            ]:
-                self._evict(spec_hash, reason="ttl")
-                removed += 1
-            removed += self._sweep_disk()
-        return removed
-
-    def clear(self) -> int:
-        """Drop every entry (memory and disk); returns the count."""
-        removed = 0
-        for spec_hash in list(self._entries):
-            self._evict(spec_hash, reason="clear")
-            removed += 1
-        if self._root is not None and self._root.is_dir():
-            for path in self._root.glob("*.json"):
-                try:
-                    path.unlink()
-                except OSError:
-                    continue
-        return removed
-
-    # ------------------------------------------------------------------
-    # Disk mirror
-    # ------------------------------------------------------------------
-    def _write_disk(self, path: Path, text: str) -> None:
-        try:
-            path.parent.mkdir(parents=True, exist_ok=True)
-            fd, tmp = tempfile.mkstemp(
-                prefix=f".{path.stem[:16]}-", suffix=".tmp", dir=path.parent
-            )
-            with os.fdopen(fd, "w", encoding="utf-8") as handle:
-                handle.write(text)
-            os.replace(tmp, path)
-        except OSError as exc:  # persistence is best-effort
-            _log.warning("store: could not persist %s: %r", path, exc)
-
-    def _load_disk(self, spec_hash: str) -> "Optional[str]":
-        path = self._path_for(spec_hash)
-        if path is None or not path.is_file():
-            return None
-        try:
-            stat = path.stat()
-            if self.ttl_seconds is not None and (
-                self._clock() - stat.st_mtime > self.ttl_seconds
-            ):
-                path.unlink(missing_ok=True)
-                return None
-            text = path.read_text(encoding="utf-8")
-            Result.from_json(text)  # refuse to serve a corrupt mirror
-        except (OSError, ResultError):
-            return None
-        self._entries[spec_hash] = _Entry(text, stat.st_mtime)
-        return text
-
-    def _sweep_disk(self) -> int:
-        if self._root is None or not self._root.is_dir():
+        """Evict every expired entry; returns the number of memory
+        entries plus mirror files removed."""
+        if self.ttl_seconds is None:
             return 0
-        removed = 0
-        cutoff = self._clock() - self.ttl_seconds
-        for path in self._root.glob("*.json"):
-            try:
-                if path.stat().st_mtime < cutoff and path.stem not in self._entries:
-                    path.unlink()
-                    removed += 1
-                    self.evicted += 1
-                    emit(
-                        "store.evict",
-                        logger=_log,
-                        key=path.stem,
-                        reason="ttl",
-                        tier="disk",
-                    )
-            except OSError:
-                continue
-        return removed
+        expired = [h for h, (_, at) in self._entries.items() if self._expired(at)]
+        for spec_hash in expired:
+            self._evict(spec_hash)
+        if self._disk is not None:
+            return len(expired) + self._disk.prune(ttl_seconds=self.ttl_seconds)
+        return len(expired)
 
     # ------------------------------------------------------------------
     def stats(self) -> dict:
@@ -257,14 +134,14 @@ class ResultStore:
         lookups = self.hits + self.misses
         return {
             "entries": len(self._entries),
-            "bytes": sum(len(e.text) for e in self._entries.values()),
+            "bytes": sum(len(text) for text, _ in self._entries.values()),
             "ttl_seconds": self.ttl_seconds,
             "hits": self.hits,
             "misses": self.misses,
             "stores": self.stores,
             "evicted": self.evicted,
             "hit_rate": (self.hits / lookups) if lookups else None,
-            "persisted": self._root is not None,
+            "persisted": self._disk is not None,
         }
 
     def __len__(self) -> int:
@@ -272,7 +149,7 @@ class ResultStore:
 
     def __contains__(self, spec_hash: str) -> bool:
         entry = self._entries.get(spec_hash)
-        return entry is not None and not self._expired(entry.stored_at)
+        return entry is not None and not self._expired(entry[1])
 
     def __repr__(self) -> str:
         return (

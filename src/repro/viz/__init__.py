@@ -21,7 +21,7 @@ zero external fetches, stdlib only):
     numbers are embedded under ``id="repro-bench-trend"``.
 
 :func:`render_timeline` / :func:`write_timeline`
-    One persisted job trace (the service's ``--trace-dir`` files or a
+    One persisted job trace (the service's ``--cache-dir`` trace files or a
     saved ``GET /jobs/{id}/trace`` response) → a span-timeline gantt
     with per-span offsets/durations/events and the exact trace payload
     embedded under ``id="repro-trace"`` (which keeps it loadable in
@@ -30,8 +30,8 @@ zero external fetches, stdlib only):
 
 :func:`render_flamegraph` / :func:`write_flamegraph`
     One sampled-stack profile (collapsed text, a profile JSON from
-    ``--profile-out``/``--profile-dir``/``GET /jobs/{id}/profile``, or
-    a result JSON carrying ``meta.telemetry.profile``) → an inline-SVG
+    ``--profile-out``/``GET /jobs/{id}/profile``, or a result JSON
+    carrying ``meta.telemetry.profile``) → an inline-SVG
     icicle flamegraph with a top-functions table and the collapsed
     payload embedded under ``id="repro-profile"``.  CLI:
     ``python -m repro flamegraph profile.json -o flame.html``.

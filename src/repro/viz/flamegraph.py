@@ -5,9 +5,10 @@ Input is any carrier of collapsed stacks the profiling layer produces:
 - collapsed-stack text (``frameA;frameB count`` per line, the
   ``--profile-out`` ``.collapsed`` file);
 - a profile payload dict (:meth:`repro.obs.RunProfiler.profile`, the
-  service's ``GET /jobs/{id}/profile`` / ``GET /debug/profile`` bodies,
-  or a ``--profile-dir`` file) — anything with a ``"stacks"`` mapping;
-- a full result JSON whose ``meta.telemetry.profile`` carries one.
+  service's ``GET /jobs/{id}/profile`` / ``GET /debug/profile`` bodies)
+  — anything with a ``"stacks"`` mapping;
+- a full result JSON whose ``meta.telemetry.profile`` carries one (a
+  ``serve --profile`` result mirror included).
 
 Output follows the project's report pattern: one HTML file, inline SVG
 icicle (root at the top, frame width ∝ inclusive sample count), a

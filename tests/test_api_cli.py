@@ -476,6 +476,26 @@ class TestCacheCommand:
         assert code == 2
         assert "require --prune" in capsys.readouterr().err
 
+    def test_prune_sweeps_every_namespace(self, capsys, tmp_path):
+        import os
+        import time
+
+        from repro.engine.blobstore import NAMESPACES, BlobStore, namespace_root
+
+        stale = time.time() - 7200.0
+        for namespace in NAMESPACES:
+            blobs = BlobStore(namespace_root(tmp_path, namespace), namespace)
+            os.utime(blobs.write("stale", b"{}"), (stale, stale))
+            blobs.write("fresh", b"{}")
+        code = main([
+            "cache", "--dir", str(tmp_path), "--prune", "--ttl", "3600",
+            "--json",
+        ])
+        assert code == 0
+        payload = json.loads(capsys.readouterr().out)
+        assert payload["pruned"] == 3
+        assert payload["entries"] == 3
+
     def test_prune_ttl_removes_stale_entries(self, capsys, tmp_path):
         self._populate(tmp_path, "stale", age_seconds=7200.0)
         self._populate(tmp_path, "fresh")
@@ -521,12 +541,11 @@ class TestServeCommand:
 
         from repro.service import ServiceClient, ServiceError
 
-        trace_dir = tmp_path / "traces"
         proc = subprocess.Popen(
             [
                 sys.executable, "-m", "repro", "serve",
                 "--port", "0", "--workers", "1",
-                "--no-metrics", "--trace-dir", str(trace_dir),
+                "--no-metrics", "--cache-dir", str(tmp_path),
             ],
             stdout=subprocess.PIPE,
             stderr=subprocess.PIPE,
@@ -548,8 +567,8 @@ class TestServeCommand:
             with pytest.raises(ServiceError) as excinfo:
                 client.metrics()
             assert excinfo.value.status == 404
-            # ... and --trace-dir persists the settled job's trace.
-            trace_path = trace_dir / f"{job['id']}.json"
+            # ... and --cache-dir persists the settled job's trace.
+            trace_path = tmp_path / "traces" / f"{job['id']}.json"
             deadline = 100
             while not trace_path.is_file() and deadline:
                 deadline -= 1

@@ -132,9 +132,9 @@ class TestRegistry:
     def test_default_registry_is_a_process_singleton(self):
         assert default_registry() is default_registry()
         # Module-level instrumentation registers on it at import time.
-        import repro.engine.cache  # noqa: F401
+        import repro.engine.blobstore  # noqa: F401
 
-        assert "repro_engine_cache_lookups_total" in default_registry()
+        assert "repro_store_ops_total" in default_registry()
 
 
 class TestRender:

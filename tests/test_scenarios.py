@@ -369,6 +369,11 @@ BAD_KNOBS = [
     ("clustered_mbu", {"footprints": [[[1.5, 2], 1.0]]}),
     ("clustered_mbu", {"footprints": [[[True, 2], 1.0]]}),
     ("tilted_clustered_mbu", {"footprints": [[[2, 2.5], 1.0]]}),
+    ("clustered_mbu", {"footprints": [[[1, 1], float("nan")]]}),
+    ("clustered_mbu", {"footprints": [[[1, 1], float("inf")], [[2, 2], 1.0]]}),
+    ("tilted_clustered_mbu", {"footprints": [[[1, 1], float("nan")]]}),
+    ("tilted_clustered_mbu", {"footprints": [[[1, 1], 1.0], [[2, 2], float("inf")]]}),
+    ("fault_count_band", {"defect_density": 0.0, "k_min": 1}),
 ] + [
     (name, {"defect_density": density})
     for name in ("hard_fault_map", "tilted_hard_fault_map", "fault_count_band")

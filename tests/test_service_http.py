@@ -359,13 +359,12 @@ class TestMetricsAndTrace:
     ):
         from repro.viz import load_trace, render_timeline
 
-        trace_dir = tmp_path / "traces"
-        live = LiveService(workers=1, trace_dir=trace_dir).start()
+        live = LiveService(workers=1, cache_dir=tmp_path).start()
         try:
             client = live.client()
             client.wait_ready()
             job = client.run(spec(14), timeout=60.0)
-            path = trace_dir / f"{job['id']}.json"
+            path = tmp_path / "traces" / f"{job['id']}.json"
             deadline = time.monotonic() + 10.0
             while not path.is_file() and time.monotonic() < deadline:
                 time.sleep(0.05)  # persisted just after terminal state

@@ -1,13 +1,13 @@
 """Service profiling surface: ``/jobs/{id}/profile`` and ``/debug/profile``.
 
-Runs one ``--profile-dir`` service per module (reusing the
+Runs one ``--profile`` service per module (reusing the
 :class:`LiveService` harness from ``test_service_http``) plus targeted
 cases against an unprofiled service, pinning:
 
-- profiled services attach a profile to every executed job and persist
-  it as ``<profile_dir>/<job_id>.json``;
+- profiled services attach a profile to every executed job, and it is
+  persisted in the job's result mirror under ``meta.telemetry.profile``;
 - ``GET /jobs/{id}/profile`` 404s for unknown jobs and on services
-  running without ``--profile-dir``;
+  running without ``--profile``;
 - ``GET /debug/profile`` samples the live process on demand, validates
   its query parameters, and clamps the duration;
 - the ``repro_process_*`` gauges refresh on every ``/metrics`` scrape.
@@ -26,13 +26,13 @@ from test_service_http import LiveService, spec
 
 
 @pytest.fixture(scope="module")
-def profile_dir(tmp_path_factory):
-    return tmp_path_factory.mktemp("profiles")
+def cache_dir(tmp_path_factory):
+    return tmp_path_factory.mktemp("cache")
 
 
 @pytest.fixture(scope="module")
-def live(profile_dir):
-    service = LiveService(workers=2, profile_dir=profile_dir).start()
+def live(cache_dir):
+    service = LiveService(workers=2, cache_dir=cache_dir, profile=True).start()
     yield service
     service.stop()
 
@@ -50,13 +50,13 @@ class TestJobProfile:
         assert isinstance(profile["stacks"], dict)
         assert profile["process"]["cpu_seconds"] >= 0
 
-    def test_profile_persisted_to_dir(self, client, profile_dir):
+    def test_profile_persisted_to_dir(self, client, cache_dir):
         job = client.run(spec(2), timeout=60.0)
         client.profile(job["id"])  # ensure the job settled
-        path = profile_dir / f"{job['id']}.json"
+        path = cache_dir / "results" / f"{job['hash']}.json"
         assert path.exists()
         persisted = json.loads(path.read_text())
-        assert isinstance(persisted["stacks"], dict)
+        assert isinstance(persisted["meta"]["telemetry"]["profile"]["stacks"], dict)
 
     def test_unknown_job_404s(self, client):
         with pytest.raises(ServiceError) as excinfo:
@@ -118,7 +118,7 @@ class TestProcessGauges:
 
 
 class TestUnprofiledService:
-    def test_profile_404_without_profile_dir(self):
+    def test_profile_404_without_profiling(self):
         service = LiveService(workers=1).start()
         try:
             client = service.client()

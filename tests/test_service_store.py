@@ -216,6 +216,34 @@ class TestEngineCacheCoPrune:
         finally:
             service.session.close()
 
+    def test_one_sweep_expires_every_namespace(self, tmp_path, monkeypatch):
+        clock = FakeClock()
+        monkeypatch.setattr(time, "time", clock)  # every tier's clock
+        service = self.service(tmp_path, ttl_seconds=60.0)
+        try:
+            cache = service.session.cache
+
+            def generation(i: int) -> "tuple[str, str, str]":
+                result = make_result(i)
+                cache.store(f"engine{i}", {"counts": [i]}, {"n": i})
+                service.store.put(result)
+                job, via = service.submit(result.spec)  # persists a trace
+                assert via == "store"
+                return f"engine{i}", result.spec_hash, job.id
+
+            stale = generation(1)
+            clock.advance(61.0)
+            fresh = generation(2)
+            # memory entry + result mirror, engine entry, trace
+            assert service.sweep() == 4
+            for (engine, spec_hash, job_id), alive in ((stale, False), (fresh, True)):
+                assert cache.path_for(engine).exists() is alive
+                assert (tmp_path / "results" / f"{spec_hash}.json").exists() is alive
+                assert (tmp_path / "traces" / f"{job_id}.json").exists() is alive
+                assert (spec_hash in service.store) is alive
+        finally:
+            service.session.close()
+
     def test_stats_embed_engine_cache_shape(self, tmp_path):
         service = self.service(tmp_path)
         try:
