@@ -16,7 +16,7 @@ Eight subcommands:
     ``--verbose/-v`` streams INFO-level telemetry to stderr while the
     run executes; ``--telemetry PATH`` writes the run's raw event
     stream as JSON lines (``-`` for stdout).  ``--profile`` samples the
-    run (``--profile-hz`` picks the rate) and attaches the profile to
+    run's own thread and attaches the profile to
     ``meta.telemetry.profile``; ``--profile-out BASE`` additionally
     writes ``BASE.collapsed`` (collapsed stacks) and ``BASE.html``
     (flamegraph).  Examples::
@@ -46,10 +46,10 @@ Eight subcommands:
     path.  The same file loads in ``chrome://tracing``/Perfetto.
 
 ``flamegraph PROFILE``
-    Render a sampled profile (collapsed-stack text, a profile JSON from
-    ``--profile-out``/``GET /jobs/{id}/profile``, or a result JSON
-    carrying ``meta.telemetry.profile``, such as a ``serve --profile``
-    result mirror) as a
+    Render a sampled profile (collapsed-stack text, a profile JSON such
+    as a ``GET /debug/profile`` body, or a result JSON carrying
+    ``meta.telemetry.profile``, such as a ``run --profile --json``
+    output or a ``serve --profile`` result mirror) as a
     self-contained HTML flamegraph; ``-o`` overrides the default
     ``PROFILE.html`` output path.
 
@@ -63,9 +63,10 @@ Eight subcommands:
     result mirror (``DIR/results/``) and every settled job's trace
     (``DIR/traces/<job_id>.json``), all swept by the same TTL.
     ``--profile`` profiles every executed job (the profile lands in
-    its result's ``meta.telemetry.profile`` and is served at
-    ``GET /jobs/{id}/profile``).  SIGINT/SIGTERM drain in-flight jobs
-    and shut down gracefully (a second signal cancels queued work).
+    its result's ``meta.telemetry.profile``, served with the result by
+    ``GET /jobs/{id}`` and ``GET /results/{hash}``).  SIGINT/SIGTERM
+    drain in-flight jobs and shut down gracefully (a second signal
+    cancels queued work).
     Example::
 
         python -m repro serve --port 8765 --workers 4 --ttl 3600 \
@@ -217,15 +218,9 @@ def build_parser() -> argparse.ArgumentParser:
     runner.add_argument(
         "--profile",
         action="store_true",
-        help="profile the run (sampling profiler + memory watermarks); "
-        "the profile attaches to meta.telemetry.profile in the Result "
-        "JSON and never changes the result payload",
-    )
-    runner.add_argument(
-        "--profile-hz",
-        type=float,
-        metavar="HZ",
-        help="sampling rate in Hz (implies --profile; default: 47)",
+        help="sample the run's stacks at 47 Hz; the profile attaches to "
+        "meta.telemetry.profile in the Result JSON and never changes the "
+        "result payload",
     )
     runner.add_argument(
         "--profile-out",
@@ -241,8 +236,8 @@ def build_parser() -> argparse.ArgumentParser:
     flamer.add_argument(
         "profile",
         metavar="PROFILE",
-        help="profile carrier: collapsed-stack text, a profile JSON "
-        "(--profile-out / GET /jobs/{id}/profile), or a result JSON with "
+        help="profile carrier: collapsed-stack text (--profile-out), a "
+        "profile JSON (GET /debug/profile), or a result JSON with "
         "meta.telemetry.profile",
     )
     flamer.add_argument(
@@ -369,8 +364,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--profile",
         action="store_true",
         help="profile every executed job: the profile lands in the "
-        "result's meta.telemetry.profile and is served at "
-        "GET /jobs/{id}/profile",
+        "result's meta.telemetry.profile",
     )
     server.add_argument(
         "-v",
@@ -723,19 +717,12 @@ def _cmd_run(args) -> int:
                 raise SpecError(
                     f"--telemetry: directory {parent} does not exist"
                 )
-        if args.profile_hz is not None and args.profile_hz <= 0:
-            raise SpecError(
-                f"--profile-hz must be positive, got {args.profile_hz}"
-            )
         if args.profile_out:
             parent = Path(args.profile_out).parent
             if not parent.is_dir():
                 raise SpecError(
                     f"--profile-out: directory {parent} does not exist"
                 )
-        profile = None
-        if args.profile or args.profile_hz is not None or args.profile_out:
-            profile = args.profile_hz if args.profile_hz is not None else True
         if args.scenario is not None:
             get_scenario_class(args.scenario)  # unknown names are usage errors
             if params.get("scenario", args.scenario) != args.scenario:
@@ -765,7 +752,9 @@ def _cmd_run(args) -> int:
         if args.verbose:
             repro_logger, verbose_handler = _verbose_telemetry_handler()
         with Session(workers=args.workers, cache_dir=args.cache_dir) as session:
-            result = session.run(spec, profile=profile)
+            result = session.run(
+                spec, profile=bool(args.profile or args.profile_out)
+            )
             telemetry_jsonl = (
                 session.last_telemetry.to_jsonl()
                 if session.last_telemetry is not None

@@ -33,7 +33,7 @@ from typing import Any, Callable, Mapping
 
 from repro.obs import RunRecorder, Trace, current_trace, emit
 from repro.obs import metrics as _metrics
-from repro.obs.profile import ProfileConfig, RunProfiler
+from repro.obs.profile import RunProfiler
 
 from .registry import Experiment, get_experiment
 from .result import Result, Series
@@ -345,15 +345,18 @@ class Session:
         experiment name; keyword overrides build/replace spec fields
         (``trials=...``, ``params={...}`` etc.) either way.
 
-        ``profile=`` opts into profiling this run (``True``, a sampling
-        rate in Hz, a mapping of :class:`~repro.obs.ProfileConfig`
-        fields, or a config instance).  It is an execution option, not a
-        spec field: it never enters the spec, its hash, or any cache
-        key, and the collected profile attaches only to
+        ``profile=True`` samples the calling thread's stacks for the
+        run (:class:`~repro.obs.RunProfiler`).  It is an execution
+        option, not a spec field: it never enters the spec, its hash, or
+        any cache key, and the collected profile attaches only to
         ``meta["telemetry"]["profile"]`` — a profiled run's payload is
         bit-identical to an unprofiled one.
         """
-        profile = ProfileConfig.coerce(overrides.pop("profile", None))
+        profile = overrides.pop("profile", False)
+        if not isinstance(profile, bool):
+            raise TypeError(
+                f"profile= takes a bool, got {type(profile).__name__}"
+            )
         if isinstance(spec, str):
             spec = ExperimentSpec(spec, **overrides)
         elif overrides:
@@ -452,8 +455,7 @@ class Session:
             started = time.perf_counter()
             try:
                 with (
-                    RunProfiler(profile) if profile is not None
-                    else contextlib.nullcontext()
+                    RunProfiler() if profile else contextlib.nullcontext()
                 ) as profiler:
                     result = impl(context)
             except BaseException as exc:

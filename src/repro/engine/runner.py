@@ -29,7 +29,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro.obs import emit, memory_phase
+from repro.obs import emit
 from repro.obs.profile import process_usage, usage_delta
 from repro.scenarios import ScenarioModel
 
@@ -243,8 +243,7 @@ def _execute_ranges(
         (spec, model, seed, block_size, first, last, collect_verdicts)
         for first, last in ranges
     ]
-    with memory_phase("engine.run"):
-        return executor.map(_worker, payloads)
+    return executor.map(_worker, payloads)
 
 
 def _emit_estimator(

@@ -47,13 +47,8 @@ from .events import emit
 from .metrics import MetricsRegistry, default_registry, parse_exposition
 from .profile import (
     DEFAULT_HZ,
-    PROFILE_SCHEMA_VERSION,
-    MemoryWatermarks,
-    ProfileConfig,
     RunProfiler,
     SamplingProfiler,
-    current_profiler,
-    memory_phase,
     process_usage,
     usage_delta,
 )
@@ -70,10 +65,7 @@ from .trace import (
 
 __all__ = [
     "DEFAULT_HZ",
-    "MemoryWatermarks",
     "MetricsRegistry",
-    "PROFILE_SCHEMA_VERSION",
-    "ProfileConfig",
     "RunProfiler",
     "SamplingProfiler",
     "Span",
@@ -81,12 +73,10 @@ __all__ = [
     "TRACE_SCHEMA_VERSION",
     "RunRecorder",
     "Trace",
-    "current_profiler",
     "current_span",
     "current_trace",
     "default_registry",
     "emit",
-    "memory_phase",
     "new_trace_id",
     "parse_exposition",
     "process_usage",

@@ -1,28 +1,23 @@
-"""Opt-in continuous profiling: sampled stacks, memory watermarks, rusage.
-
-Three stdlib-only collectors, each usable alone, composed by
-:class:`RunProfiler` for :meth:`repro.api.Session.run`'s ``profile=``
-option:
+"""Opt-in sampled profiling: stacks of one run's thread, plus rusage.
 
 :class:`SamplingProfiler`
-    A background thread samples every Python thread's stack via
-    :func:`sys._current_frames` at a configurable rate (default
-    :data:`DEFAULT_HZ` = 47 Hz, a prime so the sampler does not
-    phase-lock with periodic work) and aggregates them into
-    collapsed-stack counts —
-    the ``frameA;frameB;frameC count`` format flamegraph tooling eats.
-    Sampling never acquires locks held by the sampled threads and never
-    touches the event loop, so it is safe under asyncio and
-    free-threaded worker pools alike.  Start/stop are idempotent and
-    the profiler is restartable.
+    A background thread samples Python stacks via
+    :func:`sys._current_frames` at :data:`DEFAULT_HZ` (47 Hz, a prime
+    so the sampler does not phase-lock with periodic work) and
+    aggregates them into collapsed-stack counts — the
+    ``frameA;frameB;frameC count`` format flamegraph tooling eats.
+    Given a ``thread_id`` it samples only that thread; without one it
+    samples every thread but its own (the service's ``GET
+    /debug/profile``).  Sampling never acquires locks held by the
+    sampled threads and never touches the event loop, so it is safe
+    under asyncio and worker pools alike.  Start/stop are idempotent
+    and the profiler is restartable.
 
-:class:`MemoryWatermarks`
-    :mod:`tracemalloc`-based per-phase peaks.  Phases nest; each phase
-    observes the allocation peak inside its own window (parent windows
-    fold the child's peak back in), so ``engine.run`` vs ``perf.grid``
-    attributions stay meaningful even when one wraps the other.  If
-    tracemalloc is already tracing (e.g. a test harness), the collector
-    piggybacks and leaves it running on stop.
+:class:`RunProfiler`
+    One run's collector, behind :meth:`repro.api.Session.run`'s
+    ``profile=True``: a sampler bound to the thread that runs the
+    experiment, so concurrent runs never see each other's stacks, and
+    the process's CPU and RSS high-water mark over the run.
 
 :func:`process_usage` / :func:`usage_delta`
     Cheap point-in-time process accounting — ``time.process_time`` plus
@@ -37,15 +32,11 @@ to cache keys, so a profiled run is bit-identical to an unprofiled one.
 
 from __future__ import annotations
 
-import contextlib
-import contextvars
-import dataclasses
 import os
 import sys
 import threading
 import time
-import tracemalloc
-from typing import Any, Iterator, Mapping, Optional
+from typing import Any, Mapping
 
 try:  # not on Windows; every collector degrades gracefully without it
     import resource as _resource
@@ -54,57 +45,25 @@ except ImportError:  # pragma: no cover - platform dependent
 
 __all__ = [
     "DEFAULT_HZ",
-    "PROFILE_SCHEMA_VERSION",
-    "MemoryWatermarks",
-    "ProfileConfig",
+    "MAX_STACK_DEPTH",
     "RunProfiler",
     "SamplingProfiler",
-    "current_profiler",
-    "memory_phase",
     "process_usage",
     "usage_delta",
 ]
 
-#: Bump when the profile payload layout changes incompatibly.
-PROFILE_SCHEMA_VERSION = 1
-
-#: Default sampling rate.  Prime, so the sampler cannot phase-lock with
+#: The sampling rate.  Prime, so the sampler cannot phase-lock with
 #: work that recurs at round frequencies; high enough to resolve
 #: ~50 ms phases, low enough that GIL handoffs to the sampler thread
 #: stay well under the 5% overhead budget (see DESIGN.md §7 and
-#: benchmarks/test_profile_overhead.py — at ~100 Hz the measured
-#: overhead creeps to 3-5%, at 47 Hz it is under 1%).
+#: benchmarks/test_profile_overhead.py).
 DEFAULT_HZ = 47.0
+
+#: Innermost frames kept per sampled stack.
+MAX_STACK_DEPTH = 64
 
 #: ru_maxrss unit: KiB on Linux, bytes on macOS.
 _RU_MAXRSS_SCALE = 1 if sys.platform == "darwin" else 1024
-
-#: The innermost active RunProfiler (None outside profiled runs).
-#: ``asyncio.to_thread`` copies the context, so the variable propagates
-#: into worker threads the same way the ambient span does.
-_ACTIVE_PROFILER: "contextvars.ContextVar[RunProfiler | None]" = (
-    contextvars.ContextVar("repro_obs_profiler", default=None)
-)
-
-
-def current_profiler() -> "Optional[RunProfiler]":
-    """The ambient :class:`RunProfiler`, if a profiled run is active."""
-    return _ACTIVE_PROFILER.get()
-
-
-@contextlib.contextmanager
-def memory_phase(name: str) -> "Iterator[None]":
-    """Mark a named memory-watermark phase on the ambient profiler.
-
-    No-op (zero allocation, one contextvar read) when no profiled run is
-    active, so engine code can mark phases unconditionally.
-    """
-    profiler = _ACTIVE_PROFILER.get()
-    if profiler is None or profiler.memory is None:
-        yield
-        return
-    with profiler.memory.phase(name):
-        yield
 
 
 # ----------------------------------------------------------------------
@@ -167,7 +126,7 @@ def _frame_label(frame) -> str:
 
 
 class SamplingProfiler:
-    """Sample every thread's stack on a background thread.
+    """Sample one thread's stack (or every thread's) on a background thread.
 
     The sampler holds its own lock only while bumping the counts dict —
     never while walking frames — and :func:`sys._current_frames` itself
@@ -175,11 +134,11 @@ class SamplingProfiler:
     cannot deadlock against its own profiler.
     """
 
-    def __init__(self, hz: float = DEFAULT_HZ, *, max_stack_depth: int = 64):
-        if not hz > 0:
-            raise ValueError(f"hz must be positive, got {hz!r}")
-        self.hz = float(hz)
-        self.max_stack_depth = int(max_stack_depth)
+    def __init__(self, thread_id: "int | None" = None):
+        #: The one thread sampled (``None``: every thread but the
+        #: sampler's own).
+        self.thread_id = thread_id
+        self.hz = DEFAULT_HZ
         self._lock = threading.Lock()
         self._stop = threading.Event()
         self._thread: "threading.Thread | None" = None
@@ -249,17 +208,19 @@ class SamplingProfiler:
             self.sampling_seconds += time.perf_counter() - sample_started
 
     def _sample_once(self, own_ident: int) -> None:
+        frames = sys._current_frames()
+        if self.thread_id is not None:
+            frame = frames.get(self.thread_id)
+            frames = {} if frame is None else {self.thread_id: frame}
         names = {t.ident: t.name for t in threading.enumerate()}
         stacks = []
-        for ident, frame in sys._current_frames().items():
+        for ident, frame in frames.items():
             if ident == own_ident:
                 continue
             parts: "list[str]" = []
-            depth = 0
-            while frame is not None and depth < self.max_stack_depth:
+            while frame is not None and len(parts) < MAX_STACK_DEPTH:
                 parts.append(_frame_label(frame))
                 frame = frame.f_back
-                depth += 1
             if not parts:
                 continue
             parts.reverse()  # root → leaf, the collapsed-stack order
@@ -297,199 +258,42 @@ class SamplingProfiler:
 
 
 # ----------------------------------------------------------------------
-# tracemalloc memory watermarks
+# One run's collector
 # ----------------------------------------------------------------------
-class MemoryWatermarks:
-    """Per-phase allocation peaks via :mod:`tracemalloc`.
+class RunProfiler:
+    """Profile one run (context manager).
 
-    Each :meth:`phase` measures the peak inside its own window using
-    :func:`tracemalloc.reset_peak`.  Entering a child phase first folds
-    the parent's window peak into the parent's record, so nesting
-    attributes every allocation to the innermost phase that was open
-    while still giving outer phases a peak at least as large as any
-    child's.
+    The sampler is bound to the thread that creates the profiler — the
+    thread running the experiment — so a run's profile holds only its
+    own stacks even while other runs share the process.  At ``--workers
+    N>1`` the engine work runs in worker processes; this thread then
+    waits in ``executor.map``, and the workers' CPU and RSS arrive in
+    the run's ``engine``/``perf`` ``resources`` telemetry instead.
+    The profile's ``process`` block is this process's rusage delta over
+    the run; its ``max_rss_bytes`` is the one memory figure.
     """
 
     def __init__(self):
-        self._lock = threading.Lock()
-        self._started_tracing = False
-        self._active = False
-        self._phases: "dict[str, dict]" = {}
-        self._stack: "list[dict]" = []
-
-    # ------------------------------------------------------------------
-    def start(self) -> "MemoryWatermarks":
-        if self._active:
-            return self
-        self._active = True
-        if not tracemalloc.is_tracing():
-            tracemalloc.start()
-            self._started_tracing = True
-        return self
-
-    def stop(self) -> "MemoryWatermarks":
-        if not self._active:
-            return self
-        self._active = False
-        if self._started_tracing and tracemalloc.is_tracing():
-            tracemalloc.stop()
-        self._started_tracing = False
-        return self
-
-    def __enter__(self) -> "MemoryWatermarks":
-        return self.start()
-
-    def __exit__(self, *exc: object) -> None:
-        self.stop()
-
-    # ------------------------------------------------------------------
-    def _fold_window_peak(self) -> None:
-        """Fold the current window's peak into the innermost open phase."""
-        if not self._stack:
-            return
-        _, peak = tracemalloc.get_traced_memory()
-        record = self._stack[-1]
-        record["peak_bytes"] = max(record["peak_bytes"], peak)
-
-    @contextlib.contextmanager
-    def phase(self, name: str) -> "Iterator[None]":
-        """Measure the allocation peak while the block runs (nestable)."""
-        if not self._active or not tracemalloc.is_tracing():
-            yield
-            return
-        name = str(name)
-        with self._lock:
-            self._fold_window_peak()
-            current, _ = tracemalloc.get_traced_memory()
-            tracemalloc.reset_peak()
-            record = self._phases.setdefault(
-                name,
-                {"count": 0, "peak_bytes": 0, "alloc_bytes": 0, "current_bytes": 0},
-            )
-            record["count"] += 1
-            self._stack.append(record)
-        try:
-            yield
-        finally:
-            with self._lock:
-                now, peak = tracemalloc.get_traced_memory()
-                record["peak_bytes"] = max(record["peak_bytes"], peak)
-                record["alloc_bytes"] = max(record["alloc_bytes"], now - current)
-                record["current_bytes"] = now
-                self._stack.pop()
-                if self._stack:
-                    parent = self._stack[-1]
-                    parent["peak_bytes"] = max(
-                        parent["peak_bytes"], record["peak_bytes"]
-                    )
-                tracemalloc.reset_peak()
-
-    # ------------------------------------------------------------------
-    def to_dict(self) -> dict:
-        with self._lock:
-            payload = {
-                "tracing": self._active,
-                "phases": {name: dict(rec) for name, rec in self._phases.items()},
-            }
-        if tracemalloc.is_tracing():
-            current, peak = tracemalloc.get_traced_memory()
-            payload["current_bytes"] = current
-            payload["window_peak_bytes"] = peak
-        return payload
-
-
-# ----------------------------------------------------------------------
-# Configuration + run orchestration
-# ----------------------------------------------------------------------
-@dataclasses.dataclass(frozen=True)
-class ProfileConfig:
-    """How :meth:`Session.run` should profile (``profile=`` option)."""
-
-    hz: float = DEFAULT_HZ
-    memory: bool = True
-    max_stack_depth: int = 64
-
-    @classmethod
-    def coerce(cls, value: Any) -> "ProfileConfig | None":
-        """Normalize the ``profile=`` argument.
-
-        ``None``/``False`` → no profiling; ``True`` → defaults; a number
-        → that sampling rate; a mapping → keyword overrides; a
-        :class:`ProfileConfig` passes through.
-        """
-        if value is None or value is False:
-            return None
-        if value is True:
-            return cls()
-        if isinstance(value, cls):
-            return value
-        if isinstance(value, (int, float)):
-            return cls(hz=float(value))
-        if isinstance(value, Mapping):
-            return cls(**dict(value))
-        raise TypeError(
-            f"profile= expects None, bool, Hz, mapping or ProfileConfig; "
-            f"got {type(value).__name__}"
-        )
-
-
-class RunProfiler:
-    """Compose the collectors around one run (context manager).
-
-    Entering starts the sampler (and tracemalloc watermarks unless
-    disabled) and installs the profiler as the ambient one so
-    :func:`memory_phase` markers anywhere below attribute correctly;
-    exiting stops everything and freezes :meth:`profile`.
-    """
-
-    def __init__(self, config: "ProfileConfig | None" = None):
-        self.config = config or ProfileConfig()
-        self.sampler = SamplingProfiler(
-            self.config.hz, max_stack_depth=self.config.max_stack_depth
-        )
-        self.memory: "MemoryWatermarks | None" = (
-            MemoryWatermarks() if self.config.memory else None
-        )
+        self.sampler = SamplingProfiler(threading.get_ident())
         self._usage0: "dict | None" = None
         self._profile: "dict | None" = None
-        self._token: "contextvars.Token | None" = None
 
     def __enter__(self) -> "RunProfiler":
         self._usage0 = process_usage()
         self.sampler.start()
-        if self.memory is not None:
-            self.memory.start()
-        self._token = _ACTIVE_PROFILER.set(self)
         return self
 
     def __exit__(self, *exc: object) -> None:
-        if self._token is not None:
-            _ACTIVE_PROFILER.reset(self._token)
-            self._token = None
         self.sampler.stop()
-        sampled = self.sampler.to_dict()
         self._profile = {
-            "schema": PROFILE_SCHEMA_VERSION,
-            **sampled,
-            "process": usage_delta(self._usage0) if self._usage0 else {},
+            **self.sampler.to_dict(),
+            "process": usage_delta(self._usage0),
         }
-        if self.memory is not None:
-            self._profile["memory"] = self.memory.to_dict()
-            self.memory.stop()
 
     # ------------------------------------------------------------------
     def profile(self) -> dict:
-        """The frozen profile payload (after exit; live snapshot before)."""
-        if self._profile is not None:
-            return self._profile
-        payload = {
-            "schema": PROFILE_SCHEMA_VERSION,
-            **self.sampler.to_dict(),
-            "process": usage_delta(self._usage0) if self._usage0 else {},
-        }
-        if self.memory is not None:
-            payload["memory"] = self.memory.to_dict()
-        return payload
+        """The profile payload, frozen when the run exits."""
+        return self._profile
 
     def digest(self) -> dict:
         """A small summary for span attributes (no stack payload)."""

@@ -28,8 +28,9 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
 
 __all__ = ["TELEMETRY_SCHEMA_VERSION", "RunRecorder"]
 
-#: Bump when the summary layout changes incompatibly.
-TELEMETRY_SCHEMA_VERSION = 1
+#: Bump when the summary layout changes incompatibly.  2: the
+#: ``profile`` block lost its ``schema`` and ``memory`` keys.
+TELEMETRY_SCHEMA_VERSION = 2
 
 
 class RunRecorder:

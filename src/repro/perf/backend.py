@@ -36,7 +36,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro.cmp.config import CmpConfig, ProtectionConfig
-from repro.obs import emit, memory_phase
+from repro.obs import emit
 from repro.obs.profile import process_usage, usage_delta
 from repro.engine.aggregate import MeanEstimate
 from repro.engine.cache import ResultCache, cache_key
@@ -430,8 +430,7 @@ def run_performance_grid(
             (cmp_cfg, profile, missing, n_cycles, seed, block_size, first, last)
             for first, last in ranges
         ]
-        with memory_phase("perf.grid"):
-            outcomes = executor.map(_worker, payloads)
+        outcomes = executor.map(_worker, payloads)
         elapsed = time.perf_counter() - started
         for index, (_, stats) in enumerate(outcomes):
             emit("perf.shard", logger=_log, index=index, **stats)

@@ -163,10 +163,10 @@ class ExperimentService:
         renders whichever is in use.
     profile:
         Run every executed job with ``profile=True``: its profile
-        payload (sampled stacks, memory watermarks, process deltas)
-        lands in the stored result under ``meta.telemetry.profile`` and
-        is served at ``GET /jobs/{id}/profile``.  Profiling is
-        observational only — results and dedup hashes are unchanged.
+        payload (the worker thread's sampled stacks, process deltas)
+        lands in the stored result under ``meta.telemetry.profile``.
+        Profiling is observational only — results and dedup hashes are
+        unchanged.
     """
 
     def __init__(
@@ -398,7 +398,7 @@ class ExperimentService:
         uniform: every submission yields an awaitable job).  It holds
         the store's JSON text itself, never a parsed copy."""
         self._synthetic += 1
-        job = Job(f"s{self._synthetic:06d}", spec)
+        job = Job(self.queue.new_id("s"), spec)
         job.from_store = True
         job.mark_running()
         job.resolve(text)
@@ -572,18 +572,6 @@ class ExperimentService:
             self._traces.write(
                 job.id, json.dumps(job.trace.export(), sort_keys=True).encode()
             )
-
-    def job_profile(self, job_id: str) -> "Optional[dict]":
-        """The job's profile payload (``GET /jobs/{id}/profile``).
-
-        ``None`` when the job is unknown, not settled, or ran without
-        profiling (no ``--profile``).
-        """
-        job = self._jobs.get(job_id)
-        result = job.result if job is not None else None
-        if result is None:
-            return None
-        return (result.telemetry() or {}).get("profile")
 
     def metrics_text(self) -> str:
         """The instruments' Prometheus exposition (``GET /metrics``)."""

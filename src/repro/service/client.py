@@ -196,22 +196,13 @@ class ServiceClient:
         plus a Chrome ``traceEvents`` array)."""
         return self._request("GET", f"/jobs/{job_id}/trace")
 
-    def profile(self, job_id: str) -> dict:
-        """``GET /jobs/{id}/profile``: the job's profile payload (404
-        raises :class:`ServiceError` when the service runs without
-        ``--profile`` or the job has not settled)."""
-        return self._request("GET", f"/jobs/{job_id}/profile")
-
-    def debug_profile(
-        self, *, seconds: float = 1.0, hz: "float | None" = None
-    ) -> dict:
+    def debug_profile(self, *, seconds: float = 1.0) -> dict:
         """``GET /debug/profile``: sample the service process for
         ``seconds`` and return the collapsed-stack profile."""
-        path = f"/debug/profile?seconds={seconds}"
-        if hz is not None:
-            path += f"&hz={hz}"
         return self._request(
-            "GET", path, timeout=max(self.timeout, seconds + 10.0)
+            "GET",
+            f"/debug/profile?seconds={seconds}",
+            timeout=max(self.timeout, seconds + 10.0),
         )
 
     def metrics(self) -> str:

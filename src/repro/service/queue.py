@@ -36,6 +36,7 @@ import asyncio
 import heapq
 import itertools
 import json
+import secrets
 import time
 from typing import TYPE_CHECKING, Optional
 
@@ -243,6 +244,7 @@ class JobQueue:
         self._heap: "list[tuple[int, int, Job]]" = []
         self._tick = itertools.count()
         self._ids = itertools.count(1)
+        self._id_token = secrets.token_hex(4)
         self._inflight: "dict[str, Job]" = {}
         self._queued = 0
         self._closed = False
@@ -265,6 +267,17 @@ class JobQueue:
         return self._inflight.get(spec_hash)
 
     # ------------------------------------------------------------------
+    def new_id(self, kind: str) -> str:
+        """A fresh job id, ``<kind>-<token>-<n>``.
+
+        The random token is drawn once per queue, so a restarted
+        service never reuses an id (nor overwrites the previous
+        process's ``traces/<job_id>.json``) even though ``n`` restarts
+        at 1.  Queued (``j``) and store-hit (``s``) jobs share the
+        counter.
+        """
+        return f"{kind}-{self._id_token}-{next(self._ids):06d}"
+
     def submit(
         self,
         spec: "ExperimentSpec",
@@ -301,9 +314,7 @@ class JobQueue:
                     self._heap, (-priority, next(self._tick), existing)
                 )
             return existing, True
-        job = Job(
-            f"j{next(self._ids):06d}", spec, priority=priority, timeout=timeout
-        )
+        job = Job(self.new_id("j"), spec, priority=priority, timeout=timeout)
         self._inflight[spec_hash] = job
         heapq.heappush(self._heap, (-job.priority, next(self._tick), job))
         self._queued += 1

@@ -35,15 +35,14 @@ Routes
 ``GET /jobs/{id}/trace``
     The job's trace export: span JSON plus a Chrome ``traceEvents``
     array in one payload.
-``GET /jobs/{id}/profile``
-    The job's profile payload (sampled stacks, memory watermarks,
-    process deltas) when the service runs with ``--profile``;
-    ``404`` for unknown jobs or unprofiled runs.
 ``GET /debug/profile?seconds=N``
-    On-demand whole-process sampling: run the sampling profiler for
-    ``seconds`` (default 1, capped at 30; ``hz`` picks the rate) and
-    return the profile.  The sampler runs on its own thread, so the
-    event loop keeps serving while it collects.
+    On-demand whole-process sampling: run the sampling profiler over
+    every thread for ``seconds`` (default 1, capped at 30; ``400``
+    unless a finite number >= 0) and return the profile.  The sampler
+    runs on its own thread, so the event loop keeps serving while it
+    collects.  A ``--profile`` job's own profile rides in its result
+    (``meta.telemetry.profile`` of ``GET /jobs/{id}`` and ``GET
+    /results/{hash}``).
 """
 
 from __future__ import annotations
@@ -51,6 +50,7 @@ from __future__ import annotations
 import asyncio
 import json
 import logging
+import math
 from urllib.parse import parse_qs, urlsplit
 
 from repro.api.registry import UnknownExperimentError
@@ -225,10 +225,6 @@ class ServiceServer:
                 if method != "GET":
                     raise _HttpError(405, f"{method} not allowed on {path}")
                 return self._get_trace(job_id[: -len("/trace")])
-            if job_id.endswith("/profile"):
-                if method != "GET":
-                    raise _HttpError(405, f"{method} not allowed on {path}")
-                return self._get_profile(job_id[: -len("/profile")])
             if method == "GET":
                 return await self._get_job(job_id, query)
             if method == "DELETE":
@@ -316,31 +312,19 @@ class ServiceServer:
             raise _HttpError(404, f"no job {job_id!r}")
         return 200, job.trace.export()
 
-    def _get_profile(self, job_id: str) -> "tuple[int, object]":
-        job = self.service.job(job_id)
-        if job is None:
-            raise _HttpError(404, f"no job {job_id!r}")
-        profile = self.service.job_profile(job_id)
-        if profile is None:
-            raise _HttpError(
-                404,
-                f"job {job_id!r} has no profile (service not started with "
-                "--profile, or the job has not settled)",
-            )
-        return 200, profile
-
     async def _debug_profile(self, query: dict) -> "tuple[int, object]":
-        from repro.obs.profile import DEFAULT_HZ, SamplingProfiler
+        from repro.obs.profile import SamplingProfiler
 
         try:
             seconds = float(query.get("seconds", 1.0))
-            hz = float(query.get("hz", DEFAULT_HZ))
         except ValueError as exc:
-            raise _HttpError(400, "seconds and hz must be numbers") from exc
-        if seconds < 0 or hz <= 0:
-            raise _HttpError(400, "seconds must be >= 0 and hz > 0")
+            raise _HttpError(400, "seconds must be a number") from exc
+        # NaN slips past both the sign check and the min() clamp, and
+        # the sampler would then run until shutdown.
+        if not math.isfinite(seconds) or seconds < 0:
+            raise _HttpError(400, "seconds must be a finite number >= 0")
         seconds = min(seconds, _MAX_PROFILE_SECONDS)
-        profiler = SamplingProfiler(hz)
+        profiler = SamplingProfiler()
         profiler.start()
         try:
             # The sampler collects on its own thread; the loop stays

@@ -29,9 +29,9 @@ zero external fetches, stdlib only):
     ``python -m repro trace job.json -o timeline.html``.
 
 :func:`render_flamegraph` / :func:`write_flamegraph`
-    One sampled-stack profile (collapsed text, a profile JSON from
-    ``--profile-out``/``GET /jobs/{id}/profile``, or a result JSON
-    carrying ``meta.telemetry.profile``) → an inline-SVG
+    One sampled-stack profile (collapsed text such as a
+    ``--profile-out`` file, a ``GET /debug/profile`` JSON, or a result
+    JSON carrying ``meta.telemetry.profile``) → an inline-SVG
     icicle flamegraph with a top-functions table and the collapsed
     payload embedded under ``id="repro-profile"``.  CLI:
     ``python -m repro flamegraph profile.json -o flame.html``.

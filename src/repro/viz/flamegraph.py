@@ -5,8 +5,8 @@ Input is any carrier of collapsed stacks the profiling layer produces:
 - collapsed-stack text (``frameA;frameB count`` per line, the
   ``--profile-out`` ``.collapsed`` file);
 - a profile payload dict (:meth:`repro.obs.RunProfiler.profile`, the
-  service's ``GET /jobs/{id}/profile`` / ``GET /debug/profile`` bodies)
-  — anything with a ``"stacks"`` mapping;
+  service's ``GET /debug/profile`` body) — anything with a
+  ``"stacks"`` mapping;
 - a full result JSON whose ``meta.telemetry.profile`` carries one (a
   ``serve --profile`` result mirror included).
 
@@ -201,33 +201,13 @@ def _top_functions(stacks: "dict[str, int]", limit: int = 25) -> str:
     )
 
 
-def _memory_table(memory: dict) -> str:
-    phases = memory.get("phases") or {}
-    if not phases:
-        return ""
-    rows = "".join(
-        "<tr>"
-        f"<td class=\"mono\">{_esc(name)}</td>"
-        f"<td class=\"num\">{rec.get('count', 0)}</td>"
-        f"<td class=\"num\">{rec.get('peak_bytes', 0) / 1e6:.2f}</td>"
-        f"<td class=\"num\">{rec.get('alloc_bytes', 0) / 1e6:.2f}</td>"
-        "</tr>"
-        for name, rec in sorted(phases.items())
-    )
-    return (
-        "<h2>Memory watermarks</h2>"
-        "<table><thead><tr><th>phase</th><th class=\"num\">count</th>"
-        '<th class="num">peak (MB)</th><th class="num">alloc (MB)</th>'
-        f"</tr></thead><tbody>{rows}</tbody></table>"
-    )
-
-
 def render_flamegraph(profile: dict, *, title: "str | None" = None) -> str:
     """The profile payload as a self-contained HTML page (string)."""
     stacks = {str(k): int(v) for k, v in (profile.get("stacks") or {}).items()}
     total = sum(stacks.values())
     heading = title or "Sampled profile"
     duration = profile.get("duration_seconds")
+    rss = (profile.get("process") or {}).get("max_rss_bytes")
     cards = "".join(
         f'<div class="card"><div class="label">{_esc(label)}</div>'
         f'<div class="value">{_esc(value)}</div></div>'
@@ -239,6 +219,7 @@ def render_flamegraph(profile: dict, *, title: "str | None" = None) -> str:
                 "duration",
                 f"{duration:.2f} s" if isinstance(duration, (int, float)) else "—",
             ),
+            ("peak RSS", f"{rss / 1e6:.1f} MB" if isinstance(rss, int) else "—"),
         )
     )
     body = (
@@ -251,7 +232,6 @@ def render_flamegraph(profile: dict, *, title: "str | None" = None) -> str:
         f'<div class="cards">{cards}</div>'
         f"<h2>Flamegraph</h2>{_icicle(_build_tree(stacks))}"
         f"<h2>Top functions</h2>{_top_functions(stacks)}"
-        + _memory_table(profile.get("memory") or {})
         + embed_json(PROFILE_JSON_ID, json.dumps(profile, sort_keys=True))
     )
     return page(heading, body, generator="repro.viz.flamegraph")

@@ -3,8 +3,10 @@
 from __future__ import annotations
 
 import json
+import re
 import subprocess
 import sys
+import threading
 
 import pytest
 
@@ -266,6 +268,55 @@ class TestTelemetryFlags:
     def test_without_verbose_stderr_stays_quiet(self, capsys):
         assert main(["run", "fig3.coverage", "--trials", "64", "--seed", "7", "-q"]) == 0
         assert "engine.run.start" not in capsys.readouterr().err
+
+
+def _embedded_profile(html_path) -> dict:
+    """The profile payload a flamegraph page carries under #repro-profile."""
+    match = re.search(
+        r'<script type="application/json" id="repro-profile">(.*?)</script>',
+        html_path.read_text(),
+        re.DOTALL,
+    )
+    assert match, f"{html_path} has no embedded profile"
+    return json.loads(match.group(1).replace("<\\/", "</"))
+
+
+@pytest.fixture(scope="class")
+def profiled_json(tmp_path_factory):
+    """One ``run --profile --json`` result file shared by the class."""
+    out = tmp_path_factory.mktemp("profiled") / "out.json"
+    assert main([*TestProfileFlags.RUN, "--profile", "--json", str(out)]) == 0
+    return out
+
+
+class TestProfileFlags:
+    #: ~0.3 s of engine work, so the 47 Hz sampler takes samples.
+    RUN = ["run", "fig3.coverage", "--trials", "65536", "--seed", "7", "-q"]
+
+    def test_profile_samples_the_running_thread_only(self, profiled_json):
+        profile = json.loads(profiled_json.read_text())["meta"]["telemetry"]["profile"]
+        assert profile["samples"] > 0
+        assert profile["threads_observed"] == [threading.current_thread().name]
+        assert any("repro.engine" in stack for stack in profile["stacks"])
+
+    def test_flamegraph_renders_a_result_json(self, profiled_json):
+        assert main(["flamegraph", str(profiled_json)]) == 0
+        profile = json.loads(profiled_json.read_text())["meta"]["telemetry"]["profile"]
+        assert _embedded_profile(profiled_json.with_suffix(".html")) == profile
+
+    def test_profile_out_writes_collapsed_and_html(self, tmp_path):
+        from repro.viz import parse_collapsed
+
+        base = tmp_path / "prof"
+        assert main([*self.RUN, "--profile-out", str(base)]) == 0
+        collapsed = parse_collapsed((tmp_path / "prof.collapsed").read_text())
+        assert collapsed
+        assert _embedded_profile(tmp_path / "prof.html")["stacks"] == collapsed
+        rerender = tmp_path / "rerender.html"
+        assert main([
+            "flamegraph", str(tmp_path / "prof.collapsed"), "-o", str(rerender),
+        ]) == 0
+        assert _embedded_profile(rerender)["stacks"] == collapsed
 
 
 class TestReportCommand:

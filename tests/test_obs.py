@@ -350,7 +350,7 @@ class TestSessionTelemetry:
         with Session() as session:
             for spec, expected in cases:
                 telemetry = session.run(spec).telemetry()
-                assert telemetry["schema"] == 1
+                assert telemetry["schema"] == 2
                 assert _key_paths(telemetry) == expected, spec.experiment
 
 

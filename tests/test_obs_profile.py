@@ -1,12 +1,13 @@
-"""Profiling layer: sampler, watermarks, rusage, Session integration.
+"""Profiling layer: sampler, rusage, Session integration.
 
 The load-bearing guarantees pinned here:
 
 - the sampling profiler is idempotent, restartable, and captures a
   busy thread's stack without deadlocking it;
-- tracemalloc watermark phases nest correctly (parent peak ≥ child
-  peak) and never stop tracing they did not start;
-- ``Session.run(profile=...)`` is observational by contract — the
+- a run's profile samples only the thread that ran it, so concurrent
+  runs never see each other's stacks, and profiling never turns on
+  tracemalloc;
+- ``Session.run(profile=True)`` is observational by contract — the
   profiled result is bit-identical to the unprofiled one modulo
   ``meta["telemetry"]``, including against a cached rerun;
 - per-shard resource accounting flows through the runner chunk stats
@@ -24,33 +25,35 @@ import pytest
 from repro.api import ExperimentSpec, Session
 from repro.obs import (
     DEFAULT_HZ,
-    PROFILE_SCHEMA_VERSION,
-    MemoryWatermarks,
-    ProfileConfig,
     RunProfiler,
     SamplingProfiler,
-    current_profiler,
-    memory_phase,
     process_usage,
     usage_delta,
 )
+from repro.obs.profile import MAX_STACK_DEPTH
 
 
-def _spin(stop: threading.Event) -> None:
+def _spin(stop: threading.Event, spinning: threading.Event) -> None:
     """A recognizable busy loop for the sampler to catch."""
+    spinning.set()
     while not stop.is_set():
         sum(range(200))
 
 
-class TestSamplingProfiler:
-    def test_rejects_non_positive_hz(self):
-        with pytest.raises(ValueError):
-            SamplingProfiler(0)
-        with pytest.raises(ValueError):
-            SamplingProfiler(-5)
+def _sample_until(profiler: SamplingProfiler, samples: int) -> None:
+    """Keep sampling until the window holds ``samples`` samples.
 
+    A busy host can starve the sampler thread; the 5 s deadline bounds
+    the wait, and the caller's assertions report a shortfall.
+    """
+    deadline = time.monotonic() + 5.0
+    while profiler.samples < samples and time.monotonic() < deadline:
+        time.sleep(0.02)
+
+
+class TestSamplingProfiler:
     def test_start_stop_idempotent_and_restartable(self):
-        profiler = SamplingProfiler(hz=500)
+        profiler = SamplingProfiler()
         assert not profiler.running
         profiler.start()
         first_thread = profiler._thread
@@ -68,32 +71,36 @@ class TestSamplingProfiler:
         assert profiler.duration_seconds > d1
 
     def test_captures_busy_thread_stack(self):
-        stop = threading.Event()
-        worker = threading.Thread(target=_spin, args=(stop,), name="spinner")
+        stop, spinning = threading.Event(), threading.Event()
+        worker = threading.Thread(
+            target=_spin, args=(stop, spinning), name="spinner"
+        )
         worker.start()
         try:
-            with SamplingProfiler(hz=500) as profiler:
-                # The spinner competes for the GIL, and a busy host can
-                # starve the sampler: keep sampling past the first 0.2 s
-                # until the window holds enough samples.
-                deadline = time.monotonic() + 5.0
-                time.sleep(0.2)
-                while profiler.samples <= 10 and time.monotonic() < deadline:
-                    time.sleep(0.05)
+            assert spinning.wait(timeout=5.0)
+            with SamplingProfiler(worker.ident) as profiler:
+                _sample_until(profiler, 11)
         finally:
             stop.set()
-            worker.join()
+            worker.join(timeout=5.0)
+        assert not worker.is_alive()
         payload = profiler.to_dict()
+        assert payload["hz"] == DEFAULT_HZ
         assert payload["samples"] > 10
-        assert "spinner" in payload["threads_observed"]
-        assert any("_spin" in stack for stack in payload["stacks"])
-        # collapsed stacks are root → leaf and ;-joined
-        spin_stack = next(s for s in payload["stacks"] if "_spin" in s)
-        assert spin_stack.split(";")[-1].endswith("_spin")
+        assert payload["threads_observed"] == ["spinner"]
+        # Collapsed stacks are root → leaf and ;-joined.  A sample may
+        # land inside a callee of _spin (Event.is_set), so _spin is the
+        # leaf of some stacks, not all, but always sits below Thread.run.
+        stacks = [stack.split(";") for stack in payload["stacks"]]
+        assert any(frames[-1].endswith(":_spin") for frames in stacks)
+        for frames in stacks:
+            spin = next(i for i, f in enumerate(frames) if f.endswith(":_spin"))
+            assert frames.index("threading:Thread.run") < spin
 
     def test_excludes_its_own_sampler_thread(self):
-        with SamplingProfiler(hz=500) as profiler:
-            time.sleep(0.05)
+        with SamplingProfiler() as profiler:
+            _sample_until(profiler, 2)
+        assert profiler.samples >= 2
         assert "repro-profiler" not in profiler.to_dict()["threads_observed"]
         assert not any("_sample_once" in s for s in profiler.collapsed())
 
@@ -104,63 +111,28 @@ class TestSamplingProfiler:
         assert text.splitlines() == ["a;b 3", "a;c 1"]
 
     def test_max_stack_depth_caps_frames(self):
-        def recurse(n: int, stop: threading.Event) -> None:
+        def recurse(n: int, deep: threading.Event, stop: threading.Event) -> None:
             if n > 0:
-                recurse(n - 1, stop)
+                recurse(n - 1, deep, stop)
             else:
+                deep.set()
                 stop.wait()
 
-        stop = threading.Event()
-        worker = threading.Thread(target=recurse, args=(100, stop))
+        deep, stop = threading.Event(), threading.Event()
+        worker = threading.Thread(
+            target=recurse, args=(MAX_STACK_DEPTH + 36, deep, stop)
+        )
         worker.start()
         try:
-            with SamplingProfiler(hz=500, max_stack_depth=8) as profiler:
-                time.sleep(0.05)
+            assert deep.wait(timeout=5.0)
+            with SamplingProfiler(worker.ident) as profiler:
+                _sample_until(profiler, 2)
         finally:
             stop.set()
-            worker.join()
-        assert all(
-            len(stack.split(";")) <= 8 for stack in profiler.collapsed()
-        )
-
-
-class TestMemoryWatermarks:
-    def test_phases_record_peaks_and_nest(self):
-        with MemoryWatermarks() as mem:
-            with mem.phase("outer"):
-                with mem.phase("inner"):
-                    blob = bytearray(4_000_000)
-                    del blob
-        phases = mem.to_dict()["phases"]
-        assert phases["inner"]["count"] == 1
-        assert phases["inner"]["peak_bytes"] >= 4_000_000
-        # parent folds the child's peak back in
-        assert phases["outer"]["peak_bytes"] >= phases["inner"]["peak_bytes"]
-        assert not tracemalloc.is_tracing()
-
-    def test_leaves_preexisting_tracing_running(self):
-        tracemalloc.start()
-        try:
-            mem = MemoryWatermarks().start()
-            with mem.phase("p"):
-                pass
-            mem.stop()
-            assert tracemalloc.is_tracing()
-        finally:
-            tracemalloc.stop()
-
-    def test_phase_without_start_is_a_noop(self):
-        mem = MemoryWatermarks()
-        with mem.phase("ignored"):
-            pass
-        assert mem.to_dict()["phases"] == {}
-
-    def test_repeat_phase_accumulates_count(self):
-        with MemoryWatermarks() as mem:
-            for _ in range(3):
-                with mem.phase("loop"):
-                    pass
-        assert mem.to_dict()["phases"]["loop"]["count"] == 3
+            worker.join(timeout=5.0)
+        stacks = profiler.collapsed()
+        assert stacks
+        assert all(len(stack.split(";")) == MAX_STACK_DEPTH for stack in stacks)
 
 
 class TestResourceAccounting:
@@ -183,55 +155,9 @@ class TestResourceAccounting:
         assert delta["pid"] == before["pid"]
 
 
-class TestProfileConfig:
-    def test_coerce_none_and_false_disable(self):
-        assert ProfileConfig.coerce(None) is None
-        assert ProfileConfig.coerce(False) is None
-
-    def test_coerce_true_gives_defaults(self):
-        config = ProfileConfig.coerce(True)
-        assert config == ProfileConfig()
-        assert config.hz == DEFAULT_HZ
-
-    def test_coerce_number_sets_hz(self):
-        assert ProfileConfig.coerce(250).hz == 250.0
-
-    def test_coerce_mapping_and_passthrough(self):
-        config = ProfileConfig.coerce({"hz": 50, "memory": False})
-        assert config.hz == 50 and config.memory is False
-        assert ProfileConfig.coerce(config) is config
-
-    def test_coerce_rejects_garbage(self):
-        with pytest.raises(TypeError):
-            ProfileConfig.coerce("yes please")
-
-
 class TestRunProfiler:
-    def test_ambient_profiler_and_memory_phase(self):
-        assert current_profiler() is None
-        with RunProfiler() as profiler:
-            assert current_profiler() is profiler
-            with memory_phase("test.phase"):
-                pass
-        assert current_profiler() is None
-        profile = profiler.profile()
-        assert profile["schema"] == PROFILE_SCHEMA_VERSION
-        assert "test.phase" in profile["memory"]["phases"]
-        assert profile["process"]["cpu_seconds"] >= 0
-
-    def test_memory_phase_is_noop_without_profiler(self):
-        with memory_phase("nobody.listening"):
-            pass  # must not raise or start tracemalloc
-        assert not tracemalloc.is_tracing()
-
-    def test_memory_disabled_by_config(self):
-        with RunProfiler(ProfileConfig(memory=False)) as profiler:
-            with memory_phase("ignored"):
-                pass
-        assert "memory" not in profiler.profile()
-
     def test_digest_summarizes_without_stacks(self):
-        profiler = RunProfiler(ProfileConfig(hz=500))
+        profiler = RunProfiler()
         with profiler:
             time.sleep(0.02)
         digest = profiler.digest()
@@ -241,12 +167,19 @@ class TestRunProfiler:
 
 _SPEC = ExperimentSpec("fig3.coverage", trials=512, seed=2007)
 
+#: Every key of a run's profile: the sampler's payload plus the
+#: process's rusage delta.  No tracemalloc phase tree, no own schema.
+_PROFILE_KEYS = {
+    "hz", "samples", "duration_seconds", "sampling_seconds", "stacks",
+    "threads_observed", "process",
+}
+
 
 class TestSessionIntegration:
     def test_profile_attaches_to_telemetry_only(self):
         result = Session().run(_SPEC, profile=True)
         profile = result.telemetry()["profile"]
-        assert profile["schema"] == PROFILE_SCHEMA_VERSION
+        assert set(profile) == _PROFILE_KEYS
         assert profile["samples"] >= 0
         assert "profile" not in result.data_dict()
 
@@ -279,10 +212,28 @@ class TestSessionIntegration:
         if resources["max_rss_bytes"] is not None:
             assert resources["max_rss_bytes"] > 1_000_000
 
-    def test_memory_phases_cover_the_engine_run(self):
+    def test_profiled_run_leaves_tracemalloc_off(self, monkeypatch):
+        from repro.engine.executor import SharedExecutor
+
+        tracing: "list[bool]" = []
+        original_map = SharedExecutor.map
+
+        def spy(self, fn, payloads):
+            tracing.append(tracemalloc.is_tracing())
+            return original_map(self, fn, payloads)
+
+        monkeypatch.setattr(SharedExecutor, "map", spy)
         result = Session().run(_SPEC, profile=True)
-        phases = result.telemetry()["profile"]["memory"]["phases"]
-        assert "engine.run" in phases
+        assert tracing and not any(tracing)
+        assert not tracemalloc.is_tracing()
+        rss = result.telemetry()["profile"]["process"]["max_rss_bytes"]
+        if rss is not None:
+            assert rss > 1_000_000
+
+    def test_profile_takes_only_a_bool(self):
+        for value in (47, 47.0, {"hz": 47}, None, "yes"):
+            with pytest.raises(TypeError, match="profile= takes a bool"):
+                Session().run(_SPEC, profile=value)
 
     def test_concurrent_profiled_runs_do_not_deadlock(self):
         results: "dict[int, object]" = {}
@@ -306,7 +257,45 @@ class TestSessionIntegration:
         assert not errors
         assert len(results) == 2
         for result in results.values():
-            assert result.telemetry()["profile"]["schema"] == PROFILE_SCHEMA_VERSION
+            assert set(result.telemetry()["profile"]) == _PROFILE_KEYS
+
+    def test_concurrent_runs_sample_only_their_own_thread(self):
+        """A fig3 Monte Carlo run and a fig5 perf run, profiled side by
+        side in one process: each profile holds its own thread only, so
+        no fig3 stack carries a repro.perf frame."""
+        specs = {
+            "fig3": ExperimentSpec("fig3.coverage", trials=131072, seed=2007),
+            "fig5": ExperimentSpec(
+                "fig5.performance", trials=2, params={"n_cycles": 1000}
+            ),
+        }
+        barrier = threading.Barrier(len(specs), timeout=30.0)
+        profiles: "dict[str, dict]" = {}
+        errors: "list[BaseException]" = []
+
+        def run(name: str) -> None:
+            try:
+                barrier.wait()
+                result = Session().run(specs[name], profile=True)
+                profiles[name] = result.telemetry()["profile"]
+            except BaseException as exc:  # pragma: no cover - diagnostic
+                errors.append(exc)
+
+        threads = {
+            name: threading.Thread(target=run, args=(name,), name=f"run-{name}")
+            for name in specs
+        }
+        for t in threads.values():
+            t.start()
+        for t in threads.values():
+            t.join(timeout=120.0)
+        assert not any(t.is_alive() for t in threads.values())
+        assert not errors, errors
+        for name, profile in profiles.items():
+            assert profile["samples"] > 0, name
+            assert profile["threads_observed"] == [f"run-{name}"], name
+        assert not any("repro.perf" in stack for stack in profiles["fig3"]["stacks"])
+        assert any("repro.perf" in stack for stack in profiles["fig5"]["stacks"])
 
     def test_profile_false_is_inert(self):
         result = Session().run(_SPEC, profile=False)

@@ -260,3 +260,34 @@ class TestEngineCacheCoPrune:
             service = ExperimentService(session=session, registry=MetricsRegistry())
             stats = service.stats()
             assert stats["store"]["engine_cache"]["entries"] >= 1
+
+
+class TestJobIds:
+    def test_restarted_service_keeps_the_earlier_traces(self, tmp_path):
+        """Job ids carry a per-process token: a second service on the
+        same cache_dir, whose counter restarts at 1, writes its own
+        traces/<job_id>.json instead of overwriting the first one's."""
+        result = make_result(9)
+        ids = []
+        for generation in range(2):
+            service = ExperimentService(cache_dir=tmp_path, registry=MetricsRegistry())
+            try:
+                if generation == 0:
+                    service.store.put(result)  # the second one reads the mirror
+                job, via = service.submit(result.spec)
+                assert via == "store"
+                ids.append(job.id)
+            finally:
+                service.session.close()
+        assert ids[0] != ids[1]
+        traces = sorted((tmp_path / "traces").glob("*.json"))
+        assert sorted(path.stem for path in traces) == sorted(ids)
+        trace_ids = {json.loads(path.read_text())["trace"]["trace_id"] for path in traces}
+        assert len(trace_ids) == 2
+
+    def test_queued_and_store_hit_jobs_share_one_id_source(self):
+        queue = ExperimentService(registry=MetricsRegistry()).queue
+        first, second = queue.new_id("j"), queue.new_id("s")
+        assert first.startswith("j-") and second.startswith("s-")
+        assert first.split("-")[1] == second.split("-")[1]  # one token
+        assert (first[-6:], second[-6:]) == ("000001", "000002")

@@ -24,15 +24,12 @@ from repro.viz.flamegraph import (
 )
 
 _PROFILE = {
-    "schema": 1,
     "hz": 97.0,
     "samples": 5,
     "duration_seconds": 0.0515,
     "stacks": {"main:run;engine:step": 2, "main:run;io:read": 3},
     "threads_observed": ["MainThread"],
-    "memory": {
-        "phases": {"engine.run": {"count": 1, "peak_bytes": 1048576, "alloc_bytes": 2048}}
-    },
+    "process": {"cpu_seconds": 0.05, "max_rss_bytes": 52_428_800},
 }
 
 
@@ -105,7 +102,7 @@ class TestRenderFlamegraph:
         for needle in ("http://", "https://", "<link", "src=", "@import"):
             assert needle not in html_text, f"external reference: {needle}"
         assert "<svg" in html_text
-        assert "Memory watermarks" in html_text  # memory table rendered
+        assert "52.4 MB" in html_text  # peak RSS card rendered
 
     def test_empty_profile_renders_gracefully(self):
         html_text = render_flamegraph({"stacks": {}})
