@@ -50,8 +50,8 @@ _SCENARIOS = ("l1", "l1_ps", "l2", "l1_ps_l2")
 
 def _vectorized_cells_per_second(cmp_cfg, profile, n_cycles, n_trials):
     started = time.perf_counter()
-    grid = run_performance_grid(
-        cmp_cfg, profile, _FIG5_GRID,
+    (grid,) = run_performance_grid(
+        [(cmp_cfg, profile)], _FIG5_GRID,
         n_cycles=n_cycles, n_trials=n_trials, seed=7, block_size=64,
     )
     elapsed = time.perf_counter() - started
@@ -116,9 +116,11 @@ def test_perf_results_bit_identical_across_workers():
     cmp_cfg = lean_cmp_config()
     profile = get_profile("Web")
     kwargs = dict(n_cycles=800, n_trials=64, seed=5, block_size=16)
-    serial = run_performance_grid(cmp_cfg, profile, _FIG5_GRID, **kwargs)
+    (serial,) = run_performance_grid([(cmp_cfg, profile)], _FIG5_GRID, **kwargs)
     with SharedExecutor(workers=4) as pool:
-        parallel = run_performance_grid(cmp_cfg, profile, _FIG5_GRID, executor=pool, **kwargs)
+        (parallel,) = run_performance_grid(
+            [(cmp_cfg, profile)], _FIG5_GRID, executor=pool, **kwargs
+        )
     for key in _FIG5_GRID:
         for field in ("aggregate_ipc", "l1_reads", "l2_extra_reads",
                       "port_steals", "forced_steals", "l1_port_utilization"):
@@ -141,8 +143,8 @@ def test_perf_matches_scalar_pipeline_within_half_widths():
     profile = get_profile("OLTP")
     report = {}
     for cmp_cfg in (fat_cmp_config(), lean_cmp_config()):
-        grid = run_performance_grid(
-            cmp_cfg, profile, _FIG5_GRID,
+        (grid,) = run_performance_grid(
+            [(cmp_cfg, profile)], _FIG5_GRID,
             n_cycles=n_cycles, n_trials=128, seed=7, block_size=64,
         )
         baseline = grid["baseline"].aggregate_ipc

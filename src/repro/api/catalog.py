@@ -585,13 +585,22 @@ def _cmp_configs():
     return {"fat": fat_cmp_config(), "lean": lean_cmp_config()}
 
 
-def _run_perf_grid(ctx, cmp_cfg, profile, protections, n_cycles):
-    """One replicated performance grid under the session's resources."""
+def _paper_cells():
+    """The Fig. 5/6 (CMP, workload) cells, CMP-major."""
+    return [
+        (cmp_cfg, profile)
+        for cmp_cfg in _cmp_configs().values()
+        for profile in PAPER_WORKLOADS.values()
+    ]
+
+
+def _run_perf_grid(ctx, cells, protections, n_cycles):
+    """One replicated performance pass over every ``(CMP, workload)``
+    cell of a figure, under the session's resources."""
     from repro.perf import run_performance_grid
 
     return run_performance_grid(
-        cmp_cfg,
-        profile,
+        cells,
         protections,
         n_cycles=n_cycles,
         n_trials=ctx.trials,
@@ -626,13 +635,14 @@ def _fig5_performance(ctx):
     scenarios = ("l1", "l1_ps", "l2", "l1_ps_l2")
     grid = {"baseline": PROTECTION_SCENARIOS["baseline"]}
     grid.update({key: PROTECTION_SCENARIOS[key] for key in scenarios})
+    grids = iter(_run_perf_grid(ctx, _paper_cells(), grid, n_cycles))
     data: dict[str, dict[str, dict[str, float]]] = {}
     intervals: dict[str, dict[str, dict[str, dict]]] = {}
-    for cmp_name, cmp_cfg in _cmp_configs().items():
+    for cmp_name in _cmp_configs():
         per_workload: dict[str, dict[str, float]] = {}
         per_workload_ci: dict[str, dict[str, dict]] = {}
-        for workload, profile in PAPER_WORKLOADS.items():
-            results = _run_perf_grid(ctx, cmp_cfg, profile, grid, n_cycles)
+        for workload in PAPER_WORKLOADS:
+            results = next(grids)
             baseline = results["baseline"].aggregate_ipc
             losses = {}
             cis = {}
@@ -688,15 +698,14 @@ def _fig6_access_breakdown(ctx):
     """
     n_cycles = int(ctx.param("n_cycles"))
     protections = {"l1_ps_l2": PROTECTION_SCENARIOS["l1_ps_l2"]}
+    grids = iter(_run_perf_grid(ctx, _paper_cells(), protections, n_cycles))
     data: dict[str, dict[str, dict[str, dict[str, float]]]] = {}
     intervals: dict[str, dict[str, dict[str, dict[str, dict]]]] = {}
-    for cmp_name, cmp_cfg in _cmp_configs().items():
+    for cmp_name in _cmp_configs():
         per_workload: dict[str, dict[str, dict[str, float]]] = {}
         per_workload_ci: dict[str, dict[str, dict[str, dict]]] = {}
-        for workload, profile in PAPER_WORKLOADS.items():
-            result = _run_perf_grid(ctx, cmp_cfg, profile, protections, n_cycles)[
-                "l1_ps_l2"
-            ]
+        for workload in PAPER_WORKLOADS:
+            result = next(grids)["l1_ps_l2"]
             per_level: dict[str, dict[str, float]] = {}
             per_level_ci: dict[str, dict[str, dict]] = {}
             for level in ("l1", "l2"):
@@ -1184,6 +1193,29 @@ def _sweep_perf_sensitivity(ctx):
     l1_ports = [int(v) for v in ctx.param("l1_ports")]
     burstiness = [float(v) for v in ctx.param("burstiness")]
 
+    cells = [
+        (
+            _replace(
+                base_cmp,
+                core=_replace(
+                    base_cmp.core, store_queue_entries=depth, burstiness=burst
+                ),
+                l1d=_replace(base_cmp.l1d, n_ports=ports),
+            ),
+            profile,
+        )
+        for ports in l1_ports
+        for burst in burstiness
+        for depth in store_queue
+    ]
+    grids = iter(
+        _run_perf_grid(
+            ctx,
+            cells,
+            {"baseline": ProtectionConfig(label="baseline"), "protected": protection},
+            n_cycles,
+        )
+    )
     loss: dict[str, dict[str, dict[str, dict]]] = {}
     series = []
     for ports in l1_ports:
@@ -1191,23 +1223,7 @@ def _sweep_perf_sensitivity(ctx):
         for burst in burstiness:
             per_burst: dict[str, dict] = {}
             for depth in store_queue:
-                cmp_cfg = _replace(
-                    base_cmp,
-                    core=_replace(
-                        base_cmp.core, store_queue_entries=depth, burstiness=burst
-                    ),
-                    l1d=_replace(base_cmp.l1d, n_ports=ports),
-                )
-                results = _run_perf_grid(
-                    ctx,
-                    cmp_cfg,
-                    profile,
-                    {
-                        "baseline": ProtectionConfig(label="baseline"),
-                        "protected": protection,
-                    },
-                    n_cycles,
-                )
+                results = next(grids)
                 per_trial = paired_loss_percent(
                     results["baseline"].aggregate_ipc,
                     results["protected"].aggregate_ipc,

@@ -30,7 +30,9 @@ Eight subcommands:
 ``report RESULT.json``
     Render a saved Result as a self-contained HTML report (inline SVG
     figures, telemetry tables, embedded JSON); ``-o`` overrides the
-    default ``RESULT.html`` output path.
+    default ``RESULT.html`` output path.  Without ``-o`` an existing
+    default output is never overwritten (exit 2), here and for
+    ``trace`` and ``flamegraph``.
 
 ``bench-trend DIR [DIR ...]``
     Render benchmark-record directories (oldest first) as a sparkline
@@ -244,7 +246,8 @@ def build_parser() -> argparse.ArgumentParser:
         "-o",
         "--output",
         metavar="PATH",
-        help="output HTML path (default: the input path with an .html suffix)",
+        help="output HTML path (default: the input path with an .html "
+        "suffix, which must not exist yet)",
     )
 
     reporter = sub.add_parser(
@@ -255,7 +258,8 @@ def build_parser() -> argparse.ArgumentParser:
         "-o",
         "--output",
         metavar="PATH",
-        help="output HTML path (default: the input path with an .html suffix)",
+        help="output HTML path (default: the input path with an .html "
+        "suffix, which must not exist yet)",
     )
 
     tracer = sub.add_parser(
@@ -272,7 +276,8 @@ def build_parser() -> argparse.ArgumentParser:
         "-o",
         "--output",
         metavar="PATH",
-        help="output HTML path (default: the input path with an .html suffix)",
+        help="output HTML path (default: the input path with an .html "
+        "suffix, which must not exist yet)",
     )
 
     trender = sub.add_parser(
@@ -470,6 +475,23 @@ def _write(path: str, text: str) -> None:
             handle.write(text if text.endswith("\n") else text + "\n")
 
 
+def _html_output(source: Path, output: "str | None") -> "Path | None":
+    """``-o`` when given, else ``SOURCE.html`` — unless that file already
+    exists (a ``run --profile-out BASE`` flamegraph, an earlier render),
+    which only an explicit ``-o`` may overwrite."""
+    if output:
+        return Path(output)
+    default = source.with_suffix(".html")
+    if default.exists():
+        print(
+            f"error: {default} already exists; pass -o PATH to write elsewhere "
+            "(or to overwrite it)",
+            file=sys.stderr,
+        )
+        return None
+    return default
+
+
 def _cmd_report(args) -> int:
     from repro.viz import write_report
 
@@ -482,7 +504,9 @@ def _cmd_report(args) -> int:
     except Exception as exc:
         print(f"error: {source} is not a saved Result: {exc}", file=sys.stderr)
         return 2
-    output = Path(args.output) if args.output else source.with_suffix(".html")
+    output = _html_output(source, args.output)
+    if output is None:
+        return 2
     write_report(result, output)
     print(f"wrote {output}", file=sys.stderr)
     return 0
@@ -500,7 +524,9 @@ def _cmd_trace(args) -> int:
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    output = Path(args.output) if args.output else source.with_suffix(".html")
+    output = _html_output(source, args.output)
+    if output is None:
+        return 2
     write_timeline(payload, output)
     print(f"wrote {output}", file=sys.stderr)
     return 0
@@ -518,7 +544,9 @@ def _cmd_flamegraph(args) -> int:
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    output = Path(args.output) if args.output else source.with_suffix(".html")
+    output = _html_output(source, args.output)
+    if output is None:
+        return 2
     write_flamegraph(profile, output, title=f"Sampled profile — {source.name}")
     print(f"wrote {output}", file=sys.stderr)
     return 0

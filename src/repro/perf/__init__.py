@@ -36,7 +36,6 @@ from .backend import (
     PERF_VERSION,
     PerfComparison,
     PerfResult,
-    cell_key,
     compare_performance,
     paired_loss_percent,
     run_performance,
@@ -45,6 +44,7 @@ from .backend import (
 from .kernel import (
     BankAccesses,
     evaluate_trials,
+    finish_trials,
     matched_bank_accesses,
     sample_bank_accesses,
     simulate_matched,
@@ -67,13 +67,13 @@ __all__ = [
     "PERF_VERSION",
     "PerfComparison",
     "PerfResult",
-    "cell_key",
     "compare_performance",
     "paired_loss_percent",
     "run_performance",
     "run_performance_grid",
     "BankAccesses",
     "evaluate_trials",
+    "finish_trials",
     "matched_bank_accesses",
     "sample_bank_accesses",
     "simulate_matched",

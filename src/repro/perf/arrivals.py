@@ -41,7 +41,6 @@ __all__ = [
     "burst_parameters",
     "burst_states_from_draws",
     "category_rates",
-    "concat_arrivals",
     "sample_arrivals",
     "matched_arrivals",
 ]
@@ -83,18 +82,6 @@ class Arrivals:
     def sliced(self, start: int, stop: int) -> "Arrivals":
         """The trials ``[start, stop)`` of this batch (no copies)."""
         return Arrivals({k: v[start:stop] for k, v in self.counts.items()})
-
-
-def concat_arrivals(parts: "list[Arrivals]") -> Arrivals:
-    """Concatenate batches along the trial axis (evaluation grouping)."""
-    if len(parts) == 1:
-        return parts[0]
-    return Arrivals(
-        {
-            name: np.concatenate([part.counts[name] for part in parts])
-            for name in parts[0].counts
-        }
-    )
 
 
 def burst_parameters(core: CoreConfig) -> tuple[float, float, float]:

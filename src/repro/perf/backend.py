@@ -13,10 +13,12 @@ per-trial outputs are concatenated in trial order.  Results are
 therefore **bit-identical for any executor** — parallelism is purely a
 throughput choice, the same contract the fault-injection engine makes.
 
-Cells that share a CMP/workload can be evaluated together through
-:func:`run_performance_grid`: all protections of the grid see the same
-draws (the paper's matched-pair design), and the booking work for
-shared L1/L2 protection modes is computed once.
+A figure hands all its (CMP, workload) cells to one
+:func:`run_performance_grid` call: one executor map, each work item a
+trial range of every cell.  All protections of a cell see the same
+draws (the paper's matched-pair design), the booking work for shared
+L1/L2 protection modes is computed once per cell, and the port-steal
+recursion runs once per work item across the lanes of all cells.
 
 Per-protection results are memoized through the engine's
 :class:`~repro.engine.cache.ResultCache`, keyed via the project-wide
@@ -44,8 +46,8 @@ from repro.engine.executor import SharedExecutor
 from repro.engine.rng import BlockStreams, chunk_ranges, iter_block_slices
 from repro.workloads.profiles import WorkloadProfile
 
-from .arrivals import concat_arrivals, sample_arrivals
-from .kernel import concat_bank_counts, evaluate_trials, sample_bank_accesses
+from .arrivals import sample_arrivals
+from .kernel import evaluate_trials, finish_trials, sample_bank_accesses
 
 __all__ = [
     "PERF_VERSION",
@@ -101,21 +103,6 @@ def _jsonable(value):
     if isinstance(value, (list, tuple)):
         return [_jsonable(v) for v in value]
     return value
-
-
-def cell_key(
-    cmp_cfg: CmpConfig,
-    profile: WorkloadProfile,
-    protection: ProtectionConfig,
-    n_cycles: int,
-) -> dict:
-    """JSON-pure identity of one performance-simulation cell."""
-    return {
-        "cmp": _jsonable(cmp_cfg),
-        "workload": _jsonable(profile),
-        "protection": _jsonable(protection),
-        "n_cycles": n_cycles,
-    }
 
 
 @dataclass(frozen=True)
@@ -232,20 +219,21 @@ class PerfComparison:
 # Sharded execution
 # ----------------------------------------------------------------------
 
-#: Upper bound on trials x cores x cycles per kernel invocation: blocks
-#: are *sampled* independently (that is the invariance contract) but
-#: *evaluated* together in groups up to this budget, so the per-cycle
-#: steal recursion and the bank bookkeeping amortize over many blocks.
+#: Upper bound on trials x cores x cycles per steal recursion: pieces
+#: (one cell's slice of one block) are *sampled* and booked one by one
+#: (that is the invariance contract), but their steal lanes are stacked
+#: across cells and blocks up to this budget, so the per-cycle step
+#: amortizes over many lanes while the stacked inputs stay bounded.
 _EVAL_GROUP_ELEMENTS = 8_000_000
 
 
-def _evaluation_groups(pieces, group_trials: int):
+def _evaluation_groups(pieces, cells, n_cycles: int):
     group: list = []
     covered = 0
-    for piece in pieces:
-        group.append(piece)
-        covered += piece.count
-        if covered >= group_trials:
+    for index, piece in pieces:
+        group.append((index, piece))
+        covered += piece.count * cells[index][0].n_cores * n_cycles
+        if covered >= _EVAL_GROUP_ELEMENTS:
             yield group
             group, covered = [], 0
     if group:
@@ -253,39 +241,38 @@ def _evaluation_groups(pieces, group_trials: int):
 
 
 def _run_trial_range(
-    cmp_cfg: CmpConfig,
-    profile: WorkloadProfile,
-    protections: dict,
+    cells: list,
     n_cycles: int,
     seed: int,
     block_size: int,
     first_trial: int,
     last_trial: int,
-) -> tuple[dict, dict]:
-    """Evaluate trials ``[first_trial, last_trial)`` block by block.
+) -> tuple[list, dict]:
+    """Evaluate trials ``[first_trial, last_trial)`` of every cell.
 
-    Draws always cover the whole block and are sliced to the requested
+    ``cells`` holds ``(cmp_cfg, profile, protections)`` triples.  Draws
+    always cover the whole block and are sliced to the requested
     trials, so any partition of the trial space sees identical
-    randomness per trial; sliced blocks are then concatenated into
-    evaluation groups purely for throughput.
+    randomness per trial.  Each (cell, block) piece is booked as soon
+    as it is sampled; only its steal inputs wait for the group's one
+    stacked steal recursion.
 
-    Returns the per-label field arrays plus the shard's telemetry
-    (wall-clock seconds, trial and block counts, and the worker's
-    resource deltas — observational only).
+    Returns one ``{label: {field: array}}`` per cell plus the shard's
+    telemetry (wall-clock seconds, trial and label counts, and the
+    worker's resource deltas — observational only).
     """
     started = time.perf_counter()
     usage0 = process_usage()
-    with_extras = any(p.protect_l2 for p in protections.values())
-    per_label: dict[str, list] = {label: [] for label in protections}
-    pieces = iter_block_slices(first_trial, last_trial, block_size)
-    per_trial = cmp_cfg.n_cores * n_cycles
-    group_trials = max(block_size, _EVAL_GROUP_ELEMENTS // max(per_trial, 1))
-    for group in _evaluation_groups(pieces, group_trials):
-        arrival_parts = []
-        bank_parts = []
-        offsets = []
-        offset = 0
-        for piece in group:
+    per_cell = [{label: [] for label in protections} for _, _, protections in cells]
+    pieces = [
+        (index, piece)
+        for piece in iter_block_slices(first_trial, last_trial, block_size)
+        for index in range(len(cells))
+    ]
+    for group in _evaluation_groups(pieces, cells, n_cycles):
+        batches = []
+        for index, piece in group:
+            cmp_cfg, profile, protections = cells[index]
             streams = BlockStreams(seed, piece.block)
             arrivals = sample_arrivals(
                 streams.lane(_BURST_LANE),
@@ -295,34 +282,42 @@ def _run_trial_range(
                 profile,
                 n_cycles,
             )
-            bank_counts = sample_bank_accesses(
-                streams.lane(_BANK_LANE), arrivals, cmp_cfg.l2.n_banks, with_extras
+            bank_accesses = sample_bank_accesses(
+                streams.lane(_BANK_LANE),
+                arrivals,
+                cmp_cfg.l2.n_banks,
+                any(p.protect_l2 for p in protections.values()),
             )
-            arrival_parts.append(arrivals.sliced(piece.start, piece.stop))
-            bank_parts.append(bank_counts.sliced(piece.start, piece.stop))
-            offsets.append(offset)
-            offset += piece.count
-        outputs = evaluate_trials(
-            concat_arrivals(arrival_parts),
-            concat_bank_counts(bank_parts, offsets),
-            cmp_cfg,
-            profile,
-            protections,
-            n_cycles,
-        )
-        for label, fields in outputs.items():
-            per_label[label].append(fields)
-    merged = {
-        label: {
-            name: np.concatenate([chunk[name] for chunk in chunks])
-            for name in _RESULT_FIELDS
+            batches.append(
+                evaluate_trials(
+                    arrivals.sliced(piece.start, piece.stop),
+                    bank_accesses.sliced(piece.start, piece.stop),
+                    cmp_cfg,
+                    profile,
+                    protections,
+                    n_cycles,
+                )
+            )
+            # Only the batch (with its compact steal inputs) outlives
+            # the piece: no group holds every cell's full arrivals.
+            del arrivals, bank_accesses
+        for (index, _), outputs in zip(group, finish_trials(batches)):
+            for label, fields in outputs.items():
+                per_cell[index][label].append(fields)
+    merged = [
+        {
+            label: {
+                name: np.concatenate([chunk[name] for chunk in chunks])
+                for name in _RESULT_FIELDS
+            }
+            for label, chunks in per_label.items()
         }
-        for label, chunks in per_label.items()
-    }
+        for per_label in per_cell
+    ]
     usage = usage_delta(usage0)
     stats = {
         "trials": last_trial - first_trial,
-        "labels": len(protections),
+        "labels": sum(len(protections) for _, _, protections in cells),
         "elapsed": round(time.perf_counter() - started, 6),
         "pid": usage["pid"],
         "cpu_seconds": usage["cpu_seconds"],
@@ -331,25 +326,12 @@ def _run_trial_range(
     return merged, stats
 
 
-def _worker(payload: tuple) -> tuple[dict, dict]:
+def _worker(payload: tuple) -> tuple[list, dict]:
     return _run_trial_range(*payload)
 
 
-def _cache_params(
-    cmp_cfg, profile, protection, n_cycles, n_trials, seed, block_size
-) -> dict:
-    return {
-        "perf_version": PERF_VERSION,
-        "cell": cell_key(cmp_cfg, profile, protection, n_cycles),
-        "n_trials": n_trials,
-        "seed": seed,
-        "block_size": block_size,
-    }
-
-
 def run_performance_grid(
-    cmp_cfg: CmpConfig,
-    profile: WorkloadProfile,
+    cells: "list[tuple[CmpConfig, WorkloadProfile]]",
     protections: dict,
     *,
     n_cycles: int,
@@ -358,20 +340,23 @@ def run_performance_grid(
     block_size: int = DEFAULT_PERF_BLOCK_SIZE,
     cache: "ResultCache | None" = None,
     executor: "SharedExecutor | None" = None,
-) -> dict:
-    """Run every protection of a grid on shared draws; returns
-    ``{label: PerfResult}``.
+) -> "list[dict]":
+    """Run every protection of every ``(CMP, workload)`` cell on shared
+    draws; returns one ``{label: PerfResult}`` per cell, in input order.
 
-    Cached labels are served from the result cache; the remaining ones
-    are computed together in one pass over the trial space (shared
-    arrivals, shared bank draws, shared booking work per L1/L2 mode).
+    Cells may repeat names (a sweep varies one CMP's knobs), hence a
+    list.  Cached labels are served per cell from the result cache; the
+    remaining ones are computed in one pass over the trial space — one
+    executor map whose chunks each cover a trial range of every cell
+    (shared arrivals and bank draws per cell, shared booking work per
+    L1/L2 mode, one steal recursion across cells).
 
     ``executor`` is the :class:`~repro.engine.executor.SharedExecutor`
     to fan out on — the same one the fault-injection engine uses; a
-    :class:`repro.api.Session` passes its own, so a multi-cell sweep
-    forks once instead of once per cell.  The trial space is split into
-    one work item per worker, which cannot change results.  Omitted, a
-    one-worker executor runs the grid inline.
+    :class:`repro.api.Session` passes its own, so a multi-experiment
+    sweep forks once.  The trial space is split into one work item per
+    worker, which cannot change results.  Omitted, a one-worker
+    executor runs the grid inline.
     """
     if n_cycles < 100:
         raise ValueError("n_cycles must be at least 100")
@@ -381,9 +366,13 @@ def run_performance_grid(
         raise ValueError("block_size must be positive")
     if not protections:
         raise ValueError("need at least one protection configuration")
+    cells = list(cells)
+    if not cells:
+        raise ValueError("need at least one (CMP, workload) cell")
     executor = executor if executor is not None else SharedExecutor()
 
-    def build(label: str, fields: dict, elapsed: float, cached: bool) -> PerfResult:
+    def build(index: int, label: str, fields: dict, elapsed: float, cached: bool):
+        cmp_cfg, profile = cells[index]
         return PerfResult(
             cmp_name=cmp_cfg.name,
             workload=profile.name,
@@ -397,69 +386,86 @@ def run_performance_grid(
             **{name: np.asarray(fields[name]) for name in _RESULT_FIELDS},
         )
 
-    results: dict[str, PerfResult] = {}
-    keys: dict[str, str] = {}
-    missing: dict[str, ProtectionConfig] = {}
-    for label, protection in protections.items():
-        params = _cache_params(
-            cmp_cfg, profile, protection, n_cycles, n_trials, seed, block_size
+    protection_keys = {label: _jsonable(p) for label, p in protections.items()}
+    results: list[dict] = [{} for _ in cells]
+    params: list[dict] = []
+    cell_keys: list[dict] = []
+    missing: list[list] = []
+    for index, (cmp_cfg, profile) in enumerate(cells):
+        identity = {"cmp": _jsonable(cmp_cfg), "workload": _jsonable(profile)}
+        cell_params = {
+            label: {
+                "perf_version": PERF_VERSION,
+                "cell": {**identity, "protection": key, "n_cycles": n_cycles},
+                "n_trials": n_trials,
+                "seed": seed,
+                "block_size": block_size,
+            }
+            for label, key in protection_keys.items()
+        }
+        keys = {label: cache_key(p) for label, p in cell_params.items()}
+        for label, key in keys.items():
+            payload = cache.load(key) if cache is not None else None
+            if payload is not None and all(name in payload for name in _RESULT_FIELDS):
+                results[index][label] = build(index, label, payload, 0.0, True)
+        params.append(cell_params)
+        cell_keys.append(keys)
+        missing.append([label for label in protections if label not in results[index]])
+        emit(
+            "perf.grid.start",
+            logger=_log,
+            level=logging.INFO,
+            cmp=cmp_cfg.name,
+            workload=profile.name,
+            n_trials=n_trials,
+            n_cycles=n_cycles,
+            labels=list(protections),
+            cached_labels=sorted(results[index]),
+            keys=keys,
         )
-        keys[label] = cache_key(params)
-        payload = cache.load(keys[label]) if cache is not None else None
-        if payload is not None and all(name in payload for name in _RESULT_FIELDS):
-            results[label] = build(label, payload, 0.0, cached=True)
-        else:
-            missing[label] = protection
 
-    emit(
-        "perf.grid.start",
-        logger=_log,
-        level=logging.INFO,
-        cmp=cmp_cfg.name,
-        workload=profile.name,
-        n_trials=n_trials,
-        n_cycles=n_cycles,
-        labels=list(protections),
-        cached_labels=sorted(results),
-        keys=keys,
-    )
-    if missing:
+    computed = [index for index, labels in enumerate(missing) if labels]
+    elapsed = 0.0
+    shards = 0
+    if computed:
         started = time.perf_counter()
         ranges = chunk_ranges(0, n_trials, block_size, executor.workers)
+        work = [
+            (*cells[index], {label: protections[label] for label in missing[index]})
+            for index in computed
+        ]
         payloads = [
-            (cmp_cfg, profile, missing, n_cycles, seed, block_size, first, last)
-            for first, last in ranges
+            (work, n_cycles, seed, block_size, first, last) for first, last in ranges
         ]
         outcomes = executor.map(_worker, payloads)
         elapsed = time.perf_counter() - started
-        for index, (_, stats) in enumerate(outcomes):
-            emit("perf.shard", logger=_log, index=index, **stats)
-        for label in missing:
-            fields = {
-                name: np.concatenate([chunk[label][name] for chunk, _ in outcomes])
-                for name in _RESULT_FIELDS
-            }
-            results[label] = build(label, fields, elapsed, cached=False)
-            if cache is not None:
-                cache.store(
-                    keys[label],
-                    {name: fields[name] for name in _RESULT_FIELDS},
-                    _cache_params(
-                        cmp_cfg, profile, missing[label],
-                        n_cycles, n_trials, seed, block_size,
-                    ),
-                )
-    emit(
-        "perf.grid.finish",
-        logger=_log,
-        level=logging.INFO,
-        cmp=cmp_cfg.name,
-        workload=profile.name,
-        from_cache=not missing,
-        shards=0 if not missing else len(ranges),
-        elapsed=0.0 if not missing else round(elapsed, 6),
-    )
-    return {label: results[label] for label in protections}
+        shards = len(ranges)
+        for chunk_index, (_, stats) in enumerate(outcomes):
+            emit("perf.shard", logger=_log, index=chunk_index, **stats)
+        for position, index in enumerate(computed):
+            for label in missing[index]:
+                fields = {
+                    name: np.concatenate(
+                        [chunk[position][label][name] for chunk, _ in outcomes]
+                    )
+                    for name in _RESULT_FIELDS
+                }
+                results[index][label] = build(index, label, fields, elapsed, False)
+                if cache is not None:
+                    cache.store(cell_keys[index][label], fields, params[index][label])
+    for index, (cmp_cfg, profile) in enumerate(cells):
+        fresh = bool(missing[index])
+        emit(
+            "perf.grid.finish",
+            logger=_log,
+            level=logging.INFO,
+            cmp=cmp_cfg.name,
+            workload=profile.name,
+            from_cache=not fresh,
+            shards=shards if fresh else 0,
+            elapsed=round(elapsed, 6) if fresh else 0.0,
+        )
+    return [{label: cell[label] for label in protections} for cell in results]
 
 
 def run_performance(
@@ -474,9 +480,9 @@ def run_performance(
     ``block_size``, ``cache``, ``executor``) are those of
     :func:`run_performance_grid`.
     """
-    return run_performance_grid(cmp_cfg, profile, {"cell": protection}, **kwargs)[
-        "cell"
-    ]
+    return run_performance_grid([(cmp_cfg, profile)], {"cell": protection}, **kwargs)[
+        0
+    ]["cell"]
 
 
 def compare_performance(
@@ -491,9 +497,8 @@ def compare_performance(
     :class:`~repro.engine.executor.SharedExecutor` as ``executor`` to
     fan out.
     """
-    grid = run_performance_grid(
-        cmp_cfg,
-        profile,
+    (grid,) = run_performance_grid(
+        [(cmp_cfg, profile)],
         {"baseline": ProtectionConfig(label="baseline"), "protected": protection},
         **kwargs,
     )

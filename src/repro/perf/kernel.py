@@ -18,12 +18,15 @@ positions fall out of the same sort.
 
 Two entry points:
 
-* :func:`evaluate_trials` — evaluate a whole ``(trials, cores,
-  cycles)`` batch for several protection configurations at once.
-  Protections sharing an L1 mode (off / protected / protected with
-  port stealing) or an L2 mode (off / protected) share the
-  corresponding booking computation, and baseline/protected results
-  come from the *same draws* — the matched-pair design the paper uses.
+* :func:`evaluate_trials` then :func:`finish_trials` — evaluate whole
+  ``(trials, cores, cycles)`` batches for several protection
+  configurations at once.  Protections sharing an L1 mode (off /
+  protected / protected with port stealing) or an L2 mode (off /
+  protected) share the corresponding booking computation, and
+  baseline/protected results come from the *same draws* — the
+  matched-pair design the paper uses.  The first call books every
+  closed form per batch; the second runs the one sequential piece,
+  the steal recursion, once across the lanes of many batches (cells).
 * :func:`simulate_matched` — replay one scalar trial's exact RNG call
   order through the vectorized kernels and return a
   :class:`~repro.cmp.stats.SimulationResult`.  Integer statistics
@@ -50,13 +53,19 @@ __all__ = [
     "BankAccesses",
     "sample_bank_accesses",
     "matched_bank_accesses",
-    "concat_bank_counts",
+    "PendingTrials",
     "evaluate_trials",
+    "finish_trials",
     "simulate_matched",
 ]
 
 #: Access-type ranks in in-cycle booking order (reads are charged delay).
 _READ, _WRITE_TYPE, _EXTRA = 0, 1, 2
+
+#: Arrival categories whose per-trial totals the statistics report.
+_TOTALS = (
+    "l1_reads", "l1_writes", "l1_fill_evict", "l2_reads", "l2_writes", "l2_fill_evict",
+)
 
 
 @dataclass(frozen=True)
@@ -90,25 +99,6 @@ class BankAccesses:
             self.bank[keep],
             self.has_extras,
         )
-
-
-def concat_bank_counts(parts: "list[BankAccesses]", offsets: "list[int]") -> BankAccesses:
-    """Concatenate batches along the trial axis (evaluation grouping).
-
-    ``offsets[i]`` is the trial index the ``i``-th part starts at in
-    the combined batch.
-    """
-    if len(parts) == 1:
-        return parts[0]
-    return BankAccesses(
-        parts[0].n_banks,
-        np.concatenate([p.trial + off for p, off in zip(parts, offsets)]),
-        np.concatenate([p.core for p in parts]),
-        np.concatenate([p.cycle for p in parts]),
-        np.concatenate([p.rank for p in parts]),
-        np.concatenate([p.bank for p in parts]),
-        parts[0].has_extras,
-    )
 
 
 def _expand(counts: np.ndarray, rank: int) -> tuple:
@@ -321,6 +311,30 @@ def _l2_mode(protection: ProtectionConfig) -> str:
     return "protected" if protection.protect_l2 else "off"
 
 
+@dataclass
+class PendingTrials:
+    """One batch's closed-form results, waiting on the steal recursion.
+
+    :func:`evaluate_trials` books everything that has a closed form —
+    the no-steal L1 port modes, the L2 banks, the access totals — and
+    keeps of the arrivals only what port stealing still needs: each
+    lane's L1 reads and write-type counts (``(trials, cores, cycles)``
+    small ints, ``None`` when no protection steals ports).
+    :func:`finish_trials` runs one steal recursion over the lanes of
+    many such batches and assembles every label's statistics.
+    """
+
+    cmp_cfg: CmpConfig
+    profile: WorkloadProfile
+    protections: dict
+    n_cycles: int
+    l1: dict
+    l2: dict
+    totals: dict
+    steal_reads: "np.ndarray | None"
+    steal_write_type: "np.ndarray | None"
+
+
 def evaluate_trials(
     arrivals: Arrivals,
     bank_accesses: BankAccesses,
@@ -328,49 +342,32 @@ def evaluate_trials(
     profile: WorkloadProfile,
     protections: dict,
     n_cycles: int,
-) -> dict:
-    """Evaluate one arrival batch under several protection configs.
+) -> PendingTrials:
+    """Closed-form booking of one arrival batch under several protections.
 
-    Returns ``{label: {field: per-trial array}}``.  Booking work is
-    shared: the three possible L1 modes and two L2 modes are each
-    evaluated at most once, and every protection's results come from
-    the same draws (matched pairs).
+    Booking work is shared: the no-steal L1 modes and the two L2 modes
+    are each evaluated at most once, and every protection's results
+    come from the same draws (matched pairs).  The port-stealing mode is
+    left to :func:`finish_trials`, which batches it across cells.
     """
     reads = arrivals["l1_reads"]
-    write_type = (arrivals["l1_writes"] + arrivals["l1_fill_evict"]).astype(np.int16)
+    write_type = arrivals["l1_writes"] + arrivals["l1_fill_evict"]
     n_trials, n_cores, _ = reads.shape
-    n_ports = cmp_cfg.l1d.n_ports
+    l1_modes = {_l1_mode(p) for p in protections.values()}
 
     l1_results: dict[str, dict] = {}
-    for mode in {_l1_mode(p) for p in protections.values()}:
-        if mode == "stolen":
-            flat = lambda a: a.reshape(n_trials * n_cores, n_cycles)
-            delay, bookings, stolen, forced = steal_port_recursion(
-                flat(reads),
-                flat(write_type),
-                flat(write_type),
-                n_ports=n_ports,
-                capacity=cmp_cfg.core.store_queue_entries,
-                deadline=DEFAULT_STEAL_DEADLINE,
-            )
-            unflat = lambda a: a.reshape(n_trials, n_cores)
-            l1_results[mode] = {
-                "delay": unflat(delay),
-                "bookings": unflat(bookings),
-                "stolen": unflat(stolen),
-                "forced": unflat(forced),
-                "extra": True,
-            }
-        else:
-            extras = write_type if mode == "protected" else np.int16(0)
-            delay, bookings = port_read_delays(reads, write_type, extras, n_ports)
-            l1_results[mode] = {
-                "delay": delay,
-                "bookings": bookings,
-                "stolen": np.zeros((n_trials, n_cores), dtype=np.int64),
-                "forced": np.zeros((n_trials, n_cores), dtype=np.int64),
-                "extra": mode == "protected",
-            }
+    for mode in l1_modes - {"stolen"}:
+        extras = write_type if mode == "protected" else np.int16(0)
+        delay, bookings = port_read_delays(
+            reads, write_type, extras, cmp_cfg.l1d.n_ports
+        )
+        l1_results[mode] = {
+            "delay": delay,
+            "bookings": bookings,
+            "stolen": np.zeros((n_trials, n_cores), dtype=np.int64),
+            "forced": np.zeros((n_trials, n_cores), dtype=np.int64),
+            "extra": mode == "protected",
+        }
 
     l2_results = _bank_read_delays(
         bank_accesses,
@@ -378,15 +375,98 @@ def evaluate_trials(
         cmp_cfg.l2.bank_busy_cycles,
         {_l2_mode(p) for p in protections.values()},
     )
+    totals = {
+        name: arrivals[name].sum(axis=(1, 2), dtype=np.int64)
+        for name in _TOTALS
+    }
+    stealing = "stolen" in l1_modes
+    return PendingTrials(
+        cmp_cfg,
+        profile,
+        protections,
+        n_cycles,
+        l1_results,
+        l2_results,
+        totals,
+        _narrow(reads) if stealing else None,
+        _narrow(write_type) if stealing else None,
+    )
 
-    axes = (1, 2)
-    total = lambda name: arrivals[name].sum(axis=axes, dtype=np.int64)
-    l1_reads_total = total("l1_reads")
-    l1_writes_total = total("l1_writes")
-    l1_fill_total = total("l1_fill_evict")
-    l2_reads_total = total("l2_reads")
-    l2_writes_total = total("l2_writes")
-    l2_fill_total = total("l2_fill_evict")
+
+def _narrow(counts: np.ndarray) -> np.ndarray:
+    """``counts`` as ``int8`` when every value fits (they almost always
+    do: a few accesses per cycle), halving what a batch holds while it
+    waits for the steal recursion."""
+    if int(counts.max(initial=0)) <= np.iinfo(np.int8).max:
+        return counts.astype(np.int8)
+    return counts
+
+
+def finish_trials(batches: "list[PendingTrials]") -> "list[dict]":
+    """Steal-queue booking for every batch at once, then the statistics.
+
+    The lanes (trial x core) of every batch that steals ports are
+    stacked cycle-major and run through one
+    :func:`~repro.perf.resources.steal_port_recursion` with per-lane
+    port counts and store-queue bounds, so the per-cycle step runs once
+    per cycle for all cells together.  Returns one ``{label: {field:
+    per-trial array}}`` per batch, in order.
+    """
+    stealers = [i for i, batch in enumerate(batches) if batch.steal_reads is not None]
+    stolen_modes: "list[dict | None]" = [None] * len(batches)
+    if stealers:
+        n_cycles = batches[stealers[0]].n_cycles
+        if any(batches[i].n_cycles != n_cycles for i in stealers):
+            raise ValueError("stacked batches must share n_cycles")
+        shapes = [batches[i].steal_reads.shape[:2] for i in stealers]
+        bounds = np.cumsum([0] + [trials * cores for trials, cores in shapes])
+        dtype = np.result_type(
+            *(batches[i].steal_reads for i in stealers),
+            *(batches[i].steal_write_type for i in stealers),
+        )
+        reads_t = np.empty((n_cycles, bounds[-1]), dtype=dtype)
+        write_type_t = np.empty_like(reads_t)
+        n_ports = np.empty(bounds[-1], dtype=np.int64)
+        capacity = np.empty_like(n_ports)
+        for i, lo, hi in zip(stealers, bounds[:-1], bounds[1:]):
+            batch = batches[i]
+            reads_t[:, lo:hi] = batch.steal_reads.reshape(hi - lo, n_cycles).T
+            write_type_t[:, lo:hi] = batch.steal_write_type.reshape(hi - lo, n_cycles).T
+            n_ports[lo:hi] = batch.cmp_cfg.l1d.n_ports
+            capacity[lo:hi] = batch.cmp_cfg.core.store_queue_entries
+        # Every write-type access carries one read-before-write extra.
+        delay, bookings, stolen, forced = steal_port_recursion(
+            reads_t.T,
+            write_type_t.T,
+            write_type_t.T,
+            n_ports=n_ports,
+            capacity=capacity,
+            deadline=DEFAULT_STEAL_DEADLINE,
+        )
+        for i, shape, lo, hi in zip(stealers, shapes, bounds[:-1], bounds[1:]):
+            stolen_modes[i] = {
+                "delay": delay[lo:hi].reshape(shape),
+                "bookings": bookings[lo:hi].reshape(shape),
+                "stolen": stolen[lo:hi].reshape(shape),
+                "forced": forced[lo:hi].reshape(shape),
+                "extra": True,
+            }
+    return [
+        _label_statistics(batch, {**batch.l1, "stolen": stolen})
+        for batch, stolen in zip(batches, stolen_modes)
+    ]
+
+
+def _label_statistics(batch: PendingTrials, l1_results: dict) -> dict:
+    """``{label: {field: per-trial array}}`` from one batch's bookings."""
+    cmp_cfg, profile, n_cycles = batch.cmp_cfg, batch.profile, batch.n_cycles
+    totals = batch.totals
+    l1_reads_total = totals["l1_reads"]
+    l1_writes_total = totals["l1_writes"]
+    l1_fill_total = totals["l1_fill_evict"]
+    l2_reads_total = totals["l2_reads"]
+    l2_writes_total = totals["l2_writes"]
+    l2_fill_total = totals["l2_fill_evict"]
     l1_write_type_total = l1_writes_total + l1_fill_total
     l2_write_type_total = l2_writes_total + l2_fill_total
 
@@ -396,13 +476,14 @@ def evaluate_trials(
         if cmp_cfg.core.core_type is CoreType.IN_ORDER_SMT
         else 1
     )
+    n_ports = cmp_cfg.l1d.n_ports
     n_banks = cmp_cfg.l2.n_banks
     busy = cmp_cfg.l2.bank_busy_cycles
 
     outputs: dict[str, dict] = {}
-    for label, protection in protections.items():
+    for label, protection in batch.protections.items():
         l1 = l1_results[_l1_mode(protection)]
-        l2_delay = l2_results[_l2_mode(protection)]
+        l2_delay = batch.l2[_l2_mode(protection)]
         stall = sensitivity * (l1["delay"] / smt_hiding + l2_delay)
         stall_fraction = np.minimum(stall / n_cycles, 1.0)
         per_core_ipc = profile.base_ipc * (1.0 - stall_fraction)
@@ -455,9 +536,10 @@ def simulate_matched(
     bank_accesses = matched_bank_accesses(
         rng, arrivals, cmp_cfg.l2.n_banks, with_extras=protection.protect_l2
     )
-    out = evaluate_trials(
+    batch = evaluate_trials(
         arrivals, bank_accesses, cmp_cfg, profile, {"run": protection}, n_cycles
-    )["run"]
+    )
+    out = finish_trials([batch])[0]["run"]
 
     scale = 100.0 / n_cycles
     l1_breakdown = CacheAccessBreakdown(

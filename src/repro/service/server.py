@@ -290,12 +290,17 @@ class ServiceServer:
         if job is None:
             raise _HttpError(404, f"no job {job_id!r}")
         wait = query.get("wait")
-        if wait is not None and not job.done:
+        if wait is not None:
             try:
-                seconds = min(float(wait), _MAX_WAIT)
+                seconds = float(wait)
             except ValueError as exc:
                 raise _HttpError(400, "wait must be a number of seconds") from exc
-            await job.wait(timeout=max(seconds, 0.0))
+            # NaN slips past the min() clamp and would hold the request
+            # until the job settles, whatever the long-poll cap.
+            if not math.isfinite(seconds):
+                raise _HttpError(400, "wait must be a finite number of seconds")
+            if not job.done:
+                await job.wait(timeout=max(min(seconds, _MAX_WAIT), 0.0))
         return 200, job.to_payload()
 
     def _delete_job(self, job_id: str) -> "tuple[int, object]":

@@ -318,6 +318,20 @@ class TestProfileFlags:
         ]) == 0
         assert _embedded_profile(rerender)["stacks"] == collapsed
 
+    def test_flamegraph_keeps_the_profile_out_html(self, tmp_path, capsys):
+        """``flamegraph BASE.collapsed`` defaults to ``BASE.html``, the
+        full profile ``--profile-out BASE`` wrote: without ``-o`` it is
+        refused, not overwritten by a stacks-only page."""
+        base = tmp_path / "prof"
+        assert main([*self.RUN, "--profile-out", str(base)]) == 0
+        html = tmp_path / "prof.html"
+        written = html.read_text()
+        assert "process" in _embedded_profile(html)
+        capsys.readouterr()
+        assert main(["flamegraph", str(tmp_path / "prof.collapsed")]) == 2
+        assert "-o" in capsys.readouterr().err
+        assert html.read_text() == written
+
 
 class TestReportCommand:
     def test_report_renders_saved_result(self, capsys, tmp_path):
@@ -332,6 +346,9 @@ class TestReportCommand:
         text = html_path.read_text()
         assert 'id="repro-result"' in text
         assert "fig3.coverage" in text
+        # A second render without -o would overwrite it: refused.
+        assert main(["report", str(result_path)]) == 2
+        assert html_path.read_text() == text
 
     def test_report_output_flag(self, capsys, tmp_path):
         result_path = tmp_path / "r.json"
@@ -408,6 +425,8 @@ class TestTraceCommand:
         assert "<svg" in text
         assert "engine.execute" in text
         assert str(out_path) in capsys.readouterr().err  # "wrote ..." note
+        assert main(["trace", str(source)]) == 2
+        assert "-o" in capsys.readouterr().err
 
     def test_trace_output_flag(self, capsys, tmp_path):
         source = self._trace_file(tmp_path)

@@ -172,13 +172,13 @@ class TestEngineOnExecutor:
             "baseline": ProtectionConfig(label="baseline"),
             "l1_parity": ProtectionConfig(label="L1 parity", protect_l1=True),
         }
-        serial = run_performance_grid(
-            cmp_cfg, profile, protections,
+        (serial,) = run_performance_grid(
+            [(cmp_cfg, profile)], protections,
             n_cycles=400, n_trials=8, seed=3, block_size=4,
         )
         with SharedExecutor(workers=2, mp_context="spawn") as executor:
-            shared = run_performance_grid(
-                cmp_cfg, profile, protections,
+            (shared,) = run_performance_grid(
+                [(cmp_cfg, profile)], protections,
                 n_cycles=400, n_trials=8, seed=3, block_size=4,
                 executor=executor,
             )

@@ -209,3 +209,65 @@ def test_default_result_bytes_and_cache_keys_are_pinned(tmp_path):
         }
     assert digests == PINNED_RESULTS
     assert sorted(p.stem for p in tmp_path.rglob("*.npz")) == PINNED_CACHE_KEYS
+
+
+#: The perf-model figures at small, multi-block settings: 40 trials is
+#: one full 32-trial block plus a partial second one.
+_PERF_SPECS = {
+    "fig5.performance": {"n_cycles": 600},
+    "fig6.access_breakdown": {"n_cycles": 600},
+    "sweep.perf_sensitivity": {
+        "n_cycles": 600, "store_queue": [2, 64], "l1_ports": [1, 2],
+    },
+}
+
+#: ``(result sha256, sha256 of the sorted perf .npz keys, key count)``
+#: per experiment, each run in a fresh cache.
+PINNED_PERF_RESULTS = {
+    "fig5.performance": (
+        "0ddccd2788490f04293947524bfc48bcb9d38df02caf90a6a443b0c12ea0f6dc",
+        "be5432ff939be6409bd919d781c4ef7e10ab783aff5a56614dbd118f3fb0132c",
+        60,
+    ),
+    "fig6.access_breakdown": (
+        "30e7ea59d779fca0c1d6d578b69689313b9b20787f7f1fa0667757984824c2d2",
+        "d4e4b890f7bb04b7f2d2dd9ddbbd4c6cdb0d8a05e015bfb7d261968b56073a61",
+        12,
+    ),
+    "sweep.perf_sensitivity": (
+        "5986e7d42eaeff60d7387514b5dc57dfe059012f9c84a3ff733d6cd21fc511b9",
+        "e37128fd08a788658f6eb83fd19398b9240e3eeb4e36cedd986e4d2c46a46329",
+        16,
+    ),
+}
+
+
+def _perf_pins(tmp_path, workers: int) -> dict:
+    pins = {}
+    for name, params in _PERF_SPECS.items():
+        cache_dir = tmp_path / name
+        with Session(workers=workers, cache_dir=cache_dir) as session:
+            result = session.run(
+                ExperimentSpec(name, backend="monte_carlo", trials=40, params=params)
+            )
+        keys = sorted(p.stem for p in cache_dir.rglob("*.npz"))
+        pins[name] = (
+            hashlib.sha256(result.without_telemetry().to_json().encode()).hexdigest(),
+            hashlib.sha256("\n".join(keys).encode()).hexdigest(),
+            len(keys),
+        )
+    return pins
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+def test_perf_result_bytes_and_cache_keys_are_pinned(tmp_path, workers):
+    assert _perf_pins(tmp_path, workers) == PINNED_PERF_RESULTS
+
+
+def test_perf_pins_hold_when_evaluation_groups_split(tmp_path, monkeypatch):
+    """A one-element budget evaluates every piece of trials on its own,
+    splitting evaluation groups inside and across cells."""
+    from repro.perf import backend
+
+    monkeypatch.setattr(backend, "_EVAL_GROUP_ELEMENTS", 1)
+    assert _perf_pins(tmp_path, 2) == PINNED_PERF_RESULTS

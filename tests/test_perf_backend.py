@@ -38,11 +38,11 @@ class TestInvariance:
         cfg = lean_cmp_config()
         profile = get_profile("Web")
         kwargs = dict(n_cycles=500, n_trials=70, seed=5, block_size=16)
-        reference = run_performance_grid(cfg, profile, _GRID, **kwargs)
+        (reference,) = run_performance_grid([(cfg, profile)], _GRID, **kwargs)
         for workers in (1, 2, 3, 4):
             with SharedExecutor(workers=workers) as pool:
-                variant = run_performance_grid(
-                    cfg, profile, _GRID, executor=pool, **kwargs
+                (variant,) = run_performance_grid(
+                    [(cfg, profile)], _GRID, executor=pool, **kwargs
                 )
             for key in _GRID:
                 assert _equal(reference[key], variant[key])
@@ -72,7 +72,7 @@ class TestInvariance:
         profile = get_profile("OLTP")
         kwargs = dict(n_cycles=400, n_trials=16, seed=3, block_size=16)
         solo = run_performance(cfg, profile, ProtectionConfig(label="baseline"), **kwargs)
-        grid = run_performance_grid(cfg, profile, _GRID, **kwargs)
+        (grid,) = run_performance_grid([(cfg, profile)], _GRID, **kwargs)
         assert _equal(solo, grid["baseline"])
 
     def test_zero_baseline_reports_zero_loss_not_nan(self):
@@ -94,6 +94,24 @@ class TestInvariance:
         assert np.all(comp.protected.aggregate_ipc <= comp.baseline.aggregate_ipc)
         assert np.all(comp.loss_percent_per_trial >= 0.0)
         assert comp.ipc_loss_percent >= 0.0
+
+
+    def test_default_fig5_splits_into_several_steal_groups(self):
+        """The stacking budget counts trials x cores x cycles over all
+        cells, so the default figure (12 cells, one 32-trial block,
+        6000 cycles) does not stack every cell's lanes at once."""
+        from repro.engine.rng import iter_block_slices
+        from repro.perf import backend
+        from repro.workloads import PAPER_WORKLOADS
+
+        cells = [(cfg, profile, _GRID)
+                 for cfg in (fat_cmp_config(), lean_cmp_config())
+                 for profile in PAPER_WORKLOADS.values()]
+        pieces = [(index, piece) for piece in iter_block_slices(0, 32, 32)
+                  for index in range(len(cells))]
+        groups = list(backend._evaluation_groups(pieces, cells, 6_000))
+        assert len(groups) > 1
+        assert sum(len(group) for group in groups) == len(cells)
 
 
 class TestCaching:
@@ -119,8 +137,8 @@ class TestCaching:
         profile = get_profile("DSS")
         kwargs = dict(n_cycles=400, n_trials=12, seed=2, cache=cache)
         solo = run_performance(cfg, profile, PROTECTION_SCENARIOS["l1"], **kwargs)
-        grid = run_performance_grid(
-            cfg, profile,
+        (grid,) = run_performance_grid(
+            [(cfg, profile)],
             {"baseline": ProtectionConfig(label="baseline"),
              "l1": PROTECTION_SCENARIOS["l1"]},
             **kwargs,
@@ -130,6 +148,32 @@ class TestCaching:
         assert grid["l1"].from_cache
         assert not grid["baseline"].from_cache
         assert _equal(grid["l1"], solo)
+
+    def test_multi_cell_grid_equals_one_cell_grids(self, tmp_path):
+        """Cells evaluated together (their steal lanes stacked, one
+        executor map) match each cell run alone; cached labels are
+        served per cell, and cells may repeat."""
+        from repro.engine import ResultCache
+
+        cache = ResultCache(tmp_path / "cache")
+        fat, lean = fat_cmp_config(), lean_cmp_config()
+        cells = [(fat, get_profile("OLTP")), (lean, get_profile("Web")),
+                 (fat, get_profile("OLTP"))]
+        grid = {"baseline": ProtectionConfig(label="baseline"),
+                "l1_ps": PROTECTION_SCENARIOS["l1_ps"],
+                "l1_ps_l2": PROTECTION_SCENARIOS["l1_ps_l2"]}
+        kwargs = dict(n_cycles=400, n_trials=40, seed=2, block_size=16)
+        run_performance(fat, get_profile("OLTP"), grid["l1_ps"], cache=cache, **kwargs)
+        with SharedExecutor(workers=2) as pool:
+            results = run_performance_grid(
+                cells, grid, cache=cache, executor=pool, **kwargs
+            )
+        assert [r["l1_ps"].from_cache for r in results] == [True, False, True]
+        assert not any(r["baseline"].from_cache for r in results)
+        for cell, result in zip(cells, results):
+            (alone,) = run_performance_grid([cell], grid, **kwargs)
+            for label in grid:
+                assert _equal(result[label], alone[label]), (cell[0].name, label)
 
     def test_distinct_cells_get_distinct_keys(self, tmp_path):
         from repro.engine import ResultCache
@@ -162,7 +206,7 @@ class TestValidation:
             )
         with pytest.raises(ValueError, match="protection"):
             run_performance_grid(
-                cfg, profile, {}, n_cycles=400, n_trials=4, seed=0
+                [(cfg, profile)], {}, n_cycles=400, n_trials=4, seed=0
             )
 
 
@@ -276,6 +320,36 @@ class TestCatalog:
         assert code == 0
         out = capsys.readouterr().out
         assert "sweep.perf_sensitivity" in out
+
+    @pytest.mark.parametrize("name,params,cells", [
+        ("fig5.performance", {}, 12),
+        ("fig6.access_breakdown", {}, 12),
+        ("sweep.perf_sensitivity",
+         {"store_queue": [2, 64], "l1_ports": [1, 2], "burstiness": [4.0]}, 4),
+    ])
+    def test_one_grid_call_and_one_executor_map_per_figure(
+        self, monkeypatch, name, params, cells
+    ):
+        import repro.perf
+
+        calls = []
+        original = repro.perf.run_performance_grid
+
+        def counting(*args, **kwargs):
+            calls.append(args)
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(repro.perf, "run_performance_grid", counting)
+        spec = ExperimentSpec(
+            name, trials=40, seed=7, params={"n_cycles": 300, **params}
+        )
+        with Session(workers=2) as session:
+            telemetry = session.run(spec).telemetry()
+        assert len(calls) == 1
+        assert telemetry["executor"]["maps"] == 1
+        # One start/finish event pair per cell; one shard per chunk.
+        assert telemetry["perf"]["grids"] == cells
+        assert telemetry["perf"]["shards"] == 2
 
     def test_session_workers_do_not_change_fig5(self):
         spec = ExperimentSpec(

@@ -40,6 +40,7 @@ from repro.perf import (
     steal_port_recursion,
 )
 from repro.perf.kernel import _bank_read_delays
+from repro.perf.resources import _RAMP_TABLE_LIMIT
 from repro.workloads import get_profile
 
 _CYCLES = 400
@@ -47,6 +48,30 @@ _CYCLES = 400
 
 def _random_counts(rng, n_cycles, lam=0.4):
     return rng.poisson(lam, size=n_cycles).astype(np.int64)
+
+
+def _replay_steal(reads, write_type, extras, n_ports, capacity, deadline):
+    """One lane through the scalar PortScheduler + StealQueue, in the
+    CmpSimulator's in-cycle order: ``(delay, bookings, stolen, forced)``."""
+    ports = PortScheduler(n_ports)
+    queue = StealQueue(capacity=capacity, deadline=deadline)
+    delay = 0
+    for cycle in range(len(reads)):
+        for _ in range(int(reads[cycle])):
+            delay += ports.schedule(cycle)
+        for _ in range(int(write_type[cycle])):
+            ports.schedule(cycle)
+        for _ in range(int(extras[cycle])):
+            if not queue.push(cycle):
+                ports.schedule(cycle)
+        if queue.pending:
+            idle = ports.idle_slots(cycle)
+            usable = idle - 1 if n_ports > 1 else idle
+            if usable > 0:
+                queue.drain(cycle, usable)
+            for _ in range(queue.take_expired(cycle)):
+                ports.schedule(cycle)
+    return delay, ports.busy_slots, queue.stolen_issues, queue.forced_issues
 
 
 class TestClosedForms:
@@ -108,33 +133,71 @@ class TestClosedForms:
         write_type = _random_counts(rng, _CYCLES, 0.25)
         extras = _random_counts(rng, _CYCLES, 0.25)
 
-        ports = PortScheduler(n_ports)
-        queue = StealQueue(capacity=capacity, deadline=deadline)
-        expected_delay = 0
-        for cycle in range(_CYCLES):
-            for _ in range(int(reads[cycle])):
-                expected_delay += ports.schedule(cycle)
-            for _ in range(int(write_type[cycle])):
-                ports.schedule(cycle)
-            for _ in range(int(extras[cycle])):
-                if not queue.push(cycle):
-                    ports.schedule(cycle)
-            if queue.pending:
-                idle = ports.idle_slots(cycle)
-                usable = idle - 1 if n_ports > 1 else idle
-                if usable > 0:
-                    queue.drain(cycle, usable)
-                for _ in range(queue.take_expired(cycle)):
-                    ports.schedule(cycle)
-
         delay, bookings, stolen, forced = steal_port_recursion(
             reads[None], write_type[None], extras[None],
             n_ports=n_ports, capacity=capacity, deadline=deadline,
         )
-        assert delay[0] == expected_delay
-        assert bookings[0] == ports.busy_slots
-        assert stolen[0] == queue.stolen_issues
-        assert forced[0] == queue.forced_issues
+        expected = _replay_steal(reads, write_type, extras, n_ports, capacity, deadline)
+        assert (delay[0], bookings[0], stolen[0], forced[0]) == expected
+
+    @pytest.mark.parametrize("overloaded", [False, True])
+    @pytest.mark.parametrize("seed", range(2))
+    def test_steal_recursion_mixed_lanes_match_schedulers(self, overloaded, seed):
+        """One recursion over lanes that differ in port count and queue
+        bound (cells of different CMPs stacked together): every lane
+        equals its own scalar replay.  Overloaded lanes build a backlog
+        past the staircase table, so the exact int64 closed form runs."""
+        rng = np.random.default_rng(400 + seed)
+        lanes = [(1, 4), (2, 64), (2, 2), (4, 8), (4, 64), (1, 64)]
+        load = [1.0, 1.0, 1.6, 3.0, 2.0, 0.8]
+        if overloaded:
+            load[0], load[3] = 12.0, 20.0
+        reads = np.stack([_random_counts(rng, _CYCLES, 0.6 * x) for x in load])
+        write_type = np.stack([_random_counts(rng, _CYCLES, 0.25 * x) for x in load])
+        extras = np.stack([_random_counts(rng, _CYCLES, 0.25 * x) for x in load])
+        n_ports = np.array([n for n, _ in lanes])
+        capacity = np.array([c for _, c in lanes])
+
+        outputs = steal_port_recursion(
+            reads, write_type, extras, n_ports=n_ports, capacity=capacity, deadline=16
+        )
+        bookings = []
+        for lane, (ports, bound) in enumerate(lanes):
+            expected = _replay_steal(
+                reads[lane], write_type[lane], extras[lane], ports, bound, 16
+            )
+            assert tuple(out[lane] for out in outputs) == expected, lane
+            bookings.append(expected[1])
+        if overloaded:
+            # Work the ports could not serve within the run is backlog
+            # left at its end.
+            left = max(b - n * _CYCLES for b, (n, _) in zip(bookings, lanes))
+            assert left > _RAMP_TABLE_LIMIT + 100
+        else:
+            assert max(bookings) < _RAMP_TABLE_LIMIT
+
+    def test_steal_recursion_int64_guard_is_exact(self):
+        """Past 2**31 booked slots a lane's state runs in int64.  With a
+        zero queue bound every extra overflows and books at once, which
+        is exactly the closed-form booking (itself on its int64 path)."""
+        rng = np.random.default_rng(7)
+        reads = rng.integers(0, 8_000_000, size=(2, 300))
+        write_type = rng.integers(0, 8_000_000, size=(2, 300))
+        extras = rng.integers(0, 8_000_000, size=(2, 300))
+        assert (reads + write_type + extras).sum(axis=1).min() >= 2**31
+        delay, bookings, stolen, forced = steal_port_recursion(
+            reads, write_type, extras, n_ports=np.array([1, 2]), capacity=0,
+            deadline=16,
+        )
+        for lane, n_ports in enumerate((1, 2)):
+            closed_delay, closed_bookings = port_read_delays(
+                reads[lane:lane + 1], write_type[lane:lane + 1],
+                extras[lane:lane + 1], n_ports,
+            )
+            assert delay[lane] == closed_delay[0]
+            assert bookings[lane] == closed_bookings[0]
+        assert stolen.tolist() == [0, 0]
+        assert forced.tolist() == extras.sum(axis=1).tolist()
 
     @pytest.mark.parametrize("seed", range(3))
     def test_bank_delays_match_bank_scheduler(self, seed):

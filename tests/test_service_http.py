@@ -293,6 +293,24 @@ class TestCancelAndBackpressure:
             session.gate.set()
             live.stop()
 
+    def test_non_finite_wait_is_a_400_not_a_hang(self):
+        # min(nan, cap) is NaN: the long-poll cap must not be bypassed
+        # while the job is still running.
+        session = GatedSession()
+        live = LiveService(session=session, workers=1).start()
+        try:
+            client = live.client(timeout=5.0)
+            client.wait_ready()
+            running = client.submit(spec(0))["job"]
+            for value in ("nan", "inf", "-inf"):
+                with pytest.raises(ServiceError) as excinfo:
+                    client._request("GET", f"/jobs/{running['id']}?wait={value}")
+                assert excinfo.value.status == 400
+            assert client.job(running["id"])["state"] in ("queued", "running")
+        finally:
+            session.gate.set()
+            live.stop()
+
 
 class TestMetricsAndTrace:
     """GET /metrics exposition and the per-job trace surface."""
