@@ -847,11 +847,10 @@ def _fig8_yield_mc(ctx):
     and comparing against the analytical yield of the same geometry.
 
     ``scenario`` picks the hard-fault population per sweep point:
-    ``"iid_uniform"`` places exactly ``n`` faulty cells (the analytical
-    model's own assumption, and the pre-scenario engine behavior,
-    bit-exact), ``"hard_fault_map"`` draws the count per die from a
-    Poisson with the equivalent mean density — the manufacturing-line
-    view of the same axis.
+    ``"iid_uniform"`` places exactly ``n`` distinct faulty cells (the
+    analytical model's own assumption), ``"hard_fault_map"`` draws the
+    count per die from a Poisson with the equivalent mean density — the
+    manufacturing-line view of the same axis.
     """
     from repro.engine import EngineSpec
     from repro.scenarios import make_scenario

@@ -117,9 +117,13 @@ def content_hash(payload: Any) -> str:
     This is the project-wide cache-key convention: canonical JSON
     (sorted keys, compact separators) of a frozen payload.
     """
-    thawed = thaw_params(freeze_params(payload))
-    canonical = json.dumps(thawed, sort_keys=True, separators=(",", ":"))
-    return hashlib.sha256(canonical.encode("utf-8")).hexdigest()
+    return _digest(thaw_params(freeze_params(payload)))
+
+
+def _digest(canonical: Any) -> str:
+    """SHA-256 of an already canonical (thawed) payload's JSON form."""
+    text = json.dumps(canonical, sort_keys=True, separators=(",", ":"))
+    return hashlib.sha256(text.encode("utf-8")).hexdigest()
 
 
 @dataclass(frozen=True)
@@ -238,4 +242,6 @@ class ExperimentSpec:
         Equal specs — however their params were ordered at construction
         — produce equal digests; any semantic difference changes it.
         """
-        return content_hash(self.to_key())
+        # The params were frozen at construction, so to_key() is already
+        # canonical: content_hash's freeze/thaw round trip would be a no-op.
+        return _digest(self.to_key())

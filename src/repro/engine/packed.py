@@ -208,7 +208,11 @@ class PackedSecdedDecoder(_PackedDecoder):
     def decode_packed(self, packed: np.ndarray) -> DecodeBatch:
         """Decode packed ``(..., D, W)`` rows; corrections as packed words."""
         key = self._kernel(packed)[..., 0].astype(np.intp)
-        return DecodeBatch(faulty=self._faulty[key], corrections=self._corrections[key])
+        # ``take`` along axis 0 gathers the (W,) correction rows ~10x
+        # faster than fancy indexing on all-dirty blocks.
+        return DecodeBatch(
+            faulty=self._faulty[key], corrections=self._corrections.take(key, axis=0)
+        )
 
 
 def make_packed_decoder(spec: EngineSpec) -> _PackedDecoder:
@@ -261,13 +265,33 @@ def run_recovery_batch_sparse(
     if spec.is_two_dimensional and faulty.any():
         faulty, content = _reconstruct(spec, batch, faulty, content)
 
-    data_wrong = (content & decoder.data_mask).any(axis=-1)
+    data_wrong = _any_masked(content, decoder.data_mask)
     word_silent = ~faulty & data_wrong
     trial_idx = batch.trial_idx
-    verdicts[trial_idx[faulty.any(axis=-1)]] = VERDICT_DETECTED
+    verdicts[trial_idx[_any_slot(faulty)]] = VERDICT_DETECTED
     # Silent corruption dominates the trial verdict.
-    verdicts[trial_idx[word_silent.any(axis=-1)]] = VERDICT_SILENT
+    verdicts[trial_idx[_any_slot(word_silent)]] = VERDICT_SILENT
     return verdicts
+
+
+# numpy's generic reduction over a short last axis (W words, D slots)
+# costs 5-10x an OR over its slices on all-dirty blocks, so the two
+# per-row reductions below are unrolled.
+
+def _any_masked(words: np.ndarray, mask: np.ndarray) -> np.ndarray:
+    """``(words & mask).any(axis=-1)``, one word at a time."""
+    acc = words[..., 0] & mask[0]
+    for w in range(1, mask.shape[0]):
+        acc |= words[..., w] & mask[w]
+    return acc != 0
+
+
+def _any_slot(flags: np.ndarray) -> np.ndarray:
+    """``flags.any(axis=-1)`` over a row's ``D`` slot flags, one slot at a time."""
+    acc = flags[..., 0].copy()
+    for s in range(1, flags.shape[-1]):
+        acc |= flags[..., s]
+    return acc
 
 
 def _reconstruct(spec, batch, faulty, content):
@@ -289,7 +313,7 @@ def _reconstruct(spec, batch, faulty, content):
     boundary = np.r_[True, sorted_keys[1:] != sorted_keys[:-1]]
     seg_starts = np.nonzero(boundary)[0]
     seg_of = np.cumsum(boundary) - 1
-    row_faulty = faulty.any(axis=-1)[order]
+    row_faulty = _any_slot(faulty)[order]
     n_faulty = np.add.reduceat(row_faulty.astype(np.intp), seg_starts)
     lone = row_faulty & (n_faulty[seg_of] == 1)
     if not lone.any():

@@ -386,6 +386,17 @@ def run_performance_grid(
             **{name: np.asarray(fields[name]) for name in _RESULT_FIELDS},
         )
 
+    from repro.api.spec import freeze_params  # lazy: repro.api is a heavy import
+
+    def label_params(identity: dict, protection) -> dict:
+        return {
+            "perf_version": PERF_VERSION,
+            "cell": {**identity, "protection": protection, "n_cycles": n_cycles},
+            "n_trials": n_trials,
+            "seed": seed,
+            "block_size": block_size,
+        }
+
     protection_keys = {label: _jsonable(p) for label, p in protections.items()}
     results: list[dict] = [{} for _ in cells]
     params: list[dict] = []
@@ -393,17 +404,16 @@ def run_performance_grid(
     missing: list[list] = []
     for index, (cmp_cfg, profile) in enumerate(cells):
         identity = {"cmp": _jsonable(cmp_cfg), "workload": _jsonable(profile)}
+        # Frozen once per cell: each label's key then freezes only its
+        # own part instead of re-walking the CMP and workload.
+        frozen = dict(freeze_params(identity))
         cell_params = {
-            label: {
-                "perf_version": PERF_VERSION,
-                "cell": {**identity, "protection": key, "n_cycles": n_cycles},
-                "n_trials": n_trials,
-                "seed": seed,
-                "block_size": block_size,
-            }
+            label: label_params(identity, key) for label, key in protection_keys.items()
+        }
+        keys = {
+            label: cache_key(label_params(frozen, key))
             for label, key in protection_keys.items()
         }
-        keys = {label: cache_key(p) for label, p in cell_params.items()}
         for label, key in keys.items():
             payload = cache.load(key) if cache is not None else None
             if payload is not None and all(name in payload for name in _RESULT_FIELDS):

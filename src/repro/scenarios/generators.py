@@ -198,25 +198,10 @@ def bernoulli_masks(
 def exact_cells_sparse(
     rng: np.random.Generator, count: int, spec, n_cells: int
 ) -> SparseRowBatch:
-    """Exactly ``n_cells`` distinct uniformly-placed cells per trial.
-
-    argpartition of one uniform draw per cell gives ``n_cells`` distinct
-    uniform cells per trial in a single vectorized pass; decode work
-    downstream scales with ``n_cells``, not with the array size.
-    """
-    rows, cols, degree = spec.rows, spec.row_bits, interleave_of(spec)
-    n_sites = rows * cols
-    if n_cells > n_sites:
-        raise ValueError("more faulty cells than array cells")
-    if not n_cells:
-        return SparseRowBatch.empty(count, rows, cols, degree)
-    scores = rng.random((count, n_sites))
-    chosen = np.argpartition(scores, n_cells - 1, axis=1)[:, :n_cells]
-    return SparseRowBatch.from_cells(
-        count, rows, cols,
-        np.repeat(np.arange(count, dtype=np.int64), n_cells), chosen.reshape(-1),
-        degree,
-    )
+    """Exactly ``n_cells`` distinct uniformly-placed cells per trial: the
+    constant-count case of :func:`counted_cells_sparse`, so sampling cost
+    scales with ``n_cells``, not with the array size."""
+    return counted_cells_sparse(rng, np.full(count, n_cells), spec)
 
 
 def _draw_counted_cells(
@@ -240,27 +225,35 @@ def _draw_counted_cells(
         ranks = np.empty_like(order)
         np.put_along_axis(ranks, order, np.arange(n_sites)[None, :], axis=1)
         return np.flatnonzero(ranks < counts[:, None])
-    # Sparse counts (the defect-map regime): draw cell indices directly
-    # and patch the rare within-trial collisions by redrawing — far
-    # cheaper than scoring every cell of every trial.  Each accepted
+    # Sparse counts (defect maps, exact-count cells): draw cell indices
+    # directly and patch the rare within-trial collisions by redrawing —
+    # far cheaper than scoring every cell of every trial.  Each accepted
     # cell is uniform over the array, so the resulting distinct set is a
     # uniform subset of the requested size.
     select = np.arange(kmax)[None, :] < counts[:, None]
     trial_idx = np.arange(n_trials, dtype=np.int64)[:, None]
     draws = rng.integers(0, n_sites, size=(n_trials, kmax))
-    keys = np.unique((trial_idx * n_sites + draws)[select])
+    keys = _sorted_unique((trial_idx * n_sites + draws)[select])
     distinct = np.bincount(keys // n_sites, minlength=n_trials)
     deficit_rows = np.nonzero(distinct < counts)[0]
     while deficit_rows.size:
         need = counts[deficit_rows] - distinct[deficit_rows]
         extra = rng.integers(0, n_sites, size=(deficit_rows.size, int(need.max())))
         take = np.arange(extra.shape[1])[None, :] < need[:, None]
-        keys = np.unique(
+        keys = _sorted_unique(
             np.concatenate([keys, (deficit_rows[:, None] * n_sites + extra)[take]])
         )
         distinct = np.bincount(keys // n_sites, minlength=n_trials)
         deficit_rows = deficit_rows[distinct[deficit_rows] < counts[deficit_rows]]
     return keys
+
+
+def _sorted_unique(keys: np.ndarray) -> np.ndarray:
+    """``np.unique(keys)`` by sort-and-compare: numpy 2's default
+    hash-based ``unique`` is ~15x slower on these few-thousand-key
+    arrays."""
+    keys = np.sort(keys)
+    return keys[np.r_[True, keys[1:] != keys[:-1]]]
 
 
 def counted_cells_sparse(

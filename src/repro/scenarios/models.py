@@ -8,9 +8,9 @@ generators in :mod:`repro.scenarios.generators`:
 ``iid_uniform``
     Spatially independent cell upsets — either exactly ``n_cells``
     distinct uniform cells per trial (the manufacture-time defect model
-    behind the Fig. 8(a) yield analysis; bit-exact with the engine's
-    historical ``RandomCellsModel``) or Bernoulli flips at
-    ``flip_probability`` per cell.
+    behind the Fig. 8(a) yield analysis, drawn by the one distinct-cell
+    draw :func:`~repro.scenarios.generators.counted_cells_sparse`) or
+    Bernoulli flips at ``flip_probability`` per cell.
 ``clustered_mbu``
     One single-event multi-bit upset per trial, footprint drawn from a
     weighted distribution (the :mod:`repro.errors` injector semantics,
@@ -123,10 +123,10 @@ class IidUniformScenario(ScenarioBase):
     """Spatially independent uniform cell upsets.
 
     Exactly one of the two knobs is active: ``n_cells`` places that many
-    *distinct* uniform cells per trial (bit-exact twin of the engine's
-    original ``RandomCellsModel``, and the model behind the Fig. 8(a)
-    yield simulation), while ``flip_probability`` flips every cell
-    independently.  With neither given, one cell per trial.
+    *distinct* uniform cells per trial (the model behind the Fig. 8(a)
+    yield simulation; its cost grows with ``n_cells``, not with the
+    array), while ``flip_probability`` flips every cell independently.
+    With neither given, one cell per trial.
     """
 
     n_cells: "int | None" = None
@@ -159,10 +159,11 @@ class IidUniformScenario(ScenarioBase):
         return exact_cells_sparse(rng, count, spec, self.n_cells)
 
     def to_key(self) -> dict:
-        # The exact-count mode keeps the original RandomCellsModel key so
-        # pre-scenario cached results stay addressable.
+        # One model name in both modes.  The key also stands for the
+        # draw's RNG consumption: a change to the draw must change the
+        # key, so no stale cache entry of this model is ever read.
         if self.n_cells is not None:
-            return {"model": "random_cells", "n_cells": self.n_cells}
+            return {"model": "iid_uniform", "n_cells": self.n_cells}
         return {"model": "iid_uniform", "flip_probability": self.flip_probability}
 
 

@@ -194,10 +194,12 @@ class TestIidUniform:
             IidUniformScenario(n_cells=2, flip_probability=0.1)
 
     def test_key_distinguishes_modes(self):
-        assert IidUniformScenario(n_cells=2).to_key()["model"] == "random_cells"
-        assert (
-            IidUniformScenario(flip_probability=0.1).to_key()["model"] == "iid_uniform"
-        )
+        assert IidUniformScenario(n_cells=2).to_key() == {
+            "model": "iid_uniform", "n_cells": 2,
+        }
+        assert IidUniformScenario(flip_probability=0.1).to_key() == {
+            "model": "iid_uniform", "flip_probability": 0.1,
+        }
 
 
 class TestClusteredMbu:
@@ -436,8 +438,10 @@ def test_integral_float_cell_count_draws_as_the_integer():
 
 class TestLegacyAliases:
     def test_legacy_keys_unchanged(self):
-        """Pre-scenario cache entries must stay addressable."""
-        assert IidUniformScenario(7).to_key() == {"model": "random_cells", "n_cells": 7}
+        """Pre-scenario cache entries must stay addressable; the
+        exact-count cells left the ``random_cells`` name with their old
+        draw, whose entries no longer match the stream."""
+        assert IidUniformScenario(7).to_key() == {"model": "iid_uniform", "n_cells": 7}
         assert FixedClusterScenario(2, 3).to_key() == {
             "model": "fixed_cluster", "height": 2, "width": 3,
         }

@@ -11,13 +11,20 @@ pin the two paths together from both directions:
 * **distribution-wise** — batched draws reproduce the scalar sampler's
   footprint frequencies and uniform placement (hypothesis-driven, with
   generous statistical tolerances);
+* **the one distinct-cell draw** — exact-count cells are ``k``
+  distinct, uniform sites per trial at a cost that grows with ``k``,
+  and fig8's Monte Carlo intervals contain the exact occupancy yield;
 * **experiment-level back-compat** — the scenario-threaded
-  ``fig3.coverage`` / ``fig8.yield`` Monte Carlo experiments hit the
-  same engine cache keys and produce the same Wilson intervals as the
-  pre-scenario implementations.
+  ``fig3.coverage`` Monte Carlo experiment hits the same engine cache
+  keys and produces the same Wilson intervals as the pre-scenario
+  implementation.
 """
 
 from __future__ import annotations
+
+import math
+import tracemalloc
+from statistics import NormalDist
 
 import numpy as np
 import pytest
@@ -29,7 +36,7 @@ from repro.engine import EngineSpec, block_generator, cache_key, run_experiment
 from repro.engine.cache import ENGINE_VERSION
 from repro.errors import ErrorInjector, ErrorKind, FootprintDistribution
 from repro.scenarios import make_scenario
-from repro.scenarios.generators import sample_footprints
+from repro.scenarios.generators import exact_cells_sparse, sample_footprints
 
 SPEC = EngineSpec(
     rows=24, data_bits=16, interleave_degree=2,
@@ -168,18 +175,109 @@ def test_batched_cluster_placement_is_uniform_like_scalar():
     assert (np.abs(rng_rows - expected_scalar) < 5 * np.sqrt(expected_scalar) + 10).all()
 
 
-def test_exact_cell_counts_match_scalar_model_bit_exactly():
-    """The iid_uniform exact-count mode must reproduce the engine's
-    historical RandomCellsModel stream (same scores draw, same cells)."""
-    rng = np.random.default_rng(11)
-    masks = make_scenario("iid_uniform", n_cells=6).sample(rng, 32, SPEC)
-    ref_rng = np.random.default_rng(11)
-    n_sites = SPEC.rows * SPEC.row_bits
-    scores = ref_rng.random((32, n_sites))
-    chosen = np.argpartition(scores, 5, axis=1)[:, :6]
-    ref = np.zeros((32, n_sites), dtype=np.uint8)
-    ref[np.arange(32)[:, None], chosen] = 1
-    assert np.array_equal(masks, ref.reshape(32, SPEC.rows, SPEC.row_bits))
+# ----------------------------------------------------------------------
+# the one distinct-cell draw
+# ----------------------------------------------------------------------
+
+_N_SITES = SPEC.rows * SPEC.row_bits
+
+
+@pytest.mark.parametrize(
+    "n_cells",
+    # Both branches of the draw: index draws up to n_sites // 8 cells,
+    # one ranked score per site above that.
+    [0, 1, 40, _N_SITES // 8, _N_SITES // 8 + 1, _N_SITES],
+)
+def test_exact_cells_are_k_distinct_sites_per_trial(n_cells):
+    batch = exact_cells_sparse(np.random.default_rng(11), 48, SPEC, n_cells)
+    assert batch.n_trials == 48
+    assert ((batch.row_idx >= 0) & (batch.row_idx < SPEC.rows)).all()
+    masks = batch.densify()
+    assert masks.shape == (48, SPEC.rows, SPEC.row_bits)
+    # A 0/1 mask summing to k holds exactly k distinct in-range sites.
+    assert set(np.unique(masks)) <= {0, 1}
+    assert (masks.sum(axis=(1, 2)) == n_cells).all()
+
+
+@pytest.mark.parametrize("n_cells", [40, _N_SITES // 8 + 1])
+def test_exact_cells_have_uniform_site_marginals(n_cells):
+    """Pearson chi-square of per-site hit counts against the uniform
+    marginal ``n_cells / n_sites``.  Hits within a trial are drawn
+    without replacement, so each site's count has variance
+    ``T p (1 - p)``; scaling by ``1 - p`` makes the statistic
+    approximately chi-square with ``n_sites - 1`` degrees of freedom.  The bound is
+    its 0.999 quantile (Wilson-Hilferty) at a fixed seed.  A per-site
+    z bound (Bonferroni over the sites) catches one missing or
+    favoured site, which moves the sum too little to fail it."""
+    n_trials = 2000
+    masks = exact_cells_sparse(
+        np.random.default_rng(2024), n_trials, SPEC, n_cells
+    ).densify()
+    hits = masks.reshape(n_trials, -1).sum(axis=0, dtype=np.int64)
+    p = n_cells / _N_SITES
+    expected = n_trials * p
+    z_sites = (hits - expected) / math.sqrt(expected * (1 - p))
+    statistic = float((z_sites**2).sum())
+    df = _N_SITES - 1
+    z = NormalDist().inv_cdf(0.999)
+    bound = df * (1 - 2 / (9 * df) + z * math.sqrt(2 / (9 * df))) ** 3
+    assert statistic < bound
+    assert np.abs(z_sites).max() < NormalDist().inv_cdf(1 - 0.001 / (2 * _N_SITES))
+
+
+def test_exact_cells_cost_scales_with_faults_not_array():
+    """8 cells in a 2**24-site bank: a per-site score draw would
+    allocate 4 x 2**24 float64 (512 MB); the draw must stay small."""
+    geometry = _Geometry(2**18, 64)
+    exact_cells_sparse(np.random.default_rng(0), 4, geometry, 8)  # warm tables
+    tracemalloc.start()
+    try:
+        batch = exact_cells_sparse(np.random.default_rng(1), 4, geometry, 8)
+        _current, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
+    assert batch.n_pairs <= 32
+
+
+def test_fig8_monte_carlo_is_worker_count_invariant():
+    from repro.api import ExperimentSpec, Session
+
+    spec = ExperimentSpec("fig8.yield", backend="monte_carlo", trials=2048, seed=5)
+    with Session(workers=1) as serial, Session(workers=2) as pooled:
+        one = serial.run(spec)
+        two = pooled.run(spec)
+        assert pooled.executor.started  # the blocks really fanned out
+    assert one.data_dict() == two.data_dict()
+
+
+def _exact_ecc_only_yield(n_cells: int, n_sites: int, word_bits: int) -> float:
+    """P(``n_cells`` distinct uniform sites land in distinct words):
+    the occupancy product of prod_{i<n} (S - w i) / (S - i)."""
+    return math.prod(
+        (n_sites - word_bits * i) / (n_sites - i) for i in range(n_cells)
+    )
+
+
+def test_fig8_monte_carlo_intervals_contain_exact_occupancy_yield():
+    """Exactness gate for the cell draw: at 8192 trials every fig8
+    Monte Carlo interval, at a Bonferroni-adjusted confidence over the
+    sweep's points, contains the exact ECC-only yield of its bank
+    (64 rows x 4 SECDED words: S = 18432 sites, w = 72 per word)."""
+    from repro.api import ExperimentSpec, Session
+
+    points = 6
+    result = Session().run(
+        ExperimentSpec("fig8.yield", backend="monte_carlo", trials=8192,
+                       seed=1946, confidence=1 - 0.05 / points)
+    )
+    data = result.data_dict()
+    assert len(data["failing_cells"]) == points
+    for n, lower, upper in zip(
+        data["failing_cells"], data["simulated_lower"], data["simulated_upper"]
+    ):
+        exact = _exact_ecc_only_yield(int(n), 18432, 72)
+        assert lower <= exact <= upper, (n, lower, exact, upper)
 
 
 # ----------------------------------------------------------------------
@@ -227,8 +325,8 @@ class TestExperimentBackCompat:
         )
 
     def test_fig8_yield_default_scenario_matches_legacy_model(self):
-        """fig8.yield's iid_uniform default is the pre-scenario
-        RandomCellsModel run, verdict for verdict."""
+        """fig8.yield's iid_uniform default is the engine run of the
+        same iid_uniform cells, estimate for estimate."""
         from repro.api import ExperimentSpec, Session
 
         result = Session().run(
