@@ -76,13 +76,13 @@ def test_fig8b_reliability(benchmark, api_session):
 def test_fig8a_yield_monte_carlo(benchmark, api_session):
     """Engine-simulated validation of the ECC-only yield curve.
 
-    The analytical Fig. 8(a) model is Stapper-style probability algebra;
-    here the engine actually throws N faulty cells into a bit-accurate
+    The analytical ECC-only yield is exact: the occupancy probability
+    that N distinct faulty cells land in N distinct 72-bit codewords.
+    Here the engine actually throws N faulty cells into a bit-accurate
     SECDED-protected bank and counts surviving trials.  The analytical
     curve for the same (scaled) geometry must fall inside the simulated
-    Wilson band at every sweep point (a 99% band: the analytical model
-    is itself a binomial approximation, so simultaneous containment at
-    six points warrants the wider interval).
+    Wilson band at every sweep point.  Each band is 99%, so the six
+    points hold jointly with at least 94% confidence (Bonferroni).
     """
     spec = ExperimentSpec(
         "fig8.yield",

@@ -550,7 +550,7 @@ def _fig3_coverage_mc(ctx):
             continue
         expected = scheme.data_bits * scheme.interleave_degree
         if columns != expected:
-            raise ValueError(
+            raise SpecError(
                 "array_data_columns must equal data_bits * "
                 f"interleave_degree ({expected}) for the bit-accurate "
                 "engine geometry"
@@ -843,8 +843,9 @@ def _fig8_yield_mc(ctx):
     The analytical curve treats manufacture-time faults as uniformly
     distributed cells and a word as dead once it holds two or more
     faults.  This experiment checks that claim by *simulating* it on a
-    scaled-down SECDED-protected bank (``rows`` x 4 words of 64 bits)
-    and comparing against the analytical yield of the same geometry.
+    scaled-down SECDED-protected bank (``rows`` x 4 codewords of 72
+    stored bits) and comparing against the analytical yield of the same
+    cells: the occupancy product over ``S = rows * 288`` sites, ``w = 72``.
 
     ``scenario`` picks the hard-fault population per sweep point:
     ``"iid_uniform"`` places exactly ``n`` distinct faulty cells (the
@@ -865,18 +866,14 @@ def _fig8_yield_mc(ctx):
             "fig8.yield sweeps a hard-fault count axis; scenario must be "
             f"'iid_uniform' or 'hard_fault_map', got {scenario_name!r}"
         )
-    words_per_row = 4
     spec = EngineSpec(
         rows=rows,
         data_bits=64,
-        interleave_degree=words_per_row,
+        interleave_degree=4,
         horizontal_code="SECDED",
         vertical_groups=None,
     )
-    geometry = MemoryGeometry(
-        capacity_bits=spec.n_words * 64, word_bits=64, words_per_row=words_per_row
-    )
-    model = YieldModel(geometry)
+    model = YieldModel(MemoryGeometry(capacity_bits=spec.n_words * 64, word_bits=64))
     n_sites = rows * spec.row_bits
 
     curves: dict[str, list[float]] = {
@@ -990,7 +987,7 @@ def _sweep_mc_coverage(ctx):
     scheme_key = str(ctx.param("scheme"))
     schemes = named_schemes()
     if scheme_key not in schemes:
-        raise ValueError(
+        raise SpecError(
             f"unknown scheme {scheme_key!r}; pick one of {', '.join(sorted(schemes))}"
         )
     scheme = schemes[scheme_key]
@@ -1025,7 +1022,7 @@ def _sweep_mc_coverage(ctx):
         model = make_scenario(kind, **dict(ctx.param("scenario_params") or {}))
     else:
         known = ", ".join(sorted(list_scenarios()))
-        raise ValueError(
+        raise SpecError(
             f"unknown error model {kind!r}; use cluster, fixed, random_cells "
             f"or a registered scenario ({known})"
         )
@@ -1170,21 +1167,21 @@ def _sweep_perf_sensitivity(ctx):
     cmp_name = str(ctx.param("cmp"))
     configs = _cmp_configs()
     if cmp_name not in configs:
-        raise ValueError(
+        raise SpecError(
             f"unknown cmp {cmp_name!r}; pick one of {', '.join(configs)}"
         )
     base_cmp = configs[cmp_name]
     workload = str(ctx.param("workload"))
     profile = PAPER_WORKLOADS.get(workload)
     if profile is None:
-        raise ValueError(
+        raise SpecError(
             f"unknown workload {workload!r}; pick one of {', '.join(PAPER_WORKLOADS)}"
         )
     protection_key = str(ctx.param("protection"))
     protection = PROTECTION_SCENARIOS.get(protection_key)
     if protection is None or not protection.any_protection:
         eligible = [k for k, p in PROTECTION_SCENARIOS.items() if p.any_protection]
-        raise ValueError(
+        raise SpecError(
             f"protection must be one of {', '.join(eligible)}, got {protection_key!r}"
         )
 
@@ -1274,13 +1271,13 @@ def _sweep_scheme_cost(ctx):
         table = l2_schemes()
         default_words = _L2_WORDS
     else:
-        raise ValueError(f"cache must be 'l1' or 'l2', got {cache!r}")
+        raise SpecError(f"cache must be 'l1' or 'l2', got {cache!r}")
     n_words = int(ctx.param("n_words", default_words))
     subset = ctx.param("schemes")
     keys = list(table) if subset is None else [str(k) for k in subset]
     unknown = [k for k in keys if k not in table]
     if unknown:
-        raise ValueError(f"unknown scheme keys for {cache}: {', '.join(unknown)}")
+        raise SpecError(f"unknown scheme keys for {cache}: {', '.join(unknown)}")
 
     baseline = table["baseline"].cost(n_words)
     data = {}

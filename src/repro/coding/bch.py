@@ -150,12 +150,6 @@ class BchCode(WordCode):
     # ------------------------------------------------------------------
     # decoding
     # ------------------------------------------------------------------
-    def _codeword_bit(self, data: np.ndarray, check: np.ndarray, position: int) -> int:
-        """Bit at codeword ``position`` (parity occupies the low positions)."""
-        if position < self._parity_len:
-            return int(check[position])
-        return int(data[position - self._parity_len])
-
     def _syndromes(self, data: np.ndarray, check: np.ndarray) -> list[int]:
         field = self._field
         syndromes = []

@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from statistics import NormalDist
 
 import numpy as np
 
@@ -44,8 +45,8 @@ __all__ = [
 #: rare-event machinery exists to resolve.
 WEIGHTED_TARGETS = ("corrected", "detected", "silent", "uncorrected")
 
-#: z-scores of the common confidence levels: scipy's exact
-#: ``norm.ppf(0.5 + c / 2)`` values, so these levels never import scipy.
+#: z-scores ``Phi^-1(0.5 + c / 2)`` of the common confidence levels,
+#: exact to the last bit; other levels use the stdlib normal quantile.
 _Z_TABLE = {0.90: 1.6448536269514722, 0.95: 1.959963984540054, 0.99: 2.5758293035489004}
 
 
@@ -54,9 +55,7 @@ def _z_score(confidence: float) -> float:
         raise ValueError("confidence must be in (0, 1)")
     if confidence in _Z_TABLE:
         return _Z_TABLE[confidence]
-    from scipy import stats
-
-    return float(stats.norm.ppf(0.5 + confidence / 2.0))
+    return NormalDist().inv_cdf(0.5 + confidence / 2.0)
 
 
 def half_width(lower: float, upper: float) -> float:

@@ -34,6 +34,8 @@ Every registered scenario is reachable from the experiment catalog
 (``python -m repro run ... --scenario NAME``).
 """
 
+from repro.errors.rates import poisson_band_probability
+
 from .base import (
     Geometry,
     ScenarioBase,
@@ -59,7 +61,6 @@ from .rare import (
     TiltedClusteredMbuScenario,
     TiltedHardFaultMapScenario,
     WeightedScenarioBase,
-    poisson_band_probability,
 )
 from .sparse import SparseRowBatch
 

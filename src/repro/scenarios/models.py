@@ -41,7 +41,7 @@ from __future__ import annotations
 import math
 import numbers
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Any
+from typing import Any
 
 import numpy as np
 
@@ -57,9 +57,6 @@ from .generators import (
     spread_footprints,
 )
 from .sparse import SparseRowBatch, interleave_of
-
-if TYPE_CHECKING:  # the scalar distribution type; never imported at runtime
-    from repro.errors.injector import FootprintDistribution
 
 __all__ = [
     "IidUniformScenario",
@@ -192,14 +189,6 @@ class ClusteredMbuScenario(ScenarioBase):
         if not 0 <= self.spread < 1:
             raise ValueError("spread must be in [0, 1)")
         object.__setattr__(self, "footprints", footprints)
-
-    @classmethod
-    def from_distribution(
-        cls, distribution: "FootprintDistribution", spread: float = 0.0
-    ) -> "ClusteredMbuScenario":
-        return cls(
-            footprints=tuple(sorted(distribution.weights.items())), spread=spread
-        )
 
     @classmethod
     def mostly_single_bit(cls, multi_bit_fraction: float = 0.1) -> "ClusteredMbuScenario":

@@ -30,7 +30,8 @@ indicator is almost surely zero.  The scenarios here reshape the
 ``fault_count_band``
     The *conditional* law of ``hard_fault_map`` given the fault count
     lands in ``[k_min, k_max]`` — the per-stratum model for stratified
-    estimation.  Together with :func:`poisson_band_probability` (the
+    estimation.  Together with
+    :func:`repro.errors.rates.poisson_band_probability` (the
     stratum weight), a partition of bands reproduces the nominal law
     exactly: ``P(fail) = sum_bands P(band) * P(fail | band)``.
 
@@ -51,6 +52,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from repro.errors.rates import _poisson_logpmf
+
 from .base import Geometry, ScenarioBase, scenario
 from .generators import (
     counted_cells_sparse,
@@ -64,55 +67,7 @@ __all__ = [
     "TiltedHardFaultMapScenario",
     "TiltedClusteredMbuScenario",
     "FaultCountBandScenario",
-    "poisson_band_probability",
 ]
-
-
-def _log_factorials(k_max: int) -> np.ndarray:
-    """``log(k!)`` for ``k = 0..k_max`` via a cumulative-log table."""
-    if k_max < 0:
-        raise ValueError("k_max must be non-negative")
-    out = np.zeros(k_max + 1, dtype=np.float64)
-    if k_max:
-        out[1:] = np.cumsum(np.log(np.arange(1, k_max + 1, dtype=np.float64)))
-    return out
-
-
-def _poisson_logpmf(k: np.ndarray, lam: float) -> np.ndarray:
-    """Elementwise ``log P(K = k)`` for ``K ~ Poisson(lam)``.
-
-    Exact special-casing of ``lam == 0`` (a point mass at zero) keeps
-    the untilted configuration's weights identically 1.
-    """
-    k = np.asarray(k, dtype=np.int64)
-    if (k < 0).any():
-        raise ValueError("Poisson support is non-negative")
-    if lam == 0.0:
-        return np.where(k == 0, 0.0, -np.inf)
-    log_fact = _log_factorials(int(k.max()) if k.size else 0)
-    return k * math.log(lam) - lam - log_fact[k]
-
-
-def poisson_band_probability(lam: float, k_min: int, k_max: "int | None") -> float:
-    """``P(k_min <= K <= k_max)`` for ``K ~ Poisson(lam)``.
-
-    ``k_max=None`` is the open upper band ``P(K >= k_min)``.  These are
-    the stratum probabilities the stratified combiner weighs the
-    per-band conditional estimates by.
-    """
-    if lam < 0:
-        raise ValueError("lam must be non-negative")
-    if k_min < 0 or (k_max is not None and k_max < k_min):
-        raise ValueError(f"invalid band [{k_min}, {k_max}]")
-    if lam == 0.0:
-        return 1.0 if k_min == 0 else 0.0
-    if k_max is None:
-        if k_min == 0:
-            return 1.0
-        below = np.exp(_poisson_logpmf(np.arange(k_min), lam)).sum()
-        return float(max(0.0, 1.0 - below))
-    ks = np.arange(k_min, k_max + 1)
-    return float(np.exp(_poisson_logpmf(ks, lam)).sum())
 
 
 class WeightedScenarioBase(ScenarioBase):
@@ -338,12 +293,6 @@ class FaultCountBandScenario(ScenarioBase):
     def sample_sparse(self, rng: np.random.Generator, count: int, spec: Geometry):
         counts = self._draw_counts(rng, count, spec.rows * spec.row_bits)
         return counted_cells_sparse(rng, counts, spec)
-
-    def band_probability(self, spec: Geometry) -> float:
-        """Nominal-law probability of this band for ``spec``'s geometry."""
-        return poisson_band_probability(
-            self.defect_density * spec.rows * spec.row_bits, self.k_min, self.k_max
-        )
 
     def to_key(self) -> dict:
         return {

@@ -91,13 +91,22 @@ def _layout(row_bits: int, interleave_degree: int):
     packed mask of physical columns ``[0, n)``, so a column range
     ``[a, b)`` is ``prefix[b] ^ prefix[a]``.  ``cell_word`` / ``cell_bit``
     give each column's flat word index within a row and its one-hot bit.
+    Built from the word layout directly, in O(row_bits * D * W) memory.
     """
-    cells = pack_row_masks(np.eye(row_bits, dtype=np.uint8), interleave_degree)
-    prefix = np.zeros((row_bits + 1,) + cells.shape[1:], dtype=np.uint64)
-    np.bitwise_xor.accumulate(cells, axis=0, out=prefix[1:])
-    flat = cells.reshape(row_bits, -1)
-    cell_word = flat.argmax(axis=1)
-    return prefix, cell_word, flat[np.arange(row_bits), cell_word]
+    d = interleave_degree
+    if row_bits % d:
+        raise ValueError(f"rows of {row_bits} bits do not split into {d} slots")
+    w = -(-row_bits // d // _WORD_BITS)
+    bit, slot = np.divmod(np.arange(row_bits, dtype=np.int64), d)
+    cell_bit = np.left_shift(np.uint64(1), (bit % _WORD_BITS).astype(np.uint64))
+    # low[c] is the (W,) words of a slot's first c bits; columns [0, n)
+    # hold the first ceil((n - s) / D) bits of slot s.
+    ones = np.arange(row_bits // d + 1)[:, None] - _WORD_BITS * np.arange(w)
+    low = np.array([(1 << k) - 1 for k in range(_WORD_BITS + 1)], dtype=np.uint64)
+    low = low[ones.clip(0, _WORD_BITS)]
+    n = np.arange(row_bits + 1)[:, None]
+    prefix = low[(n - np.arange(d) + d - 1).clip(0) // d]
+    return prefix, slot * w + bit // _WORD_BITS, cell_bit
 
 
 @dataclass(frozen=True)

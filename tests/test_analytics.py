@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import math
+
 import pytest
 
 from repro.api import ExperimentSpec, Session
@@ -103,6 +105,42 @@ class TestYieldModel:
     def test_sweep_output_shape(self):
         curves = self.model.sweep(range(0, 1001, 500), {"ECC Only": {"ecc": True}})
         assert len(curves["ECC Only"]) == 3
+
+    def test_cells_are_the_stored_bits_of_each_configuration(self):
+        geometry = self.model.geometry
+        assert (geometry.word_bits, geometry.codeword_bits) == (64, 72)
+        # ECC-only: n cells in distinct 72-bit codewords of S = N * 72.
+        s = geometry.n_words * 72
+        n = 1000
+        exact = math.prod((s - 72 * i) / (s - i) for i in range(n))
+        assert self.model.yield_with_ecc_only(n) == pytest.approx(exact, rel=1e-12)
+
+    @pytest.mark.parametrize("ecc", [False, True], ids=["data", "secded"])
+    @pytest.mark.parametrize("n", [0, 1, 2, 7, 40, 100, 137, 144])
+    def test_word_faults_are_hypergeometric(self, n, ecc):
+        model = YieldModel(MemoryGeometry(capacity_bits=128, word_bits=8))
+        w = 13 if ecc else 8  # SECDED over 8 data bits stores 5 check bits
+        s = 16 * w
+        if n > s:
+            with pytest.raises(ValueError, match="stored cells"):
+                model.word_fault_distribution(n, ecc=ecc)
+            return
+        total = math.comb(s, n)
+        p0 = math.comb(s - w, n) / total
+        p1 = w * math.comb(s - w, n - 1) / total if n else 0.0
+        got = model.word_fault_distribution(n, ecc=ecc)
+        assert got == pytest.approx((p0, p1, 1 - p0 - p1), rel=1e-12, abs=1e-15)
+        assert model.expected_faulty_words(n, ecc=ecc) == pytest.approx(16 * (1 - p0))
+
+    def test_more_faults_than_cells_is_rejected(self):
+        model = YieldModel(MemoryGeometry(capacity_bits=128, word_bits=8))
+        assert model.yield_with_ecc_only(17) == 0.0  # 17 faults, 16 words
+        with pytest.raises(ValueError, match="stored cells"):
+            model.yield_with_ecc_only(16 * 13 + 1)
+        with pytest.raises(ValueError, match="stored cells"):
+            model.yield_with_spares_only(16 * 8 + 1, 4)
+        with pytest.raises(ValueError):
+            model.yield_with_ecc_only(-1)
 
 
 class TestFieldReliability:

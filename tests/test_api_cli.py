@@ -203,8 +203,30 @@ class TestRun:
         code = main([
             "run", "sweep.mc_coverage", "--trials", "8", "-p", "scheme=bogus",
         ])
-        assert code == 1
+        assert code == 2
         assert "unknown scheme" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (["sweep.mc_coverage", "-p", "scheme=nope"], "unknown scheme"),
+            (["sweep.mc_coverage", "-p", "model=nope"], "unknown error model"),
+            (["sweep.scheme_cost", "-p", "cache=l3"], "cache must be"),
+            (["sweep.scheme_cost", "-p", 'schemes=["nope"]'], "unknown scheme keys"),
+            (["sweep.perf_sensitivity", "-p", "cmp=thin"], "unknown cmp"),
+            (["sweep.perf_sensitivity", "-p", "workload=nope"], "unknown workload"),
+            (["sweep.perf_sensitivity", "-p", "protection=nope"], "protection must be"),
+            (["fig3.coverage", "--backend", "monte_carlo", "--trials", "8",
+              "-p", "array_data_columns=100"], "array_data_columns must equal"),
+        ],
+        ids=["scheme", "error-model", "cache", "scheme-keys", "cmp", "workload",
+             "protection", "fig3-columns"],
+    )
+    def test_catalog_param_errors_are_usage_errors(self, capsys, argv, message):
+        """A bad catalog parameter is a usage error (exit 2), not an
+        execution failure (exit 1)."""
+        assert main(["run", *argv]) == 2
+        assert message in capsys.readouterr().err
 
 
 class TestTelemetryFlags:

@@ -210,21 +210,26 @@ class TestSession:
             Session().run(ExperimentSpec("sweep.scheme_cost", params={"cache": "l3"}))
 
 
-def test_monte_carlo_path_does_not_import_scipy():
-    """Importing the catalog and running a fig3 Monte Carlo estimate and
-    a fig5 run keeps scipy out of a fresh interpreter."""
+def test_runs_with_scipy_import_blocked():
+    """With ``import scipy`` made to fail in a fresh interpreter, both
+    fig8.yield backends, a fig3 Monte Carlo estimate, a fig5 run and an
+    off-table z-score all still run: nothing needs scipy."""
     script = textwrap.dedent(
         """
         import sys
-        import repro.api.catalog
+        sys.modules["scipy"] = None  # any `import scipy...` now raises
         from repro.api import ExperimentSpec, Session
+        from repro.engine.aggregate import _z_score
 
         with Session() as session:
+            session.run(ExperimentSpec("fig8.yield"))
+            session.run(ExperimentSpec("fig8.yield", backend="monte_carlo",
+                                       trials=64))
             session.run(ExperimentSpec("fig3.coverage", backend="monte_carlo",
                                        trials=256))
             session.run(ExperimentSpec("fig5.performance", backend="monte_carlo",
                                        trials=4, params={"n_cycles": 100}))
-        assert "scipy" not in sys.modules, "scipy was imported"
+        assert abs(_z_score(0.8) - 1.2815515655446004) < 1e-14
         """
     )
     src = str(Path(repro.__file__).resolve().parent.parent)

@@ -113,17 +113,27 @@ class TestCoverageEstimate:
 
 
 class TestZScore:
-    @pytest.mark.parametrize("confidence", [0.90, 0.95, 0.99])
-    def test_table_equals_scipy(self, confidence):
-        from scipy import stats
-
+    @pytest.mark.parametrize(
+        "confidence, z",
+        [(0.90, 1.6448536269514722), (0.95, 1.959963984540054),
+         (0.99, 2.5758293035489004)],
+        ids=["0.9", "0.95", "0.99"],
+    )
+    def test_table_equals_scipy(self, confidence, z):
+        """The table levels return scipy's ``norm.ppf(0.5 + c / 2)``
+        values, pinned bit for bit."""
         from repro.engine.aggregate import _z_score
 
-        assert _z_score(confidence) == float(stats.norm.ppf(0.5 + confidence / 2.0))
+        assert _z_score(confidence) == z
 
-    def test_other_levels_use_scipy(self):
-        from scipy import stats
-
+    @pytest.mark.parametrize(
+        "confidence, z",
+        [(0.80, 1.2815515655446004), (0.999, 3.2905267314919255)],
+        ids=["0.8", "0.999"],
+    )
+    def test_other_levels_use_normal_dist(self, confidence, z):
+        """Off-table levels use the stdlib normal quantile, accurate to
+        a few ulps of the exact z."""
         from repro.engine.aggregate import _z_score
 
-        assert _z_score(0.8) == float(stats.norm.ppf(0.9))
+        assert _z_score(confidence) == pytest.approx(z, rel=1e-14)

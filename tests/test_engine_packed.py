@@ -10,6 +10,8 @@ keys.
 
 from __future__ import annotations
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings
@@ -39,6 +41,7 @@ from repro.scenarios import (
     IidUniformScenario,
     SparseRowBatch,
 )
+from repro.scenarios.sparse import _layout, pack_row_masks
 
 from helpers import reference_verdicts
 
@@ -93,6 +96,33 @@ class TestPacking:
         words = np.zeros((spec.interleave_degree, 2), dtype=np.uint64)
         words[s, b // 64] = np.uint64(1 << (b % 64))
         assert np.array_equal(packed, words)
+
+    @pytest.mark.parametrize("degree", [1, 2, 4, 8])
+    @pytest.mark.parametrize("codeword_bits", [1, 8, 63, 64, 65, 72, 137])
+    def test_layout_tables_equal_identity_matrix_packing(self, degree, codeword_bits):
+        """The packing tables equal the ones the packer builds from the
+        identity matrix (one row per column), byte for byte."""
+        row_bits = codeword_bits * degree
+        cells = pack_row_masks(np.eye(row_bits, dtype=np.uint8), degree)
+        prefix = np.zeros((row_bits + 1,) + cells.shape[1:], dtype=np.uint64)
+        np.bitwise_xor.accumulate(cells, axis=0, out=prefix[1:])
+        flat = cells.reshape(row_bits, -1)
+        cell_word = flat.argmax(axis=1)
+        expected = (prefix, cell_word, flat[np.arange(row_bits), cell_word])
+        for got, want in zip(_layout.__wrapped__(row_bits, degree), expected):
+            assert (got.dtype, got.shape) == (want.dtype, want.shape)
+            assert got.tobytes() == want.tobytes()
+
+    def test_layout_memory_is_proportional_to_its_tables(self):
+        """A wide geometry's first batch costs about its tables' bytes,
+        not the row_bits**2 bytes of an identity matrix."""
+        tracemalloc.start()
+        try:
+            tables = _layout.__wrapped__(8192, 4)
+            _current, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= 3 * sum(t.nbytes for t in tables)
 
 
 # ----------------------------------------------------------------------

@@ -259,11 +259,10 @@ def _exact_ecc_only_yield(n_cells: int, n_sites: int, word_bits: int) -> float:
     )
 
 
-def test_fig8_monte_carlo_intervals_contain_exact_occupancy_yield():
-    """Exactness gate for the cell draw: at 8192 trials every fig8
-    Monte Carlo interval, at a Bonferroni-adjusted confidence over the
-    sweep's points, contains the exact ECC-only yield of its bank
-    (64 rows x 4 SECDED words: S = 18432 sites, w = 72 per word)."""
+@pytest.fixture(scope="module")
+def fig8_gate_data():
+    """fig8.yield Monte Carlo at 8192 trials (seed 1946), each interval
+    at a Bonferroni-adjusted confidence over the sweep's 6 points."""
     from repro.api import ExperimentSpec, Session
 
     points = 6
@@ -273,11 +272,33 @@ def test_fig8_monte_carlo_intervals_contain_exact_occupancy_yield():
     )
     data = result.data_dict()
     assert len(data["failing_cells"]) == points
+    return data
+
+
+def test_fig8_monte_carlo_intervals_contain_exact_occupancy_yield(fig8_gate_data):
+    """Exactness gate for the cell draw: every fig8 Monte Carlo interval
+    contains the exact ECC-only yield of its bank (64 rows x 4 SECDED
+    words: S = 18432 sites, w = 72 per word)."""
+    data = fig8_gate_data
     for n, lower, upper in zip(
         data["failing_cells"], data["simulated_lower"], data["simulated_upper"]
     ):
         exact = _exact_ecc_only_yield(int(n), 18432, 72)
         assert lower <= exact <= upper, (n, lower, exact, upper)
+
+
+def test_fig8_analytic_curve_is_exact_and_inside_every_interval(fig8_gate_data):
+    """Agreement gate for the model: the experiment's own analytic point
+    is the occupancy product of the simulated bank and lies inside every
+    Monte Carlo interval."""
+    data = fig8_gate_data
+    for n, analytic, lower, upper in zip(
+        data["failing_cells"], data["analytical"],
+        data["simulated_lower"], data["simulated_upper"],
+    ):
+        exact = _exact_ecc_only_yield(int(n), 18432, 72)
+        assert analytic == pytest.approx(exact, rel=1e-12, abs=0), (n, analytic, exact)
+        assert lower <= analytic <= upper, (n, lower, analytic, upper)
 
 
 # ----------------------------------------------------------------------
