@@ -8,11 +8,11 @@ compares a fresh run against them::
     python -m pytest benchmarks -q          # writes BENCH_*.json to CWD
     python benchmarks/compare.py            # diffs CWD vs baselines
 
-The comparison semantics live in :mod:`repro.viz.bench` (shared with
-the ``python -m repro bench-trend`` dashboard): nested payloads are
-flattened to dotted metric ids, throughput-like metrics may regress by
-at most their tolerance band, latency-like metrics may grow by the
-same, and direction-unknown metrics are surfaced but never judged.
+The comparison semantics live in ``trend.py`` beside this script
+(shared with its trend dashboard): nested payloads are flattened to
+dotted metric ids, throughput-like metrics may regress by at most their
+tolerance band, latency-like metrics may grow by the same, and
+direction-unknown metrics are surfaced but never judged.
 Bands come from the checked-in ``benchmarks/tolerances.json``
 (``--tolerances`` overrides the file, ``--tolerance`` the default
 band).
@@ -28,11 +28,8 @@ import argparse
 import sys
 from pathlib import Path
 
-try:
-    from repro.viz import bench
-except ImportError:  # running from a checkout without the package installed
-    sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
-    from repro.viz import bench
+sys.path.insert(0, str(Path(__file__).resolve().parent))
+import trend  # noqa: E402  the record semantics beside this script
 
 
 def _format(result: dict) -> "tuple[list[str], list[str]]":
@@ -107,22 +104,22 @@ def main(argv=None) -> int:
         return 0 if args.no_fail else 1
 
     if args.tolerances.is_file():
-        tolerances = bench.Tolerances.from_file(args.tolerances)
+        tolerances = trend.Tolerances.from_file(args.tolerances)
     else:
         print(
             f"warning: tolerance file {args.tolerances} not found, "
             "using defaults",
             file=sys.stderr,
         )
-        tolerances = bench.Tolerances()
+        tolerances = trend.Tolerances()
     if args.tolerance is not None:
-        tolerances = bench.Tolerances(
+        tolerances = trend.Tolerances(
             default=args.tolerance, bands=tolerances.bands
         )
 
-    result = bench.compare_records(
-        bench.load_bench_dir(args.baseline),
-        bench.load_bench_dir(args.fresh),
+    result = trend.compare_records(
+        trend.load_bench_dir(args.baseline),
+        trend.load_bench_dir(args.fresh),
         tolerances,
     )
     lines, regressions = _format(result)

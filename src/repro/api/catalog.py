@@ -875,6 +875,12 @@ def _fig8_yield_mc(ctx):
     )
     model = YieldModel(MemoryGeometry(capacity_bits=spec.n_words * 64, word_bits=64))
     n_sites = rows * spec.row_bits
+    out_of_range = [n for n in failing_cells if not 0 <= n <= n_sites]
+    if out_of_range:
+        raise SpecError(
+            f"fig8.yield: failing_cells must lie in [0, {n_sites}], the bank's "
+            f"{rows} rows x {spec.row_bits} stored cells; got {out_of_range}"
+        )
 
     curves: dict[str, list[float]] = {
         "failing_cells": [float(n) for n in failing_cells],

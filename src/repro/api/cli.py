@@ -1,6 +1,6 @@
 """Command-line interface: ``python -m repro``.
 
-Eight subcommands:
+Five subcommands:
 
 ``list``
     Enumerate every registered experiment with its backends, defaults
@@ -18,8 +18,8 @@ Eight subcommands:
     stream as JSON lines (``-`` for stdout).  ``--profile`` samples the
     run's own thread and attaches the profile to
     ``meta.telemetry.profile``; ``--profile-out BASE`` additionally
-    writes ``BASE.collapsed`` (collapsed stacks) and ``BASE.html``
-    (flamegraph).  Examples::
+    writes ``BASE.collapsed`` (collapsed stacks) and ``BASE.html`` (the
+    profile's ``explain`` page).  Examples::
 
         python -m repro run fig3.coverage --trials 200000 --json out.json
         python -m repro run fig3.coverage --trials 4096 \
@@ -27,33 +27,19 @@ Eight subcommands:
         python -m repro run fig3.coverage --trials 4096 -v \
             --telemetry events.jsonl
 
-``report RESULT.json``
-    Render a saved Result as a self-contained HTML report (inline SVG
-    figures, telemetry tables, embedded JSON); ``-o`` overrides the
-    default ``RESULT.html`` output path.  Without ``-o`` an existing
-    default output is never overwritten (exit 2), here and for
-    ``trace`` and ``flamegraph``.
-
-``bench-trend DIR [DIR ...]``
-    Render benchmark-record directories (oldest first) as a sparkline
-    trend dashboard; ``--tolerances FILE`` supplies per-metric bands
-    (default: the checked-in ``benchmarks/tolerances.json`` when
-    present).
-
-``trace JOB.json``
-    Render a persisted job trace (a ``serve --cache-dir DIR`` file,
-    ``DIR/traces/<job_id>.json``, or a saved ``GET /jobs/{id}/trace``
-    response) as a self-contained HTML
-    span timeline; ``-o`` overrides the default ``JOB.html`` output
-    path.  The same file loads in ``chrome://tracing``/Perfetto.
-
-``flamegraph PROFILE``
-    Render a sampled profile (collapsed-stack text, a profile JSON such
-    as a ``GET /debug/profile`` body, or a result JSON carrying
-    ``meta.telemetry.profile``, such as a ``run --profile --json``
-    output or a ``serve --profile`` result mirror) as a
-    self-contained HTML flamegraph; ``-o`` overrides the default
-    ``PROFILE.html`` output path.
+``explain SOURCE``
+    Explain one run from its own artifacts as a self-contained HTML
+    page (:mod:`repro.viz`).  ``SOURCE`` is a saved Result JSON (``run
+    --json``, a ``serve`` result mirror), a job trace
+    (``DIR/traces/<job_id>.json`` of ``serve --cache-dir DIR``, or a
+    saved ``GET /jobs/{id}/trace`` body), a profile JSON (``GET
+    /debug/profile``) or collapsed-stack text (``--profile-out``).  The
+    page shows every section the source carries: figures, data tables
+    and provenance; telemetry cards (which path ran); the span Gantt;
+    the flamegraph.  It embeds the source as-is (a trace page still
+    loads in ``chrome://tracing``/Perfetto).  ``-o`` overrides the
+    default ``SOURCE.html`` output path; without ``-o`` an existing
+    default output is never overwritten (exit 2).
 
 ``serve``
     Run the long-lived experiment service (:mod:`repro.service`):
@@ -80,10 +66,10 @@ Eight subcommands:
     results, result mirrors, job traces) goes through the same prune.
 
 Exit status: 0 on success, 2 on usage errors (including unknown
-experiment names, unknown scenarios, non-positive ``--workers`` counts
-and nonexistent ``report``/``bench-trend``/``cache``/``--telemetry``
-paths), 1 on execution failures (a worker process killed mid-run
-included).  ``--workers N`` fans Monte Carlo runs out over the
+experiment names, unknown scenarios, non-positive ``--workers`` counts,
+nonexistent ``cache``/``--telemetry`` paths, and missing or malformed
+``explain`` sources), 1 on execution failures (a worker process killed
+mid-run included).  ``--workers N`` fans Monte Carlo runs out over the
 session's persistent worker pool; bare ``--json``
 (no PATH) prints the full Result JSON to stdout with the summary table
 suppressed.
@@ -231,77 +217,22 @@ def build_parser() -> argparse.ArgumentParser:
         "BASE.html (flamegraph); implies --profile",
     )
 
-    flamer = sub.add_parser(
-        "flamegraph",
-        help="render a sampled profile as a self-contained HTML flamegraph",
+    explainer = sub.add_parser(
+        "explain",
+        help="explain a run from its artifacts as one self-contained HTML page",
     )
-    flamer.add_argument(
-        "profile",
-        metavar="PROFILE",
-        help="profile carrier: collapsed-stack text (--profile-out), a "
-        "profile JSON (GET /debug/profile), or a result JSON with "
-        "meta.telemetry.profile",
+    explainer.add_argument(
+        "source",
+        metavar="SOURCE",
+        help="a saved Result JSON, a job trace JSON, a profile JSON or "
+        "collapsed-stack text",
     )
-    flamer.add_argument(
+    explainer.add_argument(
         "-o",
         "--output",
         metavar="PATH",
-        help="output HTML path (default: the input path with an .html "
+        help="output HTML path (default: the source path with an .html "
         "suffix, which must not exist yet)",
-    )
-
-    reporter = sub.add_parser(
-        "report", help="render a saved Result JSON as self-contained HTML"
-    )
-    reporter.add_argument("result", metavar="RESULT.json", help="saved Result JSON file")
-    reporter.add_argument(
-        "-o",
-        "--output",
-        metavar="PATH",
-        help="output HTML path (default: the input path with an .html "
-        "suffix, which must not exist yet)",
-    )
-
-    tracer = sub.add_parser(
-        "trace",
-        help="render a persisted job trace JSON as an HTML span timeline",
-    )
-    tracer.add_argument(
-        "trace",
-        metavar="JOB.json",
-        help="trace file (a serve --cache-dir DIR/traces/ artifact or a "
-        "saved GET /jobs/{id}/trace response)",
-    )
-    tracer.add_argument(
-        "-o",
-        "--output",
-        metavar="PATH",
-        help="output HTML path (default: the input path with an .html "
-        "suffix, which must not exist yet)",
-    )
-
-    trender = sub.add_parser(
-        "bench-trend",
-        help="render BENCH_*.json directories as a trend dashboard",
-    )
-    trender.add_argument(
-        "directories",
-        metavar="DIR",
-        nargs="+",
-        help="benchmark-record directories, oldest first",
-    )
-    trender.add_argument(
-        "-o",
-        "--output",
-        metavar="PATH",
-        default="bench-trend.html",
-        help="output HTML path (default: bench-trend.html)",
-    )
-    trender.add_argument(
-        "--tolerances",
-        metavar="FILE",
-        help="per-metric tolerance bands JSON "
-        "(default: benchmarks/tolerances.json when present)",
     )
 
     server = sub.add_parser(
@@ -477,7 +408,7 @@ def _write(path: str, text: str) -> None:
 
 def _html_output(source: Path, output: "str | None") -> "Path | None":
     """``-o`` when given, else ``SOURCE.html`` — unless that file already
-    exists (a ``run --profile-out BASE`` flamegraph, an earlier render),
+    exists (a ``run --profile-out BASE`` page, an earlier render),
     which only an explicit ``-o`` may overwrite."""
     if output:
         return Path(output)
@@ -492,88 +423,22 @@ def _html_output(source: Path, output: "str | None") -> "Path | None":
     return default
 
 
-def _cmd_report(args) -> int:
-    from repro.viz import write_report
+def _cmd_explain(args) -> int:
+    from repro.viz import load_source, write_page
 
-    source = Path(args.result)
+    source = Path(args.source)
     if not source.is_file():
-        print(f"error: result file {source} not found", file=sys.stderr)
+        print(f"error: source file {source} not found", file=sys.stderr)
         return 2
     try:
-        result = Result.from_json(source.read_text())
-    except Exception as exc:
-        print(f"error: {source} is not a saved Result: {exc}", file=sys.stderr)
-        return 2
-    output = _html_output(source, args.output)
-    if output is None:
-        return 2
-    write_report(result, output)
-    print(f"wrote {output}", file=sys.stderr)
-    return 0
-
-
-def _cmd_trace(args) -> int:
-    from repro.viz import load_trace, write_timeline
-
-    source = Path(args.trace)
-    if not source.is_file():
-        print(f"error: trace file {source} not found", file=sys.stderr)
-        return 2
-    try:
-        payload = load_trace(source)
-    except ValueError as exc:
+        loaded = load_source(source)
+    except (OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     output = _html_output(source, args.output)
     if output is None:
         return 2
-    write_timeline(payload, output)
-    print(f"wrote {output}", file=sys.stderr)
-    return 0
-
-
-def _cmd_flamegraph(args) -> int:
-    from repro.viz import load_profile, write_flamegraph
-
-    source = Path(args.profile)
-    if not source.is_file():
-        print(f"error: profile file {source} not found", file=sys.stderr)
-        return 2
-    try:
-        profile = load_profile(source)
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    output = _html_output(source, args.output)
-    if output is None:
-        return 2
-    write_flamegraph(profile, output, title=f"Sampled profile — {source.name}")
-    print(f"wrote {output}", file=sys.stderr)
-    return 0
-
-
-def _cmd_bench_trend(args) -> int:
-    from repro.viz import Tolerances, load_runs
-    from repro.viz.trend import write_trend
-
-    directories = [Path(d) for d in args.directories]
-    for directory in directories:
-        if not directory.is_dir():
-            print(f"error: benchmark directory {directory} not found", file=sys.stderr)
-            return 2
-    tolerances = None
-    tolerance_path = args.tolerances
-    if tolerance_path is None:
-        default = Path("benchmarks/tolerances.json")
-        tolerance_path = default if default.is_file() else None
-    if tolerance_path is not None:
-        try:
-            tolerances = Tolerances.from_file(tolerance_path)
-        except (OSError, ValueError) as exc:
-            print(f"error: bad tolerance file {tolerance_path}: {exc}", file=sys.stderr)
-            return 2
-    output = Path(args.output)
-    write_trend(load_runs(directories), output, tolerances)
+    write_page(loaded, output)
     print(f"wrote {output}", file=sys.stderr)
     return 0
 
@@ -812,23 +677,21 @@ def _cmd_run(args) -> int:
     if args.telemetry:
         _write(args.telemetry, telemetry_jsonl)
     if args.profile_out:
-        from repro.viz import write_flamegraph
+        from repro.viz import Source, write_page
 
-        payload = (result.telemetry() or {}).get("profile") or {}
-        stacks = payload.get("stacks") or {}
+        profile = result.telemetry()["profile"]
         collapsed = Path(f"{args.profile_out}.collapsed")
         collapsed.write_text(
             "".join(
-                f"{stack} {count}\n" for stack, count in sorted(stacks.items())
+                f"{stack} {count}\n"
+                for stack, count in sorted(profile["stacks"].items())
             ),
             encoding="utf-8",
         )
-        flame = write_flamegraph(
-            payload,
-            f"{args.profile_out}.html",
-            title=f"Sampled profile — {args.experiment}",
+        page = write_page(
+            Source.of(profile, name=args.experiment), f"{args.profile_out}.html"
         )
-        print(f"wrote {collapsed} and {flame}", file=sys.stderr)
+        print(f"wrote {collapsed} and {page}", file=sys.stderr)
     return 0
 
 
@@ -839,14 +702,8 @@ def main(argv: "Sequence[str] | None" = None) -> int:
     if args.command == "list":
         _print_listing(args.json, sys.stdout)
         return 0
-    if args.command == "report":
-        return _cmd_report(args)
-    if args.command == "trace":
-        return _cmd_trace(args)
-    if args.command == "flamegraph":
-        return _cmd_flamegraph(args)
-    if args.command == "bench-trend":
-        return _cmd_bench_trend(args)
+    if args.command == "explain":
+        return _cmd_explain(args)
     if args.command == "serve":
         return _cmd_serve(args)
     if args.command == "cache":

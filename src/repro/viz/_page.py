@@ -1,17 +1,16 @@
-"""Shared HTML page shell for the viz renderers.
+"""The HTML page shell: stylesheet, escaping, embedded JSON.
 
 One stylesheet defines the color system as CSS custom properties with a
-light and a dark theme (``prefers-color-scheme`` plus an explicit
-``data-theme`` override), so the SVG primitives can reference
-``var(--viz-*)`` and render correctly in both.  Pages are fully
-self-contained: no external fetches, scripts, or fonts.
+light and a dark theme (``prefers-color-scheme``), so the SVG primitives
+can reference ``var(--viz-*)`` and render correctly in both.  Pages are
+fully self-contained: no external fetches, scripts, or fonts.
 """
 
 from __future__ import annotations
 
 import html
 
-__all__ = ["embed_json", "page"]
+__all__ = ["cards", "embed_json", "page", "table"]
 
 _CSS = """
 :root {
@@ -36,16 +35,6 @@ _CSS = """
     --viz-grid: #2c2c2a;
     --viz-series-1: #3987e5;
   }
-}
-:root[data-theme="light"] {
-  --viz-surface: #fcfcfb; --viz-surface-raised: #f4f3f1;
-  --viz-ink: #0b0b0b; --viz-ink-secondary: #52514e; --viz-ink-muted: #7a786f;
-  --viz-border: #e4e2dd; --viz-grid: #ececea; --viz-series-1: #2a78d6;
-}
-:root[data-theme="dark"] {
-  --viz-surface: #1a1a19; --viz-surface-raised: #232322;
-  --viz-ink: #f3f2ef; --viz-ink-secondary: #b7b5ae; --viz-ink-muted: #8a887f;
-  --viz-border: #3a3936; --viz-grid: #2c2c2a; --viz-series-1: #3987e5;
 }
 * { box-sizing: border-box; }
 body {
@@ -94,10 +83,45 @@ svg.viz-chart, svg.viz-spark { display: block; max-width: 100%; height: auto; }
   stroke-width: 2; }
 .viz-band { fill: var(--viz-series-1); fill-opacity: .14; }
 .viz-errorbar { stroke: var(--viz-ink-secondary); stroke-width: 1.5; }
+.viz-row-label { fill: #fff; font-size: 11px; pointer-events: none;
+  font-family: ui-monospace, Menlo, Consolas, monospace; }
+.viz-gutter { fill: var(--viz-ink-secondary); font-size: 11px;
+  font-family: ui-monospace, Menlo, Consolas, monospace; }
+.viz-event { fill: var(--viz-ink); fill-opacity: .75; }
 .status { font-weight: 600; }
 details > summary { cursor: pointer; color: var(--viz-ink-secondary); }
 footer { margin-top: 3rem; font-size: .8rem; color: var(--viz-ink-muted); }
 """
+
+
+def _esc(value: object) -> str:
+    return html.escape(str(value), quote=True)
+
+
+def cards(items: "list[tuple[str, object]]") -> str:
+    """A row of label/value cards; ``None`` values are left out."""
+    cells = "".join(
+        f'<div class="card"><div class="label">{_esc(label)}</div>'
+        f'<div class="value">{_esc(value)}</div></div>'
+        for label, value in items
+        if value is not None
+    )
+    return f'<div class="cards">{cells}</div>'
+
+
+def table(head: "list[str]", rows: "list[list[object]]", *, numeric=()) -> str:
+    """An escaped table; columns whose index is in ``numeric`` align right."""
+
+    def cell(tag: str, i: int, value: object) -> str:
+        cls = ' class="num"' if i in numeric else ""
+        return f"<{tag}{cls}>{_esc(value)}</{tag}>"
+
+    header = "".join(cell("th", i, h) for i, h in enumerate(head))
+    body = "".join(
+        "<tr>" + "".join(cell("td", i, v) for i, v in enumerate(row)) + "</tr>"
+        for row in rows
+    )
+    return f"<table><thead><tr>{header}</tr></thead><tbody>{body}</tbody></table>"
 
 
 def embed_json(element_id: str, json_text: str) -> str:
@@ -110,21 +134,21 @@ def embed_json(element_id: str, json_text: str) -> str:
     """
     safe = json_text.replace("</", "<\\/")
     return (
-        f'<script type="application/json" id="{html.escape(element_id)}">'
+        f'<script type="application/json" id="{_esc(element_id)}">'
         f"{safe}</script>"
     )
 
 
-def page(title: str, body: str, *, generator: str) -> str:
+def page(title: str, body: str) -> str:
     """Wrap rendered body HTML in the self-contained page shell."""
     return (
         "<!DOCTYPE html>\n"
         '<html lang="en">\n<head>\n<meta charset="utf-8">\n'
         '<meta name="viewport" content="width=device-width, initial-scale=1">\n'
-        f"<title>{html.escape(title)}</title>\n"
+        f"<title>{_esc(title)}</title>\n"
         f"<style>{_CSS}</style>\n</head>\n<body>\n"
         f"{body}\n"
-        f"<footer>Generated by {html.escape(generator)} — self-contained: "
+        "<footer>Generated by repro — self-contained: "
         "inline SVG + embedded JSON, no external resources.</footer>\n"
         "</body>\n</html>\n"
     )

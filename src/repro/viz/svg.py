@@ -1,7 +1,7 @@
-"""Inline-SVG chart primitives for the HTML reports.
+"""Inline-SVG chart primitives for the explain page.
 
 Pure string assembly, stdlib only.  Every chart draws one series
-(reports use small multiples rather than cycling a palette), takes its
+(pages use small multiples rather than cycling a palette), takes its
 colors from CSS custom properties (``--viz-*``) so one stylesheet gives
 light and dark mode, and ships native ``<title>`` tooltips on every
 mark.  Marks follow the house chart spec: 2px lines, rounded bar
@@ -11,11 +11,13 @@ rather than the series color.
 
 from __future__ import annotations
 
-import html
 import math
+import numbers
 from typing import Iterable, Sequence
 
-__all__ = ["bar_chart", "line_chart", "sparkline"]
+from ._page import _esc
+
+__all__ = ["bar_rows", "series_chart"]
 
 # Layout constants (pixels).
 _MARGIN_LEFT = 64
@@ -23,10 +25,6 @@ _MARGIN_RIGHT = 16
 _MARGIN_TOP = 14
 _MARGIN_BOTTOM = 40
 _BAR_RADIUS = 4
-
-
-def _esc(text: object) -> str:
-    return html.escape(str(text), quote=True)
 
 
 def _fmt(value: float) -> str:
@@ -116,76 +114,8 @@ def _rounded_bar(x: float, y_top: float, w: float, y_base: float) -> str:
     )
 
 
-def bar_chart(
-    labels: Sequence,
-    values: "Sequence[float]",
-    *,
-    title: str,
-    units: str = "",
-    lower: "Sequence[float] | None" = None,
-    upper: "Sequence[float] | None" = None,
-    width: int = 560,
-    height: int = 260,
-) -> str:
-    """One categorical series as rounded-top bars (+ error bars)."""
-    n = max(len(values), 1)
-    extent = list(values)
-    if lower:
-        extent += list(lower)
-    if upper:
-        extent += list(upper)
-    y_lo, y_hi, ticks = _y_scale(extent)
-    plot_w = width - _MARGIN_LEFT - _MARGIN_RIGHT
-    plot_h = height - _MARGIN_TOP - _MARGIN_BOTTOM
-
-    def to_y(v: float) -> float:
-        frac = (v - y_lo) / (y_hi - y_lo)
-        return _MARGIN_TOP + plot_h * (1 - frac)
-
-    parts = _frame(width, height, ticks, to_y, title)
-    slot = plot_w / n
-    bar_w = min(max(slot * 0.6, 6.0), 64.0)
-    y_base = to_y(max(y_lo, 0.0))
-    for i, value in enumerate(values):
-        x = _MARGIN_LEFT + slot * i + (slot - bar_w) / 2
-        label = labels[i] if i < len(labels) else str(i)
-        tip = f"{label}: {_fmt(value)}{' ' + units if units else ''}"
-        if lower is not None and upper is not None:
-            tip += f" [{_fmt(lower[i])}, {_fmt(upper[i])}]"
-        parts.append("<g>")
-        parts.append(f"<title>{_esc(tip)}</title>")
-        parts.append(
-            f'<path class="viz-bar" d="{_rounded_bar(x, to_y(value), bar_w, y_base)}"/>'
-        )
-        if lower is not None and upper is not None:
-            cx = x + bar_w / 2
-            lo_y, hi_y = to_y(lower[i]), to_y(upper[i])
-            parts.append(
-                f'<line class="viz-errorbar" x1="{cx:.1f}" y1="{lo_y:.1f}" '
-                f'x2="{cx:.1f}" y2="{hi_y:.1f}"/>'
-            )
-            for cap_y in (lo_y, hi_y):
-                parts.append(
-                    f'<line class="viz-errorbar" x1="{cx - 4:.1f}" y1="{cap_y:.1f}" '
-                    f'x2="{cx + 4:.1f}" y2="{cap_y:.1f}"/>'
-                )
-        parts.append("</g>")
-        parts.append(
-            f'<text class="viz-tick" x="{x + bar_w / 2:.1f}" '
-            f'y="{height - _MARGIN_BOTTOM + 16}" text-anchor="middle">'
-            f"{_esc(label)}</text>"
-        )
-    if units:
-        parts.append(
-            f'<text class="viz-tick" x="{_MARGIN_LEFT}" y="{height - 6}" '
-            f'text-anchor="start">{_esc(units)}</text>'
-        )
-    parts.append("</svg>")
-    return "".join(parts)
-
-
-def line_chart(
-    x: "Sequence[float]",
+def series_chart(
+    x: Sequence,
     y: "Sequence[float]",
     *,
     title: str,
@@ -195,50 +125,82 @@ def line_chart(
     width: int = 560,
     height: int = 260,
 ) -> str:
-    """One numeric series as a 2px line (+ confidence band, markers)."""
-    xs = [float(v) for v in x] if x else [float(i) for i in range(len(y))]
-    extent = list(y)
-    if lower:
-        extent += list(lower)
-    if upper:
-        extent += list(upper)
-    y_lo, y_hi, ticks = _y_scale(extent)
-    x_lo, x_hi = (min(xs), max(xs)) if xs else (0.0, 1.0)
-    if x_hi <= x_lo:
-        x_hi = x_lo + 1.0
+    """One series: a 2px line (+ confidence band, markers) over a numeric
+    ``x``, else rounded-top bars (+ error bars) over categories."""
+    numeric = bool(x) and all(
+        isinstance(v, numbers.Real) and not isinstance(v, bool) for v in x
+    )
+    bounds = lower is not None and upper is not None
+    y_lo, y_hi, ticks = _y_scale([*y, *(lower or ()), *(upper or ())])
     plot_w = width - _MARGIN_LEFT - _MARGIN_RIGHT
     plot_h = height - _MARGIN_TOP - _MARGIN_BOTTOM
-
-    def to_x(v: float) -> float:
-        return _MARGIN_LEFT + plot_w * (v - x_lo) / (x_hi - x_lo)
+    suffix = f" {units}" if units else ""
+    base_y = height - _MARGIN_BOTTOM + 16
 
     def to_y(v: float) -> float:
         return _MARGIN_TOP + plot_h * (1 - (v - y_lo) / (y_hi - y_lo))
 
     parts = _frame(width, height, ticks, to_y, title)
-    for tick in _nice_ticks(x_lo, x_hi, count=6):
-        if tick < x_lo or tick > x_hi:
-            continue
-        parts.append(
-            f'<text class="viz-tick" x="{to_x(tick):.1f}" '
-            f'y="{height - _MARGIN_BOTTOM + 16}" text-anchor="middle">'
-            f"{_esc(_fmt(tick))}</text>"
-        )
-    if lower is not None and upper is not None and len(lower) == len(xs):
-        band = " ".join(f"{to_x(xv):.1f},{to_y(uv):.1f}" for xv, uv in zip(xs, upper))
-        band += " " + " ".join(
-            f"{to_x(xv):.1f},{to_y(lv):.1f}" for xv, lv in zip(reversed(xs), reversed(lower))
-        )
-        parts.append(f'<polygon class="viz-band" points="{band}"/>')
-    points = " ".join(f"{to_x(xv):.1f},{to_y(yv):.1f}" for xv, yv in zip(xs, y))
-    parts.append(f'<polyline class="viz-line" points="{points}"/>')
-    if len(xs) <= 30:  # markers only while they stay individually readable
-        for xv, yv in zip(xs, y):
-            tip = f"x={_fmt(xv)}: {_fmt(yv)}{' ' + units if units else ''}"
+    if numeric:
+        xs = [float(v) for v in x]
+        x_lo, x_hi = min(xs), max(xs)
+        if x_hi <= x_lo:
+            x_hi = x_lo + 1.0
+
+        def to_x(v: float) -> float:
+            return _MARGIN_LEFT + plot_w * (v - x_lo) / (x_hi - x_lo)
+
+        for tick in _nice_ticks(x_lo, x_hi, count=6):
+            if x_lo <= tick <= x_hi:
+                parts.append(
+                    f'<text class="viz-tick" x="{to_x(tick):.1f}" y="{base_y}" '
+                    f'text-anchor="middle">{_esc(_fmt(tick))}</text>'
+                )
+        if bounds and len(lower) == len(xs):
+            band = [f"{to_x(xv):.1f},{to_y(uv):.1f}" for xv, uv in zip(xs, upper)]
+            band += [
+                f"{to_x(xv):.1f},{to_y(lv):.1f}"
+                for xv, lv in zip(reversed(xs), reversed(lower))
+            ]
+            parts.append(f'<polygon class="viz-band" points="{" ".join(band)}"/>')
+        points = " ".join(f"{to_x(xv):.1f},{to_y(yv):.1f}" for xv, yv in zip(xs, y))
+        parts.append(f'<polyline class="viz-line" points="{points}"/>')
+        if len(xs) <= 30:  # markers only while they stay individually readable
+            for xv, yv in zip(xs, y):
+                parts.append(
+                    f"<g><title>{_esc(f'x={_fmt(xv)}: {_fmt(yv)}{suffix}')}</title>"
+                    f'<circle class="viz-marker" cx="{to_x(xv):.1f}" '
+                    f'cy="{to_y(yv):.1f}" r="4"/></g>'
+                )
+    else:
+        labels = [str(v) for v in x] if x else [str(i) for i in range(len(y))]
+        slot = plot_w / max(len(y), 1)
+        bar_w = min(max(slot * 0.6, 6.0), 64.0)
+        y_base = to_y(max(y_lo, 0.0))
+        for i, value in enumerate(y):
+            bx = _MARGIN_LEFT + slot * i + (slot - bar_w) / 2
+            cx = bx + bar_w / 2
+            tip = f"{labels[i]}: {_fmt(value)}{suffix}"
+            if bounds:
+                tip += f" [{_fmt(lower[i])}, {_fmt(upper[i])}]"
             parts.append(
-                f'<g><title>{_esc(tip)}</title>'
-                f'<circle class="viz-marker" cx="{to_x(xv):.1f}" '
-                f'cy="{to_y(yv):.1f}" r="4"/></g>'
+                f"<g><title>{_esc(tip)}</title><path class=\"viz-bar\" "
+                f'd="{_rounded_bar(bx, to_y(value), bar_w, y_base)}"/>'
+            )
+            if bounds:
+                lo_y, hi_y = to_y(lower[i]), to_y(upper[i])
+                parts.append(
+                    f'<line class="viz-errorbar" x1="{cx:.1f}" y1="{lo_y:.1f}" '
+                    f'x2="{cx:.1f}" y2="{hi_y:.1f}"/>'
+                )
+                for cap_y in (lo_y, hi_y):
+                    parts.append(
+                        f'<line class="viz-errorbar" x1="{cx - 4:.1f}" '
+                        f'y1="{cap_y:.1f}" x2="{cx + 4:.1f}" y2="{cap_y:.1f}"/>'
+                    )
+            parts.append(
+                f'</g><text class="viz-tick" x="{cx:.1f}" y="{base_y}" '
+                f'text-anchor="middle">{_esc(labels[i])}</text>'
             )
     if units:
         parts.append(
@@ -249,44 +211,48 @@ def line_chart(
     return "".join(parts)
 
 
-def sparkline(
-    values: "Sequence[float]",
+def bar_rows(
+    bars: "Iterable[tuple[int, float, float, str, str, str]]",
     *,
-    width: int = 180,
-    height: int = 36,
-    tooltip: str = "",
+    n_rows: int,
+    width: int,
+    row_h: int,
+    label: str,
+    left: int = 0,
+    top: int = 0,
+    under: "Sequence[str]" = (),
+    over: "Sequence[str]" = (),
 ) -> str:
-    """Minimal inline trend line (no axes) for dashboard rows."""
-    finite = [v for v in values if v is not None and math.isfinite(v)]
-    if not finite:
-        return '<svg class="viz-spark" width="%d" height="%d"></svg>' % (width, height)
-    lo, hi = min(finite), max(finite)
-    if hi <= lo:
-        hi = lo + (abs(lo) or 1.0)
-    pad = 4
-    n = len(values)
-    step = (width - 2 * pad) / max(n - 1, 1)
+    """Horizontal bars on indexed rows: the span Gantt (a row per span)
+    and the flamegraph icicle (a row per stack depth).
 
-    def to_y(v: float) -> float:
-        return pad + (height - 2 * pad) * (1 - (v - lo) / (hi - lo))
-
-    points = " ".join(
-        f"{pad + step * i:.1f},{to_y(v):.1f}"
-        for i, v in enumerate(values)
-        if v is not None and math.isfinite(v)
-    )
-    last_x = pad + step * (n - 1)
-    last = next((v for v in reversed(values) if v is not None and math.isfinite(v)), None)
+    Each bar is ``(row, x, w, fill, tooltip, text)`` with ``x``/``w`` in
+    pixels right of the ``left`` gutter; ``text`` is drawn inside the
+    bar when it fits.  ``under``/``over`` are marks drawn before/after
+    the bars (grid and gutter labels, event dots).
+    """
+    height = top + n_rows * row_h + 4
     parts = [
-        f'<svg class="viz-spark" role="img" viewBox="0 0 {width} {height}" '
-        f'width="{width}" height="{height}">'
+        f'<svg class="viz-chart" viewBox="0 0 {width} {height}" '
+        f'width="{width}" height="{height}" role="img" '
+        f'aria-label="{_esc(label)}">',
+        *under,
     ]
-    if tooltip:
-        parts.append(f"<title>{_esc(tooltip)}</title>")
-    parts.append(f'<polyline class="viz-line" points="{points}"/>')
-    if last is not None:
+    for row, x, w, fill, tooltip, text in bars:
+        y = top + row * row_h
         parts.append(
-            f'<circle class="viz-marker" cx="{last_x:.1f}" cy="{to_y(last):.1f}" r="3"/>'
+            f'<rect x="{left + x:.2f}" y="{y}" width="{w:.2f}" '
+            f'height="{row_h - 2}" rx="2" fill="{fill}">'
+            f"<title>{_esc(tooltip)}</title></rect>"
         )
+        if text and w > 40:
+            max_chars = int(w / 6.5)
+            if len(text) > max_chars:
+                text = text[: max_chars - 1] + "…"
+            parts.append(
+                f'<text class="viz-row-label" x="{left + x + 4:.2f}" '
+                f'y="{y + row_h - 6}">{_esc(text)}</text>'
+            )
+    parts += over
     parts.append("</svg>")
     return "".join(parts)

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import argparse
 import json
 import re
 import subprocess
@@ -218,9 +219,13 @@ class TestRun:
             (["sweep.perf_sensitivity", "-p", "protection=nope"], "protection must be"),
             (["fig3.coverage", "--backend", "monte_carlo", "--trials", "8",
               "-p", "array_data_columns=100"], "array_data_columns must equal"),
+            (["fig8.yield", "--backend", "monte_carlo", "--trials", "16",
+              "-p", "failing_cells=[20000]"], "failing_cells must lie in"),
+            (["fig8.yield", "--backend", "monte_carlo", "--trials", "16",
+              "-p", "failing_cells=[-3]"], "failing_cells must lie in"),
         ],
         ids=["scheme", "error-model", "cache", "scheme-keys", "cmp", "workload",
-             "protection", "fig3-columns"],
+             "protection", "fig3-columns", "fig8-cells-above", "fig8-cells-negative"],
     )
     def test_catalog_param_errors_are_usage_errors(self, capsys, argv, message):
         """A bad catalog parameter is a usage error (exit 2), not an
@@ -292,14 +297,14 @@ class TestTelemetryFlags:
         assert "engine.run.start" not in capsys.readouterr().err
 
 
-def _embedded_profile(html_path) -> dict:
-    """The profile payload a flamegraph page carries under #repro-profile."""
+def _embedded(html_path, kind: str = "profile") -> dict:
+    """The source payload an explain page carries under #repro-<kind>."""
     match = re.search(
-        r'<script type="application/json" id="repro-profile">(.*?)</script>',
+        rf'<script type="application/json" id="repro-{kind}">(.*?)</script>',
         html_path.read_text(),
         re.DOTALL,
     )
-    assert match, f"{html_path} has no embedded profile"
+    assert match, f"{html_path} has no embedded {kind}"
     return json.loads(match.group(1).replace("<\\/", "</"))
 
 
@@ -322,9 +327,13 @@ class TestProfileFlags:
         assert any("repro.engine" in stack for stack in profile["stacks"])
 
     def test_flamegraph_renders_a_result_json(self, profiled_json):
-        assert main(["flamegraph", str(profiled_json)]) == 0
-        profile = json.loads(profiled_json.read_text())["meta"]["telemetry"]["profile"]
-        assert _embedded_profile(profiled_json.with_suffix(".html")) == profile
+        """``explain`` of a profiled ``run --json`` draws the result and
+        its flamegraph, and embeds the whole result as-is."""
+        assert main(["explain", str(profiled_json)]) == 0
+        html_path = profiled_json.with_suffix(".html")
+        assert "<h2>Flamegraph</h2>" in html_path.read_text()
+        payload = json.loads(profiled_json.read_text())
+        assert _embedded(html_path, "result") == payload
 
     def test_profile_out_writes_collapsed_and_html(self, tmp_path):
         from repro.viz import parse_collapsed
@@ -333,24 +342,24 @@ class TestProfileFlags:
         assert main([*self.RUN, "--profile-out", str(base)]) == 0
         collapsed = parse_collapsed((tmp_path / "prof.collapsed").read_text())
         assert collapsed
-        assert _embedded_profile(tmp_path / "prof.html")["stacks"] == collapsed
+        assert _embedded(tmp_path / "prof.html")["stacks"] == collapsed
         rerender = tmp_path / "rerender.html"
         assert main([
-            "flamegraph", str(tmp_path / "prof.collapsed"), "-o", str(rerender),
+            "explain", str(tmp_path / "prof.collapsed"), "-o", str(rerender),
         ]) == 0
-        assert _embedded_profile(rerender)["stacks"] == collapsed
+        assert _embedded(rerender) == {"stacks": collapsed}
 
     def test_flamegraph_keeps_the_profile_out_html(self, tmp_path, capsys):
-        """``flamegraph BASE.collapsed`` defaults to ``BASE.html``, the
+        """``explain BASE.collapsed`` defaults to ``BASE.html``, the
         full profile ``--profile-out BASE`` wrote: without ``-o`` it is
         refused, not overwritten by a stacks-only page."""
         base = tmp_path / "prof"
         assert main([*self.RUN, "--profile-out", str(base)]) == 0
         html = tmp_path / "prof.html"
         written = html.read_text()
-        assert "process" in _embedded_profile(html)
+        assert "process" in _embedded(html)
         capsys.readouterr()
-        assert main(["flamegraph", str(tmp_path / "prof.collapsed")]) == 2
+        assert main(["explain", str(tmp_path / "prof.collapsed")]) == 2
         assert "-o" in capsys.readouterr().err
         assert html.read_text() == written
 
@@ -362,14 +371,14 @@ class TestReportCommand:
             "run", "fig3.coverage", "--trials", "64", "--seed", "7", "-q",
             "--output", str(result_path),
         ]) == 0
-        assert main(["report", str(result_path)]) == 0
+        assert main(["explain", str(result_path)]) == 0
         html_path = tmp_path / "r.html"
         assert html_path.is_file()
         text = html_path.read_text()
-        assert 'id="repro-result"' in text
+        assert _embedded(html_path, "result") == json.loads(result_path.read_text())
         assert "fig3.coverage" in text
         # A second render without -o would overwrite it: refused.
-        assert main(["report", str(result_path)]) == 2
+        assert main(["explain", str(result_path)]) == 2
         assert html_path.read_text() == text
 
     def test_report_output_flag(self, capsys, tmp_path):
@@ -378,52 +387,22 @@ class TestReportCommand:
         main([
             "run", "fig1.storage", "-q", "--output", str(result_path),
         ])
-        assert main(["report", str(result_path), "-o", str(out_path)]) == 0
+        assert main(["explain", str(result_path), "-o", str(out_path)]) == 0
         assert out_path.is_file()
 
     def test_report_missing_file_exits_usage_error(self, capsys, tmp_path):
-        assert main(["report", str(tmp_path / "nope.json")]) == 2
+        assert main(["explain", str(tmp_path / "nope.json")]) == 2
         assert "not found" in capsys.readouterr().err
 
     def test_report_non_result_file_exits_usage_error(self, capsys, tmp_path):
         bogus = tmp_path / "bogus.json"
         bogus.write_text('{"hello": "world"}')
-        assert main(["report", str(bogus)]) == 2
+        assert main(["explain", str(bogus)]) == 2
         assert "not a saved Result" in capsys.readouterr().err
 
 
-class TestBenchTrendCommand:
-    def test_bench_trend_renders_directories(self, capsys, tmp_path):
-        bench_dir = tmp_path / "records"
-        bench_dir.mkdir()
-        (bench_dir / "BENCH_toy.json").write_text('{"speedup": 2.0}')
-        out_path = tmp_path / "trend.html"
-        code = main(["bench-trend", str(bench_dir), "-o", str(out_path)])
-        assert code == 0
-        text = out_path.read_text()
-        assert 'id="repro-bench-trend"' in text
-        assert "toy" in text
-
-    def test_bench_trend_missing_directory_exits_usage_error(self, capsys, tmp_path):
-        code = main(["bench-trend", str(tmp_path / "missing"), "-o", "t.html"])
-        assert code == 2
-        assert "not found" in capsys.readouterr().err
-
-    def test_bench_trend_bad_tolerance_file_exits_usage_error(self, capsys, tmp_path):
-        bench_dir = tmp_path / "records"
-        bench_dir.mkdir()
-        bad = tmp_path / "tol.json"
-        bad.write_text("[1, 2, 3]")
-        code = main([
-            "bench-trend", str(bench_dir),
-            "-o", str(tmp_path / "t.html"), "--tolerances", str(bad),
-        ])
-        assert code == 2
-        assert "tolerance" in capsys.readouterr().err
-
-
 class TestTraceCommand:
-    """Tentpole surface: `python -m repro trace JOB.json -o timeline.html`."""
+    """`python -m repro explain JOB.json` of a persisted job trace."""
 
     @staticmethod
     def _trace_file(tmp_path):
@@ -439,32 +418,49 @@ class TestTraceCommand:
 
     def test_trace_renders_default_output(self, capsys, tmp_path):
         source = self._trace_file(tmp_path)
-        assert main(["trace", str(source)]) == 0
+        assert main(["explain", str(source)]) == 0
         out_path = tmp_path / "j000001.html"
         assert out_path.is_file()
         text = out_path.read_text()
-        assert 'id="repro-trace"' in text
+        assert _embedded(out_path, "trace") == json.loads(source.read_text())
         assert "<svg" in text
         assert "engine.execute" in text
         assert str(out_path) in capsys.readouterr().err  # "wrote ..." note
-        assert main(["trace", str(source)]) == 2
+        assert main(["explain", str(source)]) == 2
         assert "-o" in capsys.readouterr().err
 
     def test_trace_output_flag(self, capsys, tmp_path):
         source = self._trace_file(tmp_path)
         out_path = tmp_path / "custom.html"
-        assert main(["trace", str(source), "-o", str(out_path)]) == 0
+        assert main(["explain", str(source), "-o", str(out_path)]) == 0
         assert out_path.is_file()
 
     def test_trace_missing_file_exits_usage_error(self, capsys, tmp_path):
-        assert main(["trace", str(tmp_path / "nope.json")]) == 2
+        assert main(["explain", str(tmp_path / "nope.json")]) == 2
         assert "not found" in capsys.readouterr().err
 
     def test_trace_non_trace_file_exits_usage_error(self, capsys, tmp_path):
         bogus = tmp_path / "bogus.json"
         bogus.write_text('{"hello": "world"}')
-        assert main(["trace", str(bogus)]) == 2
-        assert "not a trace" in capsys.readouterr().err
+        assert main(["explain", str(bogus)]) == 2
+        assert "not a saved Result, job trace" in capsys.readouterr().err
+
+
+def test_subcommands_are_list_run_explain_serve_cache():
+    """``explain`` is the one page command, with one option (``-o``)."""
+    from repro.api.cli import build_parser
+
+    subparsers = next(
+        action for action in build_parser()._actions
+        if isinstance(action, argparse._SubParsersAction)
+    )
+    assert list(subparsers.choices) == ["list", "run", "explain", "serve", "cache"]
+    options = [
+        action.option_strings
+        for action in subparsers.choices["explain"]._actions
+        if action.option_strings
+    ]
+    assert options == [["-h", "--help"], ["-o", "--output"]]
 
 
 @pytest.mark.parametrize("argv", [["list"], ["run", "fig1.storage", "-q"]])

@@ -12,6 +12,7 @@ from __future__ import annotations
 import asyncio
 import http.client
 import json
+import re
 import socket
 import threading
 import time
@@ -375,7 +376,7 @@ class TestMetricsAndTrace:
     def test_trace_dir_persists_renderable_chrome_loadable_traces(
         self, tmp_path
     ):
-        from repro.viz import load_trace, render_timeline
+        from repro.viz import load_source, render_page
 
         live = LiveService(workers=1, cache_dir=tmp_path).start()
         try:
@@ -386,15 +387,22 @@ class TestMetricsAndTrace:
             deadline = time.monotonic() + 10.0
             while not path.is_file() and time.monotonic() < deadline:
                 time.sleep(0.05)  # persisted just after terminal state
-            payload = load_trace(path)
-            assert payload["trace"]["trace_id"] == job["trace_id"]
+            source = load_source(path)
+            assert source.kind == "trace"
+            assert source.trace["trace_id"] == job["trace_id"]
             # Chrome/Perfetto shape: a top-level traceEvents array of
             # phased events.
             raw = json.loads(path.read_text())
             assert all("ph" in e for e in raw["traceEvents"])
-            # And it renders to the self-contained HTML timeline.
-            html_text = render_timeline(payload)
-            assert 'id="repro-trace"' in html_text
+            # And it renders to the self-contained explain page, which
+            # embeds the file as-is (traceEvents included).
+            html_text = render_page(source)
+            match = re.search(
+                r'<script type="application/json" id="repro-trace">(.*?)</script>',
+                html_text,
+                re.S,
+            )
+            assert json.loads(match.group(1)) == raw
             assert "engine.execute" in html_text
         finally:
             live.stop()

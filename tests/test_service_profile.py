@@ -16,10 +16,12 @@ cases against an unprofiled service, pinning:
 from __future__ import annotations
 
 import json
+import re
 
 import pytest
 
 from repro.api import ExperimentSpec
+from repro.api.cli import main
 from repro.obs import DEFAULT_HZ
 from repro.obs.metrics import parse_exposition
 from repro.service import ServiceError
@@ -66,10 +68,14 @@ class TestJobProfile:
         assert path.exists()
         persisted = json.loads(path.read_text())
         assert isinstance(persisted["meta"]["telemetry"]["profile"]["stacks"], dict)
+        # The mirror is an explain source: the page draws its flamegraph.
+        out = cache_dir / "mirror.html"
+        assert main(["explain", str(path), "-o", str(out)]) == 0
+        assert "<h2>Flamegraph</h2>" in out.read_text()
 
 
 class TestDebugProfile:
-    def test_samples_the_live_process(self, client):
+    def test_samples_the_live_process(self, client, tmp_path):
         payload = client.debug_profile(seconds=0.5)
         assert payload["seconds"] == 0.5
         assert payload["hz"] == DEFAULT_HZ
@@ -77,6 +83,16 @@ class TestDebugProfile:
         assert isinstance(payload["stacks"], dict)
         # the event loop thread shows up — the service kept serving
         assert payload["threads_observed"]
+        # The body is an explain source, embedded in its page as-is.
+        path = tmp_path / "debug-profile.json"
+        path.write_text(json.dumps(payload))
+        assert main(["explain", str(path)]) == 0
+        match = re.search(
+            r'<script type="application/json" id="repro-profile">(.*?)</script>',
+            path.with_suffix(".html").read_text(),
+            re.S,
+        )
+        assert json.loads(match.group(1)) == payload
 
     def test_rejects_bad_parameters(self, client):
         for query in ("seconds=abc", "seconds=-1"):

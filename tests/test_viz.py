@@ -1,9 +1,10 @@
-"""repro.viz: HTML reports, bench-trend dashboard, benchmark gating.
+"""The explain page of a Result, the benchmark trend dashboard, gating.
 
-The acceptance bar: both renderers produce self-contained HTML whose
-embedded JSON parses back to the exact input, and the rewritten
-``benchmarks/compare.py`` exits non-zero on a synthetic regression
-while honoring per-metric tolerance bands and ``--no-fail``.
+The acceptance bar: both pages are self-contained HTML whose embedded
+JSON parses back to the exact input, and ``benchmarks/compare.py``
+exits non-zero on a synthetic regression while honoring per-metric
+tolerance bands and ``--no-fail``.  The record semantics and the trend
+dashboard live in ``benchmarks/trend.py``, loaded here by path.
 """
 
 from __future__ import annotations
@@ -18,21 +19,30 @@ from pathlib import Path
 import pytest
 
 from repro.api import ExperimentSpec, Result, Session
-from repro.viz import (
-    Tolerances,
-    compare_records,
-    direction,
-    flatten,
-    load_bench_dir,
-    load_runs,
-    render_report,
-    render_trend,
-)
-from repro.viz.bench import numeric_metrics
-from repro.viz.report import RESULT_JSON_ID
-from repro.viz.trend import TREND_JSON_ID
+from repro.viz import Source, render_page
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
+RESULT_JSON_ID = "repro-result"
+
+
+def _load_bench_module(name: str):
+    """A script module beside ``benchmarks/compare.py``, loaded by path."""
+    spec = importlib.util.spec_from_file_location(
+        f"bench_{name}", REPO_ROOT / "benchmarks" / f"{name}.py"
+    )
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = module  # dataclasses resolve their module by name
+    spec.loader.exec_module(module)
+    return module
+
+
+trend = _load_bench_module("trend")
+Tolerances = trend.Tolerances
+TREND_JSON_ID = trend.TREND_JSON_ID
+
+
+def render_report(result: Result) -> str:
+    return render_page(Source.of(json.loads(result.to_json())))
 
 
 def extract_embedded_json(html_text: str, element_id: str):
@@ -53,20 +63,20 @@ def mc_result():
 
 class TestBenchSemantics:
     def test_direction_heuristics(self):
-        assert direction("engine_trials_per_second") == 1
-        assert direction("perf.fat.speedup") == 1
-        assert direction("ms_per_trial_512") == -1
-        assert direction("shard_elapsed") == -1
-        assert direction("target_speedup") is None
-        assert direction("perf.target_speedup") is None
-        assert direction("coverage_fraction") is None
+        assert trend.direction("engine_trials_per_second") == 1
+        assert trend.direction("perf.fat.speedup") == 1
+        assert trend.direction("ms_per_trial_512") == -1
+        assert trend.direction("shard_elapsed") == -1
+        assert trend.direction("target_speedup") is None
+        assert trend.direction("perf.target_speedup") is None
+        assert trend.direction("coverage_fraction") is None
 
     def test_flatten_nests_to_dotted_keys(self):
-        flat = flatten({"a": {"b": {"c": 1}}, "d": 2})
+        flat = trend.flatten({"a": {"b": {"c": 1}}, "d": 2})
         assert flat == {"a.b.c": 1, "d": 2}
 
     def test_numeric_metrics_drops_bookkeeping_and_non_numbers(self):
-        metrics = numeric_metrics({
+        metrics = trend.numeric_metrics({
             "speedup": 3.0,
             "workload": "fig3",
             "recorded_at": "2026-01-01",
@@ -111,7 +121,7 @@ class TestBenchSemantics:
             "ms_per_op": 5.0,
             "accuracy": 0.9,
         }, "newcomer": {"x": 1}}
-        result = compare_records(baselines, fresh, Tolerances(default=0.5))
+        result = trend.compare_records(baselines, fresh, Tolerances(default=0.5))
         by_metric = {e["metric"]: e for e in result["entries"]}
         assert by_metric["bench.trials_per_second"]["status"] == "regression"
         assert by_metric["bench.ms_per_op"]["status"] == "ok"
@@ -123,7 +133,7 @@ class TestBenchSemantics:
     def test_load_bench_dir_skips_unreadable(self, tmp_path, caplog):
         (tmp_path / "BENCH_good.json").write_text('{"speedup": 2.0}')
         (tmp_path / "BENCH_bad.json").write_text("{not json")
-        records = load_bench_dir(tmp_path)
+        records = trend.load_bench_dir(tmp_path)
         assert list(records) == ["good"]
 
 
@@ -131,6 +141,7 @@ class TestReport:
     def test_embedded_json_round_trips_exactly(self, mc_result, tmp_path):
         html_text = render_report(mc_result)
         embedded = extract_embedded_json(html_text, RESULT_JSON_ID)
+        assert json.loads(embedded) == json.loads(mc_result.to_json())
         restored = Result.from_json(embedded)
         assert restored == mc_result
         assert restored.telemetry() == mc_result.telemetry()
@@ -157,6 +168,9 @@ class TestReport:
         assert "Provenance" in html_text
         for series in mc_result.series:
             assert series.name in html_text
+        # Which path ran: the cache verdict, worker count and pool starts.
+        for card in ("served from cache", "workers", "pools started"):
+            assert f'<div class="label">{card}</div>' in html_text
 
     def test_script_content_cannot_escape_its_block(self):
         # A result whose strings contain "</script>" must not break the
@@ -176,6 +190,13 @@ class TestReport:
         )
 
 
+    def test_malformed_result_is_refused(self, mc_result):
+        payload = json.loads(mc_result.to_json())
+        payload["series"][0]["y"][0] = "high"
+        with pytest.raises(ValueError, match="not a saved Result"):
+            Source.of(payload)
+
+
 class TestTrend:
     @pytest.fixture()
     def two_runs(self, tmp_path):
@@ -191,39 +212,61 @@ class TestTrend:
         return [old, new]
 
     def test_embedded_json_round_trips(self, two_runs):
-        runs = load_runs(two_runs)
-        html_text = render_trend(runs, Tolerances(default=0.5))
+        runs = trend.load_runs(two_runs)
+        html_text = trend.render_trend(runs, Tolerances(default=0.5))
         payload = json.loads(extract_embedded_json(html_text, TREND_JSON_ID))
         assert [r["label"] for r in payload["runs"]] == ["old", "new"]
         assert payload["runs"][0]["records"]["engine"]["trials_per_second"] == 100.0
         assert payload["tolerances"]["default"] == 0.5
 
     def test_regression_marked_with_word_not_color_alone(self, two_runs):
-        html_text = render_trend(load_runs(two_runs), Tolerances(default=0.5))
+        runs = trend.load_runs(two_runs)
+        html_text = trend.render_trend(runs, Tolerances(default=0.5))
         assert "regressed" in html_text
         assert "↓" in html_text
 
     def test_trend_over_real_baselines(self):
         baseline_dir = REPO_ROOT / "benchmarks" / "baselines"
-        runs = load_runs([baseline_dir])
-        html_text = render_trend(runs)
+        runs = trend.load_runs([baseline_dir])
+        html_text = trend.render_trend(runs)
         payload = json.loads(extract_embedded_json(html_text, TREND_JSON_ID))
         assert "engine" in payload["runs"][0]["records"]
         for svg in re.findall(r"<svg.*?</svg>", html_text, re.S):
             ET.fromstring(svg)
 
     def test_empty_directory_still_renders(self, tmp_path):
-        html_text = render_trend(load_runs([tmp_path]))
+        html_text = trend.render_trend(trend.load_runs([tmp_path]))
         assert "No BENCH_*.json records" in html_text
+
+    def test_script_renders_directories(self, capsys, tmp_path):
+        bench_dir = tmp_path / "records"
+        bench_dir.mkdir()
+        (bench_dir / "BENCH_toy.json").write_text('{"speedup": 2.0}')
+        out_path = tmp_path / "trend.html"
+        assert trend.main([str(bench_dir), "-o", str(out_path)]) == 0
+        text = out_path.read_text()
+        assert f'id="{TREND_JSON_ID}"' in text
+        assert "toy" in text
+
+    def test_script_missing_directory_exits_usage_error(self, capsys, tmp_path):
+        code = trend.main([str(tmp_path / "missing"), "-o", "t.html"])
+        assert code == 2
+        assert "not found" in capsys.readouterr().err
+
+    def test_script_bad_tolerance_file_exits_usage_error(self, capsys, tmp_path):
+        bench_dir = tmp_path / "records"
+        bench_dir.mkdir()
+        bad = tmp_path / "tol.json"
+        bad.write_text("[1, 2, 3]")
+        code = trend.main([
+            str(bench_dir), "-o", str(tmp_path / "t.html"), "--tolerances", str(bad),
+        ])
+        assert code == 2
+        assert "tolerance" in capsys.readouterr().err
 
 
 def _load_compare_module():
-    spec = importlib.util.spec_from_file_location(
-        "bench_compare", REPO_ROOT / "benchmarks" / "compare.py"
-    )
-    module = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(module)
-    return module
+    return _load_bench_module("compare")
 
 
 class TestCompareGating:
@@ -294,11 +337,11 @@ class TestCompareGating:
         assert tol.band_for("perf.fat.speedup") == 0.7
         # Every committed pattern matches at least one baseline metric,
         # so the file cannot silently rot.
-        records = load_bench_dir(REPO_ROOT / "benchmarks" / "baselines")
+        records = trend.load_bench_dir(REPO_ROOT / "benchmarks" / "baselines")
         metric_ids = {
             f"{name}.{key}"
             for name, record in records.items()
-            for key in numeric_metrics(record)
+            for key in trend.numeric_metrics(record)
         }
         import fnmatch
 
