@@ -93,7 +93,11 @@ def main() -> None:
         "sweep.mc_coverage",
         trials=2048,
         seed=9,
-        params={"scheme": "2d_edc8_edc32", "model": "random_cells", "n_cells": 1},
+        params={
+            "scheme": "2d_edc8_edc32",
+            "scenario": "iid_uniform",
+            "scenario_params": {"n_cells": 1},
+        },
     )
     estimate = Session().run(spec).data_dict()["estimate"]
     print(

@@ -222,28 +222,33 @@ def _fig3_coverage(ctx):
     return ctx.result(data, series)
 
 
-def _scenario_model(ctx, *, default_overrides: "dict | None" = None):
+def _scenario_model(ctx):
     """Build the error-scenario model a Monte Carlo experiment asked for.
 
     The ``scenario`` param names any registered scenario
     (:func:`repro.scenarios.list_scenarios`); ``scenario_params`` carries
-    its configuration as a mapping.  ``default_overrides`` lets an
-    experiment route its own legacy params (e.g. ``footprints``) into
-    the scenario when the spec does not override them.
+    its configuration as a mapping.  A ``clustered_mbu`` run that names
+    no ``footprints`` draws the Fig. 3 mix (:data:`FIG3_MC_FOOTPRINTS`).
     """
     from repro.scenarios import make_scenario
 
     name = str(ctx.param("scenario"))
-    overrides = dict(default_overrides or {})
-    overrides.update(dict(ctx.param("scenario_params") or {}))
-    return make_scenario(name, **overrides)
+    params = ctx.param("scenario_params") or {}
+    if not isinstance(params, dict):
+        raise SpecError(
+            f"{ctx.spec.experiment}: scenario_params must be a mapping, "
+            f"got {params!r}"
+        )
+    if name == "clustered_mbu":
+        params.setdefault("footprints", FIG3_MC_FOOTPRINTS)
+    return make_scenario(name, **params)
 
 
 #: The rare-event estimation knobs (:data:`repro.api.spec.RARE_EVENT_PARAMS`):
 #: ``estimator`` selects the sampling strategy,
 #: ``tolerance``/``tolerance_relative`` switch the fixed trial budget for
-#: a sequential CI-half-width stopping rule, ``tilt``/``shift`` configure
-#: the importance-sampling proposal and ``strata``/``allocation`` the
+#: a sequential CI-half-width stopping rule, ``tilt`` configures the
+#: importance-sampling proposal and ``strata``/``allocation`` the
 #: stratified partition.
 _RARE_KNOBS = RARE_EVENT_PARAMS
 
@@ -291,7 +296,7 @@ def _rare_config(ctx) -> "dict | None":
             )
 
     if estimator != "tilted":
-        _reject_foreign(("tilt", "shift"), "tilted")
+        _reject_foreign(("tilt",), "tilted")
     if estimator != "stratified":
         _reject_foreign(("strata", "allocation"), "stratified")
     if estimator == "stratified" and tolerance is not None:
@@ -312,18 +317,17 @@ def _rare_config(ctx) -> "dict | None":
         "tolerance": tolerance,
         "relative": relative,
         "tilt": float(ctx.param("tilt", 0.0)),
-        "shift": int(ctx.param("shift", 0)),
         "strata": ctx.param("strata", 4),
         "allocation": allocation,
     }
 
 
-def _tilted_variant(ctx, model, tilt: float, shift: int):
+def _tilted_variant(ctx, model, tilt: float):
     """The importance-sampling (tilted-law) twin of a nominal scenario.
 
     Only the scenarios with a tractable likelihood ratio have one:
     ``clustered_mbu`` (footprint-area tilting) and ``hard_fault_map``
-    (exponential Poisson tilting, plus an optional count ``shift``).
+    (exponential Poisson tilting of the fault count).
     """
     from repro.scenarios import (
         TiltedClusteredMbuScenario,
@@ -338,16 +342,10 @@ def _tilted_variant(ctx, model, tilt: float, shift: int):
                 "the clustered_mbu spread knob (the diffusion step has no "
                 "closed-form likelihood ratio)"
             )
-        if shift:
-            raise SpecError(
-                f"{ctx.spec.experiment}: shift only applies to count-based "
-                "scenarios (hard_fault_map); clustered_mbu tilts footprint "
-                "area instead"
-            )
         return TiltedClusteredMbuScenario(footprints=model.footprints, tilt=tilt)
     if kind == "hard_fault_map":
         return TiltedHardFaultMapScenario(
-            defect_density=model.defect_density, tilt=tilt, shift=shift
+            defect_density=model.defect_density, tilt=tilt
         )
     raise SpecError(
         f"{ctx.spec.experiment}: estimator='tilted' supports the "
@@ -452,35 +450,37 @@ def _rare_estimate(ctx, engine_spec, model, rare: dict, *, seed=None):
         }
         return payload, None
 
-    run_model = (
-        _tilted_variant(ctx, model, rare["tilt"], rare["shift"])
-        if estimator == "tilted"
-        else model
-    )
+    tilted = estimator == "tilted"
+    run_model = _tilted_variant(ctx, model, rare["tilt"]) if tilted else model
+    # A proposal aimed at the rare failure estimates that failure; a
+    # probability near 1 is only reachable as its complement, so the
+    # tilted run estimates (and stops on) ``uncorrected`` and reports
+    # 1 - p as the coverage.
+    target = "uncorrected" if tilted else "corrected"
     if rare["tolerance"] is not None:
         result = ctx.run_engine_sequential(
             engine_spec,
             run_model,
             tolerance=rare["tolerance"],
             relative=rare["relative"],
+            target=target,
             seed=seed,
         )
     else:
         result = ctx.run_engine(engine_spec, run_model, seed=seed)
     counts = result.counts.as_dict()
-    if result.is_weighted:
-        estimate = result.weighted_estimate("corrected", ctx.confidence)
+    if tilted:
+        failure = result.weighted_estimate(target, ctx.confidence)
         payload = {
             "estimator": "tilted",
             "tilt": rare["tilt"],
-            "shift": rare["shift"],
-            "n": estimate.n,
-            "confidence": estimate.confidence,
-            "point": estimate.point,
-            "std_error": estimate.std_error,
-            "lower": estimate.lower,
-            "upper": estimate.upper,
-            "ess": estimate.ess,
+            "n": failure.n,
+            "confidence": failure.confidence,
+            "point": 1.0 - failure.point,
+            "std_error": failure.std_error,
+            "lower": 1.0 - failure.upper,
+            "upper": 1.0 - failure.lower,
+            "ess": failure.ess,
         }
     else:
         payload = dict(_estimate_payload(result.estimate(ctx.confidence)))
@@ -492,23 +492,6 @@ def _rare_estimate(ctx, engine_spec, model, rare: dict, *, seed=None):
     return payload, counts
 
 
-def _reject_unused_model_params(ctx, selector: str, chosen: str, names: tuple) -> None:
-    """Fail hard when a spec sets params the chosen scenario ignores.
-
-    Mirrors the Session-level contract for the statistical knobs: a
-    param that does not influence the run must not silently enter the
-    result's provenance hash.
-    """
-    explicit = set(ctx.spec.param_dict())
-    unused = sorted(explicit.intersection(names))
-    if unused:
-        raise SpecError(
-            f"{ctx.spec.experiment}: param(s) {', '.join(unused)} have no "
-            f"effect with {selector}={chosen!r}; configure the scenario "
-            "via scenario_params instead"
-        )
-
-
 @experiment(
     "fig3.coverage",
     backend="monte_carlo",
@@ -516,7 +499,6 @@ def _reject_unused_model_params(ctx, selector: str, chosen: str, names: tuple) -
         "trials": 2048,
         "seed": 2007,
         "scenario": "clustered_mbu",
-        "footprints": FIG3_MC_FOOTPRINTS,
         "array_rows": 256,
         "array_data_columns": 256,
     },
@@ -528,17 +510,7 @@ def _fig3_coverage_mc(ctx):
     rows = int(ctx.param("array_rows"))
     columns = int(ctx.param("array_data_columns"))
     rare = _rare_config(ctx)
-    # The default scenario/footprints pair reconstructs the exact model
-    # (same draws, same engine cache key) this experiment ran before the
-    # scenario subsystem existed.
-    defaults = {}
-    if str(ctx.param("scenario")) == "clustered_mbu":
-        defaults["footprints"] = tuple(ctx.param("footprints"))
-    else:
-        _reject_unused_model_params(
-            ctx, "scenario", str(ctx.param("scenario")), ("footprints",)
-        )
-    model = _scenario_model(ctx, default_overrides=defaults)
+    model = _scenario_model(ctx)
     estimates: dict[str, dict] = {}
     skipped: list[str] = []
     for key, scheme in fig3_schemes().items():
@@ -799,6 +771,24 @@ def _fig7_schemes(ctx):
 # Figure 8 — yield and in-the-field reliability
 # ----------------------------------------------------------------------
 
+def _failing_cells(ctx) -> "list[int]":
+    """The ``failing_cells`` axis as whole cell counts; a fraction or a
+    bool is a usage error, not a count to truncate."""
+    cells = ctx.param("failing_cells")
+    if not isinstance(cells, (list, tuple)):
+        raise SpecError(f"fig8.yield: failing_cells must be a list, got {cells!r}")
+    bad = [
+        n for n in cells
+        if isinstance(n, bool)
+        or not (isinstance(n, int) or isinstance(n, float) and n.is_integer())
+    ]
+    if bad:
+        raise SpecError(
+            f"fig8.yield: failing_cells must be whole cell counts, got {bad}"
+        )
+    return [int(n) for n in cells]
+
+
 @experiment(
     "fig8.yield",
     backend="analytical",
@@ -807,7 +797,7 @@ def _fig7_schemes(ctx):
     defaults={"failing_cells": tuple(range(0, 4001, 200))},
 )
 def _fig8_yield(ctx):
-    failing_cells = [int(n) for n in ctx.param("failing_cells")]
+    failing_cells = _failing_cells(ctx)
     model = YieldModel(MemoryGeometry.l2_16mb())
     configurations = {
         "Spare_128": {"ecc": False, "spares": 128},
@@ -856,7 +846,7 @@ def _fig8_yield_mc(ctx):
     from repro.engine import EngineSpec
     from repro.scenarios import make_scenario
 
-    failing_cells = [int(n) for n in ctx.param("failing_cells")]
+    failing_cells = _failing_cells(ctx)
     rows = int(ctx.param("rows"))
     scenario_name = str(ctx.param("scenario"))
     if scenario_name not in ("iid_uniform", "hard_fault_map"):
@@ -971,24 +961,18 @@ def _fig8_reliability(ctx):
         "seed": 1,
         "scheme": "2d_edc8_edc32",
         "rows": 256,
-        "model": "cluster",
-        "scenario": None,
+        "scenario": "clustered_mbu",
     },
-    params=("footprints", "height", "width", "n_cells", "scenario_params")
-    + _RARE_KNOBS,
+    params=("scenario_params",) + _RARE_KNOBS,
 )
 def _sweep_mc_coverage(ctx):
     """Coverage probability of one scheme/geometry/error-model point.
 
-    ``scheme`` is any :func:`named_schemes` key.  The fault population
-    is either a legacy ``model`` shorthand — ``"cluster"`` (optionally
-    with ``footprints``), ``"fixed"`` (with ``height``/``width``),
-    ``"random_cells"`` (with ``n_cells``) — or **any registered fault
-    scenario** named via ``scenario`` (or as the ``model`` value) and
-    configured through ``scenario_params``.
+    ``scheme`` is any :func:`named_schemes` key; the fault population is
+    any registered scenario, named by ``scenario`` and configured through
+    ``scenario_params`` (default: ``clustered_mbu`` with the Fig. 3 mix).
     """
     from repro.engine import EngineSpec
-    from repro.scenarios import list_scenarios, make_scenario
 
     scheme_key = str(ctx.param("scheme"))
     schemes = named_schemes()
@@ -998,40 +982,7 @@ def _sweep_mc_coverage(ctx):
         )
     scheme = schemes[scheme_key]
     rows = int(ctx.param("rows"))
-
-    raw_scenario = ctx.param("scenario")
-    kind = str(raw_scenario) if raw_scenario is not None else str(ctx.param("model"))
-    legacy_knobs = ("footprints", "height", "width", "n_cells")
-    if kind == "cluster":
-        _reject_unused_model_params(
-            ctx, "model", kind, ("height", "width", "n_cells", "scenario_params")
-        )
-        footprints = ctx.param("footprints", FIG3_MC_FOOTPRINTS)
-        model = make_scenario("clustered_mbu", footprints=tuple(footprints))
-    elif kind == "fixed":
-        _reject_unused_model_params(
-            ctx, "model", kind, ("footprints", "n_cells", "scenario_params")
-        )
-        model = make_scenario(
-            "fixed_cluster",
-            height=int(ctx.param("height", 8)),
-            width=int(ctx.param("width", 8)),
-        )
-    elif kind == "random_cells":
-        _reject_unused_model_params(
-            ctx, "model", kind, ("footprints", "height", "width", "scenario_params")
-        )
-        model = make_scenario("iid_uniform", n_cells=int(ctx.param("n_cells", 2)))
-    elif kind in list_scenarios():
-        selector = "scenario" if raw_scenario is not None else "model"
-        _reject_unused_model_params(ctx, selector, kind, legacy_knobs)
-        model = make_scenario(kind, **dict(ctx.param("scenario_params") or {}))
-    else:
-        known = ", ".join(sorted(list_scenarios()))
-        raise SpecError(
-            f"unknown error model {kind!r}; use cluster, fixed, random_cells "
-            f"or a registered scenario ({known})"
-        )
+    model = _scenario_model(ctx)
 
     spec = EngineSpec.from_scheme(scheme, rows=rows)
     rare = _rare_config(ctx)

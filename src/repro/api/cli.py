@@ -10,9 +10,11 @@ Five subcommands:
     Execute one experiment through the :class:`~repro.api.session.Session`
     facade and print a summary table; ``--json``/``--csv`` write the
     serialized :class:`~repro.api.result.Result` to files (``-`` for
-    stdout), and ``--output PATH`` picks the format from the suffix
-    (``.csv`` -> CSV, anything else JSON).  ``--scenario NAME`` selects
-    a registered fault scenario on experiments that take one.
+    stdout).  Every experiment input beyond the spec fields
+    (``--trials``, ``--seed``, ``--confidence``) is one ``-p KEY=VALUE``
+    param: ``-p scenario=NAME`` selects a registered fault scenario,
+    ``-p tolerance=HW`` stops sampling at a CI half-width,
+    ``-p estimator=tilted -p tilt=THETA`` picks a rare-event estimator.
     ``--verbose/-v`` streams INFO-level telemetry to stderr while the
     run executes; ``--telemetry PATH`` writes the run's raw event
     stream as JSON lines (``-`` for stdout).  ``--profile`` samples the
@@ -23,7 +25,7 @@ Five subcommands:
 
         python -m repro run fig3.coverage --trials 200000 --json out.json
         python -m repro run fig3.coverage --trials 4096 \
-            --scenario burst_row --output fig3_bursts.csv
+            -p scenario=burst_row --csv fig3_bursts.csv
         python -m repro run fig3.coverage --trials 4096 -v \
             --telemetry events.jsonl
 
@@ -85,7 +87,7 @@ from concurrent.futures.process import BrokenProcessPool
 from pathlib import Path
 from typing import Sequence
 
-from repro.scenarios import UnknownScenarioError, get_scenario_class
+from repro.scenarios import UnknownScenarioError
 
 from .registry import UnknownExperimentError, list_experiments
 from .result import Result
@@ -143,33 +145,6 @@ def build_parser() -> argparse.ArgumentParser:
         "repeatable)",
     )
     runner.add_argument(
-        "--scenario",
-        metavar="NAME",
-        help="fault scenario for Monte Carlo experiments that take one "
-        "(shorthand for -p scenario=NAME; see repro.scenarios)",
-    )
-    runner.add_argument(
-        "--tolerance",
-        type=float,
-        metavar="HW",
-        help="stop Monte Carlo sampling once the CI half-width reaches HW "
-        "instead of running a fixed trial budget (shorthand for "
-        "-p tolerance=HW)",
-    )
-    runner.add_argument(
-        "--estimator",
-        choices=("plain", "tilted", "stratified"),
-        help="rare-event estimator for Monte Carlo experiments "
-        "(shorthand for -p estimator=NAME)",
-    )
-    runner.add_argument(
-        "--tilt",
-        type=float,
-        metavar="THETA",
-        help="exponential tilting strength for --estimator tilted "
-        "(shorthand for -p tilt=THETA)",
-    )
-    runner.add_argument(
         "--json",
         metavar="PATH",
         nargs="?",
@@ -179,13 +154,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
     runner.add_argument(
         "--csv", metavar="PATH", help="write the Result as CSV ('-' for stdout)"
-    )
-    runner.add_argument(
-        "-o",
-        "--output",
-        metavar="PATH",
-        help="write the Result to PATH, format by suffix (.csv -> CSV, "
-        "otherwise JSON; '-' for JSON on stdout)",
     )
     runner.add_argument(
         "-q", "--quiet", action="store_true", help="suppress the summary table"
@@ -595,7 +563,6 @@ def _cmd_run(args) -> int:
             for flag, value in (
                 ("--json", args.json),
                 ("--csv", args.csv),
-                ("--output", args.output),
                 ("--telemetry", args.telemetry),
             )
             if value == "-"
@@ -616,24 +583,6 @@ def _cmd_run(args) -> int:
                 raise SpecError(
                     f"--profile-out: directory {parent} does not exist"
                 )
-        if args.scenario is not None:
-            get_scenario_class(args.scenario)  # unknown names are usage errors
-            if params.get("scenario", args.scenario) != args.scenario:
-                raise SpecError(
-                    f"conflicting scenarios: --scenario {args.scenario} vs "
-                    f"-p scenario={params['scenario']}"
-                )
-            params["scenario"] = args.scenario
-        for knob in ("tolerance", "estimator", "tilt"):
-            value = getattr(args, knob)
-            if value is None:
-                continue
-            if params.get(knob, value) != value:
-                raise SpecError(
-                    f"conflicting {knob}: --{knob} {value} vs "
-                    f"-p {knob}={params[knob]}"
-                )
-            params[knob] = value
         spec = ExperimentSpec(
             experiment=args.experiment,
             backend=args.backend,
@@ -671,9 +620,6 @@ def _cmd_run(args) -> int:
         _write(args.json, result.to_json(indent=2))
     if args.csv:
         _write(args.csv, result.to_csv())
-    if args.output:
-        as_csv = args.output != "-" and args.output.lower().endswith(".csv")
-        _write(args.output, result.to_csv() if as_csv else result.to_json(indent=2))
     if args.telemetry:
         _write(args.telemetry, telemetry_jsonl)
     if args.profile_out:

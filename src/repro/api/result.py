@@ -181,14 +181,19 @@ class Result:
                 f"unsupported result schema version {version!r} "
                 f"(this build reads version {RESULT_SCHEMA_VERSION})"
             )
-        return cls(
-            experiment=payload["experiment"],
-            backend=payload["backend"],
-            spec=ExperimentSpec.from_key(payload["spec"]),
-            data=payload.get("data"),
-            series=tuple(Series.from_json(s) for s in payload.get("series", ())),
-            meta=payload.get("meta", {}),
-        )
+        try:
+            return cls(
+                experiment=payload["experiment"],
+                backend=payload["backend"],
+                spec=ExperimentSpec.from_key(payload["spec"]),
+                data=payload.get("data"),
+                series=tuple(Series.from_json(s) for s in payload.get("series", ())),
+                meta=payload.get("meta", {}),
+            )
+        except KeyError as exc:
+            raise ResultError(f"result payload misses key {exc}") from None
+        except (TypeError, AttributeError) as exc:
+            raise ResultError(f"malformed result payload: {exc}") from None
 
     def save_json(self, path: "str | Path") -> Path:
         path = Path(path)

@@ -1,8 +1,8 @@
 """The ``Session.run()`` facade over analytical and Monte Carlo backends.
 
 A :class:`Session` holds everything about *how* experiments execute —
-worker-process count, the on-disk result cache, progress hooks — so
-those are configured once, not threaded through every call.  *What* to
+worker-process count and the on-disk result cache — so those are
+configured once, not threaded through every call.  *What* to
 run is entirely described by the :class:`~repro.api.spec.ExperimentSpec`
 (or just an experiment name plus keyword overrides)::
 
@@ -29,7 +29,7 @@ import threading
 import time
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Any, Callable, Mapping
+from typing import Any, Mapping
 
 from repro.obs import RunRecorder, Trace, current_trace, emit
 from repro.obs import metrics as _metrics
@@ -61,7 +61,6 @@ _RUN_SECONDS = _metrics.histogram(
 )
 
 _log = logging.getLogger(__name__)
-_OBS_LOG = logging.getLogger("repro.obs")
 
 
 @dataclass
@@ -241,13 +240,6 @@ class Session:
         caching.  Keys are routed through
         :meth:`ExperimentSpec.content_hash`, so runs at any worker count
         share entries.
-    progress:
-        Optional callable receiving event dicts
-        (``{"event": "start"|"finish", "experiment", "backend",
-        "spec_hash", "elapsed"}``) around every run; a failed run's
-        ``finish`` event carries an additional ``error`` field.  A
-        callback that raises is logged once and not called again for
-        that run, instead of killing it.
 
     The session owns one persistent
     :class:`~repro.engine.executor.SharedExecutor`: every Monte Carlo
@@ -273,14 +265,12 @@ class Session:
         *,
         workers: int = 1,
         cache_dir: "str | Path | None" = None,
-        progress: "Callable[[dict], None] | None" = None,
     ):
         from repro.engine import SharedExecutor
 
         if workers < 1:
             raise ValueError("workers must be positive")
         self.workers = workers
-        self.progress = progress
         self._cache = None
         self._cache_dir = Path(cache_dir) if cache_dir is not None else None
         #: The session's persistent :class:`SharedExecutor`, shared by
@@ -422,24 +412,6 @@ class Session:
         ambient = trace is not None
         if trace is None:
             trace = Trace(name=spec.experiment)
-        progress = self.progress
-
-        def notify(event: str, **fields: Any) -> None:
-            # A raising callback is dropped for the rest of the run: an
-            # observer must never kill the run it observes.
-            nonlocal progress
-            if progress is None:
-                return
-            try:
-                progress({"event": event, **info, **fields})
-            except Exception:
-                progress = None
-                _OBS_LOG.warning(
-                    "progress callback %r raised and was dropped for this run",
-                    self.progress,
-                    exc_info=True,
-                )
-
         with trace.span("engine.execute", **info) as span:
             self._last_recorder = recorder = RunRecorder(span)
             emit(
@@ -449,7 +421,6 @@ class Session:
                 workers=self.workers,
                 cached=self._cache_dir is not None,
             )
-            notify("start", elapsed=0.0)
             with self._counter_lock:
                 self._runs_started += 1
             started = time.perf_counter()
@@ -459,16 +430,14 @@ class Session:
                 ) as profiler:
                     result = impl(context)
             except BaseException as exc:
-                # Progress consumers pair start/finish events; a failed
-                # run must still deliver its terminal event.
+                # Consumers pair start/finish events; a failed run must
+                # still deliver its terminal event.
                 elapsed = round(time.perf_counter() - started, 6)
                 emit("run.finish", logger=_log, **info, elapsed=elapsed, error=repr(exc))
-                notify("finish", elapsed=elapsed, error=repr(exc))
                 _RUNS_TOTAL.labels(outcome="error").inc()
                 raise
             elapsed = time.perf_counter() - started
             emit("run.finish", logger=_log, **info, elapsed=round(elapsed, 6))
-            notify("finish", elapsed=round(elapsed, 6))
         _RUNS_TOTAL.labels(outcome="ok").inc()
         _RUN_SECONDS.labels(experiment=spec.experiment).observe(elapsed)
         with self._counter_lock:

@@ -43,7 +43,6 @@ RARE_EVENT_PARAMS = (
     "tolerance",
     "tolerance_relative",
     "tilt",
-    "shift",
     "strata",
     "allocation",
 )

@@ -144,10 +144,16 @@ def poisson_band_probability(lam: float, k_min: int, k_max: "int | None") -> flo
         raise ValueError(f"invalid band [{k_min}, {k_max}]")
     if lam == 0.0:
         return 1.0 if k_min == 0 else 0.0
-    if k_max is None:
-        if k_min == 0:
-            return 1.0
-        below = np.exp(_poisson_logpmf(np.arange(k_min), lam)).sum()
-        return float(max(0.0, 1.0 - below))
-    ks = np.arange(k_min, k_max + 1)
-    return float(np.exp(_poisson_logpmf(ks, lam)).sum())
+    # Past ``end`` the pmf has fallen geometrically for 40 standard
+    # deviations (plus 40 terms): the mass left there is far below one
+    # ulp of anything summed here.
+    end = max(k_min, math.ceil(lam)) + math.ceil(40.0 * math.sqrt(lam) + 40.0)
+    top = end if k_max is None else min(k_max, end)
+    inside = float(np.exp(_poisson_logpmf(np.arange(k_min, top + 1), lam)).sum())
+    if inside <= 0.5:
+        return inside
+    # A band holding most of the mass is 1 minus its two tails: summing
+    # its own terms rounds a few ulps off 1, or past it.
+    below = np.exp(_poisson_logpmf(np.arange(k_min), lam)).sum()
+    above = np.exp(_poisson_logpmf(np.arange(top + 1, end + 1), lam)).sum()
+    return float(max(0.0, 1.0 - below - above))

@@ -31,7 +31,7 @@ decoupled from *how it is evaluated* (:mod:`repro.engine`) and from
 
 Every registered scenario is reachable from the experiment catalog
 (``scenario="..."`` params on Monte Carlo experiments) and from the CLI
-(``python -m repro run ... --scenario NAME``).
+(``python -m repro run ... -p scenario=NAME``).
 """
 
 from repro.errors.rates import poisson_band_probability

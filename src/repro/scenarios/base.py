@@ -17,9 +17,9 @@ Scenarios are small frozen dataclasses registered under a stable name::
 
     model = make_scenario("burst_row", span=2)
 
-The registry is the discovery surface the experiment catalog and the
-CLI's ``--scenario`` flag resolve against; :func:`list_scenarios`
-enumerates every built-in.  Scenario configurations are JSON-pure
+The registry is the discovery surface the experiment catalog's
+``scenario`` param (``run -p scenario=NAME``) resolves against;
+:func:`list_scenarios` enumerates every built-in.  Scenario configurations are JSON-pure
 (:meth:`to_key`), so they participate in
 :meth:`repro.api.spec.ExperimentSpec.content_hash` and in the engine's
 on-disk cache key without any extra plumbing.

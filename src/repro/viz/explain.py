@@ -152,7 +152,7 @@ class Source:
         if "experiment" in payload:
             try:
                 result = Result.from_json(json.dumps(payload))
-            except (ValueError, KeyError, TypeError, AttributeError) as exc:
+            except ValueError as exc:
                 raise ValueError(f"not a saved Result: {exc}") from None
             telemetry = result.telemetry()
             if telemetry is not None and not isinstance(telemetry, dict):

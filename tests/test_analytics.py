@@ -18,7 +18,11 @@ from repro.core import (
     l1_schemes,
     l2_schemes,
 )
-from repro.errors.rates import PAPER_HARD_ERROR_RATES, PAPER_SOFT_ERROR_RATE
+from repro.errors.rates import (
+    PAPER_HARD_ERROR_RATES,
+    PAPER_SOFT_ERROR_RATE,
+    poisson_band_probability,
+)
 from repro.reliability import (
     FieldReliabilityModel,
     MemoryGeometry,
@@ -141,6 +145,49 @@ class TestYieldModel:
             model.yield_with_spares_only(16 * 8 + 1, 4)
         with pytest.raises(ValueError):
             model.yield_with_ecc_only(-1)
+
+
+class TestPoissonBand:
+    """``poisson_band_probability``: a band holding most of the mass is
+    1 minus its tails, so a band whose tails lie below half an ulp of 1
+    reads exactly 1.0 (never a few ulps under it, or over)."""
+
+    @staticmethod
+    def _pmf(k: int, lam: float) -> float:
+        return math.exp(k * math.log(lam) - lam - math.lgamma(k + 1))
+
+    @pytest.mark.parametrize(
+        "lam, k_max",
+        [(1e-3, 5), (0.5, 16), (2.0, 40), (10.0, 100), (100.0, 400), (400.0, 700)],
+    )
+    def test_full_mass_bands_read_exactly_one(self, lam, k_max):
+        assert poisson_band_probability(lam, 0, k_max) == 1.0
+        assert poisson_band_probability(lam, 0, None) == 1.0
+
+    def test_near_full_band_is_one_minus_its_upper_tail(self):
+        tail = math.fsum(self._pmf(k, 2.0) for k in range(21, 80))  # 6.1e-15
+        assert poisson_band_probability(2.0, 0, 20) == 1.0 - tail
+
+    def test_bands_never_exceed_one_and_match_the_pmf_sum(self):
+        for lam in (0.3, 2.0, 7.5, 60.0, 1500.0):
+            for k_min in (0, 1, int(lam), int(2 * lam) + 3):
+                for k_max in (k_min, k_min + 5, int(3 * lam) + 20, None):
+                    if k_max is not None and k_max < k_min:
+                        continue
+                    top = k_max if k_max is not None else int(lam + 60 * lam**0.5 + 60)
+                    direct = math.fsum(self._pmf(k, lam) for k in range(k_min, top + 1))
+                    got = poisson_band_probability(lam, k_min, k_max)
+                    assert 0.0 <= got <= 1.0
+                    assert got == pytest.approx(direct, rel=1e-9, abs=1e-15)
+
+    def test_fig8_spare_curves_stay_within_one(self):
+        curves = YieldModel(MemoryGeometry.l2_16mb()).sweep(
+            range(0, 4001, 200),
+            {"ECC + Spare_16": {"ecc": True, "spares": 16},
+             "ECC + Spare_32": {"ecc": True, "spares": 32}},
+        )
+        assert all(0.0 <= y <= 1.0 for ys in curves.values() for y in ys)
+        assert curves["ECC + Spare_32"][-1] == 1.0  # tail < 1e-16
 
 
 class TestFieldReliability:

@@ -11,8 +11,8 @@ import threading
 
 import pytest
 
-from repro.api import ExperimentSpec, Result, Session
-from repro.api.cli import main
+from repro.api import ExperimentSpec, Result, Session, SpecError
+from repro.api.cli import build_parser, main
 
 
 class TestList:
@@ -69,54 +69,53 @@ class TestRun:
         out = capsys.readouterr().out
         assert "ECC Only" in out
 
-    def test_output_writes_json_by_default(self, capsys, tmp_path):
-        out_path = tmp_path / "result.json"
-        code = main([
-            "run", "fig3.coverage", "--trials", "64", "--seed", "7",
-            "--output", str(out_path), "-q",
-        ])
-        assert code == 0
-        from_cli = Result.from_json(out_path.read_text())
-        assert from_cli.experiment == "fig3.coverage"
-        assert from_cli.backend == "monte_carlo"
-
-    def test_output_writes_csv_by_suffix(self, capsys, tmp_path):
-        out_path = tmp_path / "result.csv"
-        code = main([
-            "run", "fig8.reliability", "-q", "--output", str(out_path),
-        ])
-        assert code == 0
-        rows = Result.rows_from_csv(out_path.read_text())
-        assert any(row["series"] == "With 2D coding" for row in rows)
-
     def test_scenario_flag_selects_scenario(self, capsys, tmp_path):
         out_path = tmp_path / "bursts.json"
         code = main([
             "run", "fig3.coverage", "--trials", "64", "--seed", "7",
-            "--scenario", "burst_row", "--output", str(out_path), "-q",
+            "-p", "scenario=burst_row", "--json", str(out_path), "-q",
         ])
         assert code == 0
         result = Result.from_json(out_path.read_text())
         assert result.spec.param_dict()["scenario"] == "burst_row"
         assert result.data_dict()["scenario"]["model"] == "burst_row"
 
-    def test_scenario_flag_matches_param_spelling(self, capsys, tmp_path):
-        flag_path = tmp_path / "flag.json"
-        param_path = tmp_path / "param.json"
-        argv = ["run", "fig3.coverage", "--trials", "64", "--seed", "7", "-q"]
-        assert main([*argv, "--scenario", "burst_column", "--output", str(flag_path)]) == 0
-        assert main([*argv, "-p", "scenario=burst_column", "--output", str(param_path)]) == 0
-        assert (
-            Result.from_json(flag_path.read_text()).without_telemetry()
-            == Result.from_json(param_path.read_text()).without_telemetry()
-        )
+    #: ``content_hash()`` of the spec that ``run sweep.mc_coverage
+    #: --trials 512 --seed 5 -q`` built with each removed shorthand
+    #: flag, recorded before the flags were dropped.
+    _SHORTHAND_HASHES = {
+        "scenario=hard_fault_map":
+            "b04982c95ac5c2afbcc064a6b0f2f166a2e27cd9e613268f09910d2f765911b4",
+        "tolerance=0.01":
+            "37b1eddba28410257e28b7623c15bc412d46b47a5fbaa0bdb579b93bc5942daa",
+        "estimator=tilted":
+            "3d4321255d61c641705d87dfd3c12226ba5da051fc1767594daa212d48a15610",
+        "tilt=0.5":
+            "55dc7d022a8813f3db38897e2addc3d1c1959619ad30d58f43ff59ebbf96093b",
+    }
+
+    def test_scenario_flag_matches_param_spelling(self, capsys, monkeypatch):
+        """``-p KEY=VALUE`` builds the very spec each removed shorthand
+        (``--scenario``, ``--tolerance``, ``--estimator``, ``--tilt``)
+        built: the same content hash, so the same cache and store keys."""
+        specs = []
+
+        def capture(self, spec, **kwargs):
+            specs.append(spec)
+            raise SpecError("captured")
+
+        monkeypatch.setattr(Session, "run", capture)
+        argv = ["run", "sweep.mc_coverage", "--trials", "512", "--seed", "5", "-q"]
+        for param, expected in self._SHORTHAND_HASHES.items():
+            assert main([*argv, "-p", param]) == 2
+            assert specs[-1].content_hash() == expected, param
 
     def test_workers_passthrough_matches_single_worker(self, capsys, tmp_path):
         serial_path = tmp_path / "serial.json"
         workers_path = tmp_path / "workers.json"
         argv = ["run", "fig3.coverage", "--trials", "256", "--seed", "7", "-q"]
-        assert main([*argv, "--output", str(serial_path)]) == 0
-        assert main([*argv, "--workers", "2", "--output", str(workers_path)]) == 0
+        assert main([*argv, "--json", str(serial_path)]) == 0
+        assert main([*argv, "--workers", "2", "--json", str(workers_path)]) == 0
         # Worker count is pure scheduling: byte-identical results
         # (telemetry records the differing schedules, in meta only).
         assert Result.from_json(serial_path.read_text()).without_telemetry() == (
@@ -147,7 +146,7 @@ class TestRun:
 
     def test_unknown_scenario_exits_usage_error(self, capsys):
         code = main([
-            "run", "fig3.coverage", "--trials", "8", "--scenario", "bogus_scenario",
+            "run", "fig3.coverage", "--trials", "8", "-p", "scenario=bogus_scenario",
         ])
         assert code == 2
         assert "unknown scenario" in capsys.readouterr().err
@@ -155,35 +154,27 @@ class TestRun:
     def test_weighted_composite_population_exits_with_clean_error(self, capsys):
         code = main([
             "run", "fig3.coverage", "--backend", "monte_carlo", "--trials", "8",
-            "--scenario", "composite", "-p",
+            "-p", "scenario=composite", "-p",
             'scenario_params={"soft": {"scenario": "tilted_clustered_mbu", "tilt": 0.1}}',
         ])
         assert code == 1
         assert "weighted" in capsys.readouterr().err
 
-    def test_conflicting_scenario_flag_and_param_exit_usage_error(self, capsys):
-        code = main([
-            "run", "fig3.coverage", "--trials", "8",
-            "--scenario", "burst_row", "-p", "scenario=clustered_mbu",
-        ])
-        assert code == 2
-        assert "conflicting scenarios" in capsys.readouterr().err
-
     def test_unsupported_scenario_for_experiment_exits_usage_error(self, capsys):
-        code = main(["run", "fig8.yield", "--trials", "8", "--scenario", "burst_row"])
+        code = main(["run", "fig8.yield", "--trials", "8", "-p", "scenario=burst_row"])
         assert code == 2
         assert "iid_uniform" in capsys.readouterr().err
 
     def test_param_ignored_by_scenario_exits_usage_error(self, capsys):
         code = main([
-            "run", "fig3.coverage", "--trials", "8", "--scenario", "burst_row",
+            "run", "fig3.coverage", "--trials", "8", "-p", "scenario=burst_row",
             "-p", "footprints=[[[8, 8], 1.0]]",
         ])
         assert code == 2
-        assert "no effect" in capsys.readouterr().err
+        assert "does not accept param(s) footprints" in capsys.readouterr().err
 
     def test_scenario_on_deterministic_experiment_exits_usage_error(self, capsys):
-        code = main(["run", "fig1.storage", "--scenario", "clustered_mbu"])
+        code = main(["run", "fig1.storage", "-p", "scenario=clustered_mbu"])
         assert code == 2
         assert "does not accept" in capsys.readouterr().err
 
@@ -211,7 +202,7 @@ class TestRun:
         "argv, message",
         [
             (["sweep.mc_coverage", "-p", "scheme=nope"], "unknown scheme"),
-            (["sweep.mc_coverage", "-p", "model=nope"], "unknown error model"),
+            (["sweep.mc_coverage", "-p", "scenario=nope"], "unknown scenario"),
             (["sweep.scheme_cost", "-p", "cache=l3"], "cache must be"),
             (["sweep.scheme_cost", "-p", 'schemes=["nope"]'], "unknown scheme keys"),
             (["sweep.perf_sensitivity", "-p", "cmp=thin"], "unknown cmp"),
@@ -223,9 +214,17 @@ class TestRun:
               "-p", "failing_cells=[20000]"], "failing_cells must lie in"),
             (["fig8.yield", "--backend", "monte_carlo", "--trials", "16",
               "-p", "failing_cells=[-3]"], "failing_cells must lie in"),
+            (["fig8.yield", "--backend", "monte_carlo", "--trials", "64",
+              "-p", "failing_cells=[1.5, 2.9]"], "whole cell counts, got [1.5, 2.9]"),
+            (["fig8.yield", "-p", "failing_cells=[0, 2.5]"], "whole cell counts"),
+            (["fig8.yield", "-p", "failing_cells=5"], "failing_cells must be a list"),
+            (["sweep.mc_coverage", "--trials", "8", "-p", "scenario_params=5"],
+             "scenario_params must be a mapping"),
         ],
         ids=["scheme", "error-model", "cache", "scheme-keys", "cmp", "workload",
-             "protection", "fig3-columns", "fig8-cells-above", "fig8-cells-negative"],
+             "protection", "fig3-columns", "fig8-cells-above", "fig8-cells-negative",
+             "fig8-cells-fraction", "fig8-analytical-cells-fraction",
+             "fig8-cells-not-list", "scenario-params-not-mapping"],
     )
     def test_catalog_param_errors_are_usage_errors(self, capsys, argv, message):
         """A bad catalog parameter is a usage error (exit 2), not an
@@ -259,7 +258,7 @@ class TestTelemetryFlags:
         [
             ["--json", "-", "--csv", "-"],
             ["--json", "--telemetry", "-"],
-            ["--output", "-", "--telemetry", "-"],
+            ["--csv", "-", "--telemetry", "-"],
         ],
     )
     def test_two_stdout_payloads_exit_usage_error_before_running(
@@ -369,7 +368,7 @@ class TestReportCommand:
         result_path = tmp_path / "r.json"
         assert main([
             "run", "fig3.coverage", "--trials", "64", "--seed", "7", "-q",
-            "--output", str(result_path),
+            "--json", str(result_path),
         ]) == 0
         assert main(["explain", str(result_path)]) == 0
         html_path = tmp_path / "r.html"
@@ -385,7 +384,7 @@ class TestReportCommand:
         result_path = tmp_path / "r.json"
         out_path = tmp_path / "custom.html"
         main([
-            "run", "fig1.storage", "-q", "--output", str(result_path),
+            "run", "fig1.storage", "-q", "--json", str(result_path),
         ])
         assert main(["explain", str(result_path), "-o", str(out_path)]) == 0
         assert out_path.is_file()
@@ -446,21 +445,36 @@ class TestTraceCommand:
         assert "not a saved Result, job trace" in capsys.readouterr().err
 
 
-def test_subcommands_are_list_run_explain_serve_cache():
-    """``explain`` is the one page command, with one option (``-o``)."""
-    from repro.api.cli import build_parser
-
-    subparsers = next(
+def _subparsers() -> argparse._SubParsersAction:
+    return next(
         action for action in build_parser()._actions
         if isinstance(action, argparse._SubParsersAction)
     )
-    assert list(subparsers.choices) == ["list", "run", "explain", "serve", "cache"]
-    options = [
+
+
+def _options(command: str) -> "list[list[str]]":
+    return [
         action.option_strings
-        for action in subparsers.choices["explain"]._actions
+        for action in _subparsers().choices[command]._actions
         if action.option_strings
     ]
-    assert options == [["-h", "--help"], ["-o", "--output"]]
+
+
+def test_subcommands_are_list_run_explain_serve_cache():
+    """``explain`` is the one page command, with one option (``-o``)."""
+    assert list(_subparsers().choices) == ["list", "run", "explain", "serve", "cache"]
+    assert _options("explain") == [["-h", "--help"], ["-o", "--output"]]
+
+
+def test_run_has_one_spelling_per_input():
+    """Besides ``--help``, ``run`` has 14 options; every experiment
+    input outside the spec fields is a ``-p`` param."""
+    assert _options("run") == [
+        ["-h", "--help"], ["--backend"], ["--trials"], ["--seed"],
+        ["--confidence"], ["--workers"], ["--cache-dir"], ["-p", "--param"],
+        ["--json"], ["--csv"], ["-q", "--quiet"], ["-v", "--verbose"],
+        ["--telemetry"], ["--profile"], ["--profile-out"],
+    ]
 
 
 @pytest.mark.parametrize("argv", [["list"], ["run", "fig1.storage", "-q"]])

@@ -1,14 +1,20 @@
 """Rare-event knobs through the API surface: spec validation, catalog
-dispatch, and the ``run --tolerance/--estimator`` CLI flags."""
+dispatch, the tilted estimate's accuracy, and the knobs as ``run -p``
+params."""
 
 from __future__ import annotations
 
 import json
+import math
 
 import pytest
 
 from repro.api import ExperimentSpec, SpecError, run
+from repro.api.catalog import named_schemes
 from repro.api.cli import main
+from repro.api.spec import RARE_EVENT_PARAMS
+from repro.engine import EngineSpec, run_experiment
+from repro.scenarios import TiltedHardFaultMapScenario
 
 HFM = {"scenario": "hard_fault_map", "scenario_params": {"defect_density": 2e-5}}
 
@@ -34,7 +40,6 @@ class TestAnalyticalRejection:
             {"strata": 4},
             {"tolerance_relative": True},
             {"allocation": "neyman"},
-            {"shift": 1},
         ],
     )
     @pytest.mark.parametrize("experiment", ["fig3.coverage", "fig8.yield"])
@@ -87,7 +92,8 @@ class TestKnobValidation:
             "sweep.mc_coverage",
             trials=512,
             seed=5,
-            params={"model": "fixed", "height": 2, "width": 2,
+            params={"scenario": "fixed_cluster",
+                    "scenario_params": {"height": 2, "width": 2},
                     "estimator": "tilted", "tilt": 1.0},
         )
         with pytest.raises(SpecError, match="tilted"):
@@ -104,15 +110,19 @@ class TestKnobValidation:
             run(spec)
 
     def test_shift_rejected_for_clustered(self):
-        spec = ExperimentSpec(
-            "sweep.mc_coverage",
-            trials=512,
-            seed=5,
-            params={"scenario": "clustered_mbu", "estimator": "tilted",
-                    "shift": 2},
-        )
-        with pytest.raises(SpecError, match="shift"):
-            run(spec)
+        """``shift`` is no catalog param, for any scenario: a proposal
+        that never draws fewer than ``shift`` faults misses every
+        failure below it."""
+        assert "shift" not in RARE_EVENT_PARAMS
+        for scenario in ("clustered_mbu", "hard_fault_map"):
+            spec = ExperimentSpec(
+                "sweep.mc_coverage",
+                trials=512,
+                seed=5,
+                params={"scenario": scenario, "estimator": "tilted", "shift": 2},
+            )
+            with pytest.raises(SpecError, match="does not accept param.s. shift"):
+                run(spec)
 
 
 class TestCatalogDispatch:
@@ -174,13 +184,77 @@ class TestCatalogDispatch:
         )
 
 
+def _exact_failure(density: float, rows: int) -> float:
+    """P(bank not fully corrected) for Poisson(``density`` x S) faults
+    in a ``rows`` x 4-word SECDED bank: it fails unless every fault
+    lands in its own 72-cell word (the occupancy product over
+    S = rows x 288 cells)."""
+    sites, word = rows * 288, 72
+    lam = density * sites
+    failure, survive = 0.0, 1.0
+    for k in range(40):
+        pmf = math.exp(k * math.log(lam) - lam - math.lgamma(k + 1))
+        failure += pmf * (1.0 - survive)
+        survive *= (sites - word * k) / (sites - k)
+    return failure
+
+
+class TestTiltedEstimate:
+    """A tilted proposal aims at the rare failure: the catalog estimates
+    P(uncorrected) and reports its complement as the coverage."""
+
+    PARAMS = {
+        "scheme": "secded_intv4",
+        "rows": 64,
+        "scenario": "hard_fault_map",
+        "scenario_params": {"defect_density": 4e-7},
+        "estimator": "tilted",
+        "tilt": 5.5,
+    }
+
+    def test_tilted_coverage_contains_the_exact_value(self):
+        result = run(
+            ExperimentSpec("sweep.mc_coverage", trials=8192, seed=42,
+                           params=self.PARAMS)
+        )
+        estimate = result.data_dict()["estimate"]
+        exact = 1.0 - _exact_failure(4e-7, 64)  # 1 - 1.047e-7
+        assert estimate["lower"] <= exact <= estimate["upper"]
+        assert (estimate["upper"] - estimate["lower"]) / 2 < 1e-6
+        # The complement of the engine's HT(uncorrected) on the same draws.
+        engine = run_experiment(
+            EngineSpec.from_scheme(named_schemes()["secded_intv4"], rows=64),
+            TiltedHardFaultMapScenario(defect_density=4e-7, tilt=5.5),
+            8192,
+            42,
+        ).weighted_estimate("uncorrected")
+        assert estimate["point"] == 1.0 - engine.point
+        assert (estimate["lower"], estimate["upper"]) == (
+            1.0 - engine.upper, 1.0 - engine.lower
+        )
+
+    def test_tilted_sequential_stops_on_the_failure_estimate(self):
+        result = run(
+            ExperimentSpec(
+                "sweep.mc_coverage", seed=42,
+                params={**self.PARAMS, "tolerance": 0.5,
+                        "tolerance_relative": True},
+            )
+        )
+        estimate = result.data_dict()["estimate"]
+        failure = 1.0 - estimate["point"]
+        half_width = (estimate["upper"] - estimate["lower"]) / 2
+        assert half_width <= 0.5 * failure
+        assert estimate["lower"] <= 1.0 - _exact_failure(4e-7, 64) <= estimate["upper"]
+
+
 class TestCliFlags:
-    """Satellite smoke: `run --tolerance` stops early and within target."""
+    """The knobs as ``run -p KEY=VALUE`` params, end to end."""
 
     def test_tolerance_stops_below_fixed_default(self, tmp_path):
         out = tmp_path / "fig3.json"
         code = main([
-            "run", "fig3.coverage", "--tolerance", "0.01",
+            "run", "fig3.coverage", "-p", "tolerance=0.01",
             "--seed", "2007", "-q", "--json", str(out),
         ])
         assert code == 0
@@ -197,25 +271,18 @@ class TestCliFlags:
         out = tmp_path / "sweep.json"
         code = main([
             "run", "sweep.mc_coverage", "--trials", "512", "--seed", "5",
-            "--scenario", "hard_fault_map",
+            "-p", "scenario=hard_fault_map",
             "-p", 'scenario_params={"defect_density": 2e-5}',
-            "--estimator", "tilted", "--tilt", "0.5",
+            "-p", "estimator=tilted", "-p", "tilt=0.5",
             "-q", "--json", str(out),
         ])
         assert code == 0
         estimate = json.loads(out.read_text())["data"]["estimate"]
         assert estimate["estimator"] == "tilted"
 
-    def test_conflicting_flag_and_param(self):
-        code = main([
-            "run", "sweep.mc_coverage", "--tolerance", "0.01",
-            "-p", "tolerance=0.5",
-        ])
-        assert code == 2
-
     def test_bad_estimator_combination_exits_2(self):
         code = main([
-            "run", "sweep.mc_coverage", "--estimator", "stratified",
-            "--tolerance", "0.01", "--seed", "5",
+            "run", "sweep.mc_coverage", "-p", "estimator=stratified",
+            "-p", "tolerance=0.01", "--seed", "5",
         ])
         assert code == 2

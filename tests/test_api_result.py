@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import json
+
 import pytest
 from hypothesis import given, strategies as st
 
@@ -54,6 +56,25 @@ class TestResultJson:
         )
         with pytest.raises(ResultError):
             Result.from_json(bad_version)
+
+    @pytest.mark.parametrize(
+        "payload",
+        [
+            {"experiment": "x", "schema_version": 1},
+            {"experiment": "x", "schema_version": 1, "backend": "analytical"},
+            {"experiment": "x", "schema_version": 1, "backend": "analytical",
+             "spec": 5},
+            {"experiment": "x", "schema_version": 1, "backend": "analytical",
+             "spec": {"experiment": "x"}, "series": [1]},
+            {"experiment": "x", "schema_version": 1, "backend": "analytical",
+             "spec": {"experiment": "x"}, "series": [{"y": [1.0]}]},
+        ],
+        ids=["no-backend", "no-spec", "spec-not-object", "series-not-object",
+             "series-without-name"],
+    )
+    def test_missing_or_malformed_keys_raise_result_error(self, payload):
+        with pytest.raises(ResultError):
+            Result.from_json(json.dumps(payload))
 
     def test_save_json(self, tmp_path):
         path = _result().save_json(tmp_path / "out.json")

@@ -19,6 +19,7 @@ from repro.api import (
     get_experiment,
     list_experiments,
 )
+from repro.scenarios import UnknownScenarioError
 
 #: Fast spec for every registered experiment (small trial/cycle counts).
 _FAST_SPECS = {
@@ -34,7 +35,10 @@ _FAST_SPECS = {
     "fig8.yield": ExperimentSpec("fig8.yield", params={"failing_cells": [0, 2000]}),
     "fig8.reliability": ExperimentSpec("fig8.reliability", params={"years": [0.0, 5.0]}),
     "sweep.mc_coverage": ExperimentSpec(
-        "sweep.mc_coverage", trials=64, params={"model": "fixed", "height": 2, "width": 2}
+        "sweep.mc_coverage",
+        trials=64,
+        params={"scenario": "fixed_cluster",
+                "scenario_params": {"height": 2, "width": 2}},
     ),
     "sweep.mbu_cluster": ExperimentSpec(
         "sweep.mbu_cluster",
@@ -94,10 +98,12 @@ class TestSession:
         assert result.backend == "monte_carlo"
 
     def test_progress_hook_sees_start_and_finish(self):
-        events = []
-        session = Session(progress=events.append)
+        """A run's progress record is its span: ``run.start`` and
+        ``run.finish`` carry the spec hash and the elapsed time."""
+        session = Session()
         session.run(_FAST_SPECS["fig1.storage"])
-        assert [e["event"] for e in events] == ["start", "finish"]
+        events = session.last_telemetry.events
+        assert [e["event"] for e in events] == ["run.start", "run.finish"]
         assert events[0]["spec_hash"] == _FAST_SPECS["fig1.storage"].content_hash()
         assert events[1]["elapsed"] > 0.0
 
@@ -171,13 +177,13 @@ class TestSession:
             ExperimentSpec("fig2.interleaving", params=[("degrees", [1, 2])])
 
     def test_progress_finish_fires_on_failure(self):
-        events = []
-        session = Session(progress=events.append)
+        session = Session()
         with pytest.raises(ValueError, match="unknown scheme"):
             session.run(
                 ExperimentSpec("sweep.mc_coverage", trials=8, params={"scheme": "no"})
             )
-        assert [e["event"] for e in events] == ["start", "finish"]
+        events = session.last_telemetry.events
+        assert [e["event"] for e in events] == ["run.start", "run.finish"]
         assert "unknown scheme" in events[1]["error"]
 
     def test_fig3_monte_carlo_honors_geometry_params(self):
@@ -202,9 +208,9 @@ class TestSession:
             Session().run(
                 ExperimentSpec("sweep.mc_coverage", trials=8, params={"scheme": "nope"})
             )
-        with pytest.raises(ValueError, match="unknown error model"):
+        with pytest.raises(UnknownScenarioError, match="unknown scenario"):
             Session().run(
-                ExperimentSpec("sweep.mc_coverage", trials=8, params={"model": "nope"})
+                ExperimentSpec("sweep.mc_coverage", trials=8, params={"scenario": "nope"})
             )
         with pytest.raises(ValueError, match="cache must be"):
             Session().run(ExperimentSpec("sweep.scheme_cost", params={"cache": "l3"}))

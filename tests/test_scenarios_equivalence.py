@@ -363,46 +363,72 @@ class TestExperimentBackCompat:
             legacy.estimate(0.95).point
         )
 
-    def test_sweep_mc_coverage_scenario_knob_matches_model_spelling(self):
-        """scenario="burst_row" and model="burst_row" are the same run."""
+    #: Each removed ``model=`` shorthand (and fig3's ``footprints``
+    #: param), its ``scenario``/``scenario_params`` replacement, and the
+    #: engine cache keys the shorthand wrote at 64 trials, seed 3
+    #: (recorded before the shorthands were dropped).  The first row is
+    #: also the one behaviour change: an explicit ``clustered_mbu`` with
+    #: no footprints draws the Fig. 3 mix, where it used to draw the
+    #: scenario's mostly-single-bit default (key ``6bf606d8...``).
+    _SHORTHAND_KEYS = [
+        ("sweep.mc_coverage", "model=cluster",
+         {"scenario": "clustered_mbu"},
+         ["94da4e387c0fb1268dc827f54dcb5e5e01c68e023a28fc68738b227f7c294a11"]),
+        ("sweep.mc_coverage", "model=cluster footprints=[[[8, 8], 1.0]]",
+         {"scenario_params": {"footprints": [[[8, 8], 1.0]]}},
+         ["5333d1674835a415309124d865ff5b98389e9c5c88bef9d248f60d4927a9a0b4"]),
+        ("sweep.mc_coverage", "model=fixed",
+         {"scenario": "fixed_cluster",
+          "scenario_params": {"height": 8, "width": 8}},
+         ["05fce81d958f52152ea955cedd222cbb234a7f1a2abfd1fd3e0b63faae71d20a"]),
+        ("sweep.mc_coverage", "model=fixed height=2 width=3",
+         {"scenario": "fixed_cluster",
+          "scenario_params": {"height": 2, "width": 3}},
+         ["b6ec79eac659b94615325be20c58905460f7841a7ae16dc8df223325f97a3c9d"]),
+        ("sweep.mc_coverage", "model=random_cells",
+         {"scenario": "iid_uniform", "scenario_params": {"n_cells": 2}},
+         ["56c80e6304869a4f8b2e1ececa142ae842bcaabdcc9fdbd3f107c26fd843d980"]),
+        ("sweep.mc_coverage", "model=random_cells n_cells=5",
+         {"scenario": "iid_uniform", "scenario_params": {"n_cells": 5}},
+         ["fccc0a8adaec57ce9c2397078823f3d720229a66c5603ba4c0215bd92ea18d6a"]),
+        ("sweep.mc_coverage", "model=burst_row scenario_params={span: 2}",
+         {"scenario": "burst_row", "scenario_params": {"span": 2}},
+         ["0607775146d0b112ade6c4ddc070795dba48dfac28b160037bbef14882a76bdf"]),
+        ("fig3.coverage", "footprints=[[[8, 8], 1.0]]",
+         {"scenario_params": {"footprints": [[[8, 8], 1.0]]}},
+         ["5333d1674835a415309124d865ff5b98389e9c5c88bef9d248f60d4927a9a0b4",
+          "9bed9cc24ff46739c872548f49ecd37185e90f2976fc29232c580246885ab871"]),
+    ]
+
+    def test_sweep_mc_coverage_scenario_knob_matches_model_spelling(self, tmp_path):
+        """Every removed shorthand's ``scenario`` spelling builds the same
+        engine model: it writes the shorthand's engine cache keys."""
         from repro.api import ExperimentSpec, Session
 
-        session = Session()
-        via_scenario = session.run(
-            ExperimentSpec("sweep.mc_coverage", trials=64, seed=2,
-                           params={"scheme": "secded_intv4", "rows": 32,
-                                   "scenario": "burst_row"})
-        )
-        via_model = session.run(
-            ExperimentSpec("sweep.mc_coverage", trials=64, seed=2,
-                           params={"scheme": "secded_intv4", "rows": 32,
-                                   "model": "burst_row"})
-        )
-        assert via_scenario.data_dict()["estimate"] == via_model.data_dict()["estimate"]
+        for i, (name, shorthand, params, keys) in enumerate(self._SHORTHAND_KEYS):
+            cache_dir = tmp_path / str(i)
+            with Session(cache_dir=cache_dir) as session:
+                session.run(ExperimentSpec(name, backend="monte_carlo", trials=64,
+                                           seed=3, params=params))
+            written = sorted(p.stem for p in cache_dir.rglob("*.npz"))
+            assert written == keys, shorthand
 
     def test_params_unused_by_chosen_scenario_are_rejected(self):
-        """An explicit param the scenario ignores is a SpecError, not a
-        silently misleading provenance entry."""
+        """The removed shorthand params (``model``, ``footprints``,
+        ``height``/``width``/``n_cells``) are no experiment params: a
+        spec naming one is a SpecError, not a silently misleading
+        provenance entry."""
         from repro.api import ExperimentSpec, Session
         from repro.api.spec import SpecError
 
         session = Session()
-        with pytest.raises(SpecError, match="no effect"):
-            session.run(
-                ExperimentSpec("fig3.coverage", trials=8,
-                               params={"scenario": "burst_row",
-                                       "footprints": [[[8, 8], 1.0]]})
-            )
-        with pytest.raises(SpecError, match="no effect"):
-            session.run(
-                ExperimentSpec("sweep.mc_coverage", trials=8,
-                               params={"scenario": "burst_row", "height": 4})
-            )
-        with pytest.raises(SpecError, match="no effect"):
-            session.run(
-                ExperimentSpec("sweep.mc_coverage", trials=8,
-                               params={"model": "fixed", "n_cells": 4})
-            )
+        for name, params in [
+            ("fig3.coverage", {"scenario": "burst_row", "footprints": [[[8, 8], 1.0]]}),
+            ("sweep.mc_coverage", {"scenario": "burst_row", "height": 4}),
+            ("sweep.mc_coverage", {"model": "fixed", "n_cells": 4}),
+        ]:
+            with pytest.raises(SpecError, match="does not accept param"):
+                session.run(ExperimentSpec(name, trials=8, params=params))
 
     def test_mbu_cluster_sweep_monotone_in_cluster_size(self):
         """Bigger clusters can only hurt: coverage is non-increasing

@@ -75,10 +75,16 @@ class TestSubmit:
         async def main():
             queue = JobQueue()
             a, _ = queue.submit(
-                ExperimentSpec("sweep.mc_coverage", params={"height": 2, "width": 3})
+                ExperimentSpec("sweep.mc_coverage", params={
+                    "scenario": "fixed_cluster",
+                    "scenario_params": {"height": 2, "width": 3},
+                })
             )
             b, deduped = queue.submit(
-                ExperimentSpec("sweep.mc_coverage", params={"width": 3, "height": 2})
+                ExperimentSpec("sweep.mc_coverage", params={
+                    "scenario_params": {"width": 3, "height": 2},
+                    "scenario": "fixed_cluster",
+                })
             )
             assert deduped and b is a
 
